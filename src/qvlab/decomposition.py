@@ -132,7 +132,6 @@ class GaugeConfiguration:
     a_quantum: VectorField
     u: np.ndarray
     chi: np.ndarray
-    phi_scalar: Optional[np.ndarray] = None
     b_external: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def __post_init__(self):
@@ -170,7 +169,6 @@ class GaugeConfiguration:
         a_quantum: Optional[VectorField] = None,
         u: Optional[np.ndarray] = None,
         chi: Optional[np.ndarray] = None,
-        phi_scalar: Optional[np.ndarray] = None,
         b_external=None,
     ) -> "GaugeConfiguration":
         """Build a configuration from whichever parts are present; a_psi is
@@ -188,7 +186,6 @@ class GaugeConfiguration:
             a_quantum=a_qu,
             u=u if u is not None else _zero_samples(grid),
             chi=chi if chi is not None else _zero_samples(grid),
-            phi_scalar=phi_scalar,
             b_external=b_external,
         )
 

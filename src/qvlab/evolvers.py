@@ -5,20 +5,25 @@ evolution matrix for truncated kinematic-state flows.
 The scalar step factors exp(-i*dt*H/hbar) with H = (p - qA)^2/(2m) + U into a
 pointwise phase for U + q^2|A|^2/(2m), an exact transform-space kinetic
 multiplier, and the cross term -(q/2m)(A.p + p.A).  For uniform A the cross
-term is diagonal in transform space and the whole step is exact; otherwise it
-is applied through a short series of the symmetrized generator, a unitary
-deviation far below the O(dt^2) splitting error.  The spinor step wraps that
-machinery componentwise between exact 2x2 rotations for the magnetic moment
-term, and the bispinor step pairs a closed-form free propagator (H_free^2 is
-scalar in transform space) with a pointwise closed-form interaction
-exponential.
+term is diagonal in transform space, commutes with the kinetic multiplier and
+is folded into it, so the whole step is exact; otherwise it is applied through
+a short series of the symmetrized generator, a unitary deviation far below the
+O(dt^2) splitting error.  The spinor step wraps that machinery componentwise
+between exact 2x2 rotations for the magnetic moment term, and the bispinor
+step pairs a closed-form free propagator (H_free^2 is scalar in transform
+space, so it is applied per component without a matrix field) with a
+pointwise closed-form interaction exponential.
+
+Each equation has one stepper, built once per run: its factory computes every
+factor fixed for the run and returns a closure that advances the values one
+step.  The *_step functions apply a fresh stepper once; the run_* functions
+share one loop, which builds no stepper for a run of zero steps.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -69,10 +74,38 @@ class EvolutionTrace:
     snapshots: list
 
 
-def _record(trace: EvolutionTrace, step: int, params: EvolutionParams, state, time: float):
-    if step % params.snapshot_stride == 0 or step == params.steps:
-        trace.times.append(time)
-        trace.snapshots.append(state)
+def _run(state, params: EvolutionParams, build, clock=None) -> EvolutionTrace:
+    """Advance `state` with the stepper `build()` returns, built only when
+    there is a step to take; snapshot times are step*dt unless `clock` reads
+    them off the state."""
+    trace = EvolutionTrace([], [])
+    advance = build() if params.steps else None
+    for step in range(params.steps + 1):
+        if step:
+            state = advance(state)
+        if step % params.snapshot_stride == 0 or step == params.steps:
+            trace.times.append(clock(state) if clock else step * params.dt)
+            trace.snapshots.append(state)
+    return trace
+
+
+def _on_field(psi, stepper):
+    """Lift a values -> values stepper to fields of psi's type and grid."""
+    cls, grid = type(psi), psi.grid
+    return lambda field: cls(grid, stepper(field.values))
+
+
+def _sigma_parts(v) -> tuple:
+    """(v_z, v_x - i*v_y, v_x + i*v_y), the entries of sigma.v."""
+    vx, vy, vz = v
+    return vz, vx - 1j * vy, vx + 1j * vy
+
+
+def _sigma_dot(parts, values) -> np.ndarray:
+    """sigma.v applied to a two-component array."""
+    vz, minus, plus = parts
+    up, down = values
+    return np.stack([vz * up + minus * down, plus * up - vz * down])
 
 
 # ---------------------------------------------------------------------------
@@ -94,39 +127,29 @@ def _uniform_components(field) -> Optional[list[float]]:
     return out
 
 
-def _apply_cross(values, grid, gauge, consts, tau):
-    """exp(-i*tau*C/hbar) with C = -(q/2m)(A.p + p.A)."""
-    uniform = _uniform_components(gauge.a_psi)
-    if uniform is not None:
-        if all(v == 0.0 for v in uniform):
-            return values
-        phase = np.zeros(grid.shape)
-        for axis, a in enumerate(uniform):
-            phase = phase + a * _kmesh(grid, axis, True)
-        mult = np.exp(1j * tau * (consts.q / consts.m) * phase)
-        return np.fft.ifftn(mult * np.fft.fftn(values))
-    # -i*tau*C/hbar reduces to a real coefficient on div(A psi) + A.grad(psi)
-    coeff = tau * consts.q / (2.0 * consts.m)
+def _apply_cross(values, grid, a, coeff):
+    """exp(-i*tau*C/hbar) with C = -(q/2m)(A.p + p.A) for non-uniform A, as a
+    series in the generator; -i*tau*C/hbar reduces to the real coefficient
+    coeff = tau*q/(2m) on div(A psi) + A.grad(psi)."""
 
     def gen(arr):
-        flux = divergence([a * arr for a in gauge.a_psi.components], grid)
-        adv = sum(
-            a * g
-            for a, g in zip(gauge.a_psi.components, spectral_gradient(arr, grid))
-        )
+        flux = divergence([c * arr for c in a], grid)
+        adv = sum(c * g for c, g in zip(a, spectral_gradient(arr, grid)))
         return coeff * (flux + adv)
 
-    out = values
-    term = values
+    out = term = values
     for n in range(1, _CROSS_TERMS):
         term = gen(term) / n
         out = out + term
     return out
 
 
-def _scalar_step(values, grid, gauge, consts, params, kinetic, potential):
+def _scalar_stepper(grid, gauge, consts, params, kinetic=True, potential=True):
+    if grid != gauge.grid:
+        raise ValueError("field and gauge configuration live on different grids")
     dt = params.dt
     strang = params.splitting_order == 2
+    v_phase = k_phase = coeff = None
     if potential:
         v = _potential_energy(gauge, consts)
         if abs(dt) * float(np.max(np.abs(v))) * consts.beta > 0.5:
@@ -135,21 +158,31 @@ def _scalar_step(values, grid, gauge, consts, params, kinetic, potential):
                 RuntimeWarning,
             )
         v_phase = np.exp(-1j * (0.5 * dt if strang else dt) * v * consts.beta)
-        values = values * v_phase
     if kinetic:
-        k_phase = np.exp(
-            -1j * dt * consts.hbar * k_squared(grid) / (2.0 * consts.m)
-        )
-        if strang:
-            values = _apply_cross(values, grid, gauge, consts, 0.5 * dt)
+        k_phase = np.exp(-1j * dt * consts.hbar * k_squared(grid) / (2.0 * consts.m))
+        uniform = _uniform_components(gauge.a_psi)
+        if uniform is None:
+            coeff = (0.5 * dt if strang else dt) * consts.q / (2.0 * consts.m)
+        elif any(uniform):
+            # Both cross halves are diagonal in transform space and commute
+            # with the kinetic multiplier: one phase over the whole dt.
+            shift = sum(a * _kmesh(grid, axis, True) for axis, a in enumerate(uniform))
+            k_phase = k_phase * np.exp(1j * dt * (consts.q / consts.m) * shift)
+
+    def step(values):
+        if v_phase is not None:
+            values = values * v_phase
+        if coeff is not None:
+            values = _apply_cross(values, grid, gauge.a_psi.components, coeff)
+        if k_phase is not None:
             values = np.fft.ifftn(k_phase * np.fft.fftn(values))
-            values = _apply_cross(values, grid, gauge, consts, 0.5 * dt)
-        else:
-            values = _apply_cross(values, grid, gauge, consts, dt)
-            values = np.fft.ifftn(k_phase * np.fft.fftn(values))
-    if potential and strang:
-        values = values * v_phase
-    return values
+        if coeff is not None and strang:
+            values = _apply_cross(values, grid, gauge.a_psi.components, coeff)
+        if v_phase is not None and strang:
+            values = values * v_phase
+        return values
+
+    return step
 
 
 def schrodinger_step(
@@ -167,12 +200,8 @@ def schrodinger_step(
     A is uniform.  The kinetic/potential switches drop the corresponding
     factors, which isolates either piece for phase checks.
     """
-    if psi.grid != gauge.grid:
-        raise ValueError("field and gauge configuration live on different grids")
-    values = _scalar_step(
-        psi.values, psi.grid, gauge, consts, params, kinetic, potential
-    )
-    return ComplexScalarField(psi.grid, values)
+    stepper = _scalar_stepper(psi.grid, gauge, consts, params, kinetic, potential)
+    return ComplexScalarField(psi.grid, stepper(psi.values))
 
 
 def magnetic_field(gauge: GaugeConfiguration) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,7 +220,7 @@ def magnetic_field(gauge: GaugeConfiguration) -> tuple[np.ndarray, np.ndarray, n
     return tuple(b)
 
 
-def _spin_rotation(values, b, consts, tau):
+def _spin_rotation(b, consts, tau):
     # exp(i*theta*sigma.n) = cos(theta) + i*sin(theta)*sigma.n with
     # theta = (q*tau/2m)|B|; the sin(theta)/|B| factor tends to q*tau/2m.
     coeff = consts.q * tau / (2.0 * consts.m)
@@ -199,11 +228,28 @@ def _spin_rotation(values, b, consts, tau):
     theta = coeff * bmag
     cos = np.cos(theta)
     safe = np.where(bmag > 0.0, bmag, 1.0)
-    scale = np.where(bmag > 0.0, np.sin(theta) / safe, coeff)
-    up, down = values
-    new_up = cos * up + 1j * scale * (b[2] * up + (b[0] - 1j * b[1]) * down)
-    new_down = cos * down + 1j * scale * ((b[0] + 1j * b[1]) * up - b[2] * down)
-    return np.stack([new_up, new_down])
+    scale = 1j * np.where(bmag > 0.0, np.sin(theta) / safe, coeff)
+    sigma_b = _sigma_parts([scale * comp for comp in b])
+    return lambda values: cos * values + _sigma_dot(sigma_b, values)
+
+
+def _pauli_stepper(grid, gauge, consts, params, kinetic=True, potential=True):
+    scalar = _scalar_stepper(grid, gauge, consts, params, kinetic, potential)
+    b = magnetic_field(gauge)
+    strang = params.splitting_order == 2
+    rotate = None
+    if any(np.any(comp) for comp in b):
+        rotate = _spin_rotation(b, consts, 0.5 * params.dt if strang else params.dt)
+
+    def step(values):
+        if rotate is not None:
+            values = rotate(values)
+        values = np.stack([scalar(comp) for comp in values])
+        if rotate is not None and strang:
+            values = rotate(values)
+        return values
+
+    return step
 
 
 def pauli_step(
@@ -221,23 +267,8 @@ def pauli_step(
     With B = 0 the rotation is skipped outright, so each component follows
     the scalar path bit for bit.
     """
-    if psi.grid != gauge.grid:
-        raise ValueError("field and gauge configuration live on different grids")
-    b = magnetic_field(gauge)
-    spinless = all(np.all(comp == 0.0) for comp in b)
-    strang = params.splitting_order == 2
-    values = psi.values
-    if not spinless:
-        values = _spin_rotation(values, b, consts, 0.5 * params.dt if strang else params.dt)
-    values = np.stack(
-        [
-            _scalar_step(comp, psi.grid, gauge, consts, params, kinetic, potential)
-            for comp in values
-        ]
-    )
-    if not spinless and strang:
-        values = _spin_rotation(values, b, consts, 0.5 * params.dt)
-    return SpinorField(psi.grid, values)
+    stepper = _pauli_stepper(psi.grid, gauge, consts, params, kinetic, potential)
+    return SpinorField(psi.grid, stepper(psi.values))
 
 
 # ---------------------------------------------------------------------------
@@ -266,66 +297,57 @@ class FourPotential:
         return cls(grid, z, (z, z, z))
 
 
-# Dirac representation constants for the free-propagator assembly.
-_SIGMA = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+def _alpha_dot(parts, values) -> np.ndarray:
+    """alpha.v on a bispinor: sigma.v with the upper and lower pairs swapped."""
+    return np.concatenate([_sigma_dot(parts, values[2:]), _sigma_dot(parts, values[:2])])
 
 
-def _alpha_matrix(axis: int) -> np.ndarray:
-    out = np.zeros((4, 4), dtype=complex)
-    out[:2, 2:] = _SIGMA[axis]
-    out[2:, :2] = _SIGMA[axis]
-    return out
-
-
-@lru_cache(maxsize=8)
-def _dirac_free_multiplier(grid: Grid, consts: PhysicalConstants, dt: float) -> np.ndarray:
-    """exp(-i*dt*H_free/hbar) per wave vector; H_free^2 = E^2 makes the
-    exponential cos(E*dt/hbar) - i*sin(E*dt/hbar)*H_free/E."""
-    kvecs = [
-        _kmesh(grid, axis, True) if axis < grid.dim else 0.0 for axis in range(3)
-    ]
-    k2 = np.zeros(grid.shape)
-    for kv in kvecs[: grid.dim]:
-        k2 = k2 + kv**2
-    mc2 = consts.m * consts.c**2
-    energy = np.sqrt((consts.c * consts.hbar) ** 2 * k2 + mc2**2)
-    h = np.zeros((4, 4) + grid.shape, dtype=complex)
-    for axis in range(grid.dim):
-        h += consts.c * consts.hbar * kvecs[axis] * _alpha_matrix(axis).reshape(
-            (4, 4) + (1,) * grid.dim
-        )
-    gamma0 = np.diag([1.0, 1.0, -1.0, -1.0]).reshape((4, 4) + (1,) * grid.dim)
-    h = h + mc2 * gamma0
-    phase = dt * energy * consts.beta
-    eye = np.eye(4).reshape((4, 4) + (1,) * grid.dim)
-    mult = np.cos(phase) * eye - 1j * (np.sin(phase) / energy) * h
-    mult.flags.writeable = False
-    return mult
-
-
-def _dirac_interaction(values, pot, consts, tau):
+def _dirac_interaction(pot, consts, tau):
     """Pointwise exp(-(i*tau/hbar)(q*phi - q*c*alpha.A)); (alpha.A)^2 = |A|^2
     collapses the exponential to a cosine/sine pair."""
     a1, a2, a3 = pot.a
     amag = np.sqrt(a1**2 + a2**2 + a3**2)
     w = consts.q * consts.c * tau * consts.beta * amag
     safe = np.where(amag > 0.0, amag, 1.0)
-    scale = np.where(amag > 0.0, np.sin(w) / safe, consts.q * consts.c * tau * consts.beta)
+    scale = 1j * np.where(amag > 0.0, np.sin(w) / safe, consts.q * consts.c * tau * consts.beta)
     scalar = np.exp(-1j * consts.q * tau * consts.beta * pot.phi)
-    p1, p2, p3, p4 = values
-    cross = np.stack(
-        [
-            a3 * p3 + (a1 - 1j * a2) * p4,
-            (a1 + 1j * a2) * p3 - a3 * p4,
-            a3 * p1 + (a1 - 1j * a2) * p2,
-            (a1 + 1j * a2) * p1 - a3 * p2,
-        ]
-    )
-    return scalar * (np.cos(w) * values + 1j * scale * cross)
+    diag = scalar * np.cos(w)
+    sigma_a = _sigma_parts([scalar * scale * comp for comp in pot.a])
+    return lambda values: diag * values + _alpha_dot(sigma_a, values)
+
+
+def _dirac_stepper(grid, pot, consts, params):
+    """exp(-i*dt*H_free/hbar) per wave vector is cos(E*dt/hbar) -
+    i*sin(E*dt/hbar)*H_free/E, since H_free^2 = E^2."""
+    if grid != pot.grid:
+        raise ValueError("field and potential live on different grids")
+    axes = tuple(range(1, grid.dim + 1))
+    dt = params.dt
+    strang = params.splitting_order == 2
+    kvecs = [_kmesh(grid, axis, True) if axis < grid.dim else 0.0 for axis in range(3)]
+    k2 = sum(kv**2 for kv in kvecs[: grid.dim])
+    mc2 = consts.m * consts.c**2
+    energy = np.sqrt((consts.c * consts.hbar) ** 2 * k2 + mc2**2)
+    phase = dt * energy * consts.beta
+    cos = np.cos(phase)
+    isinc = -1j * np.sin(phase) / energy
+    sigma_k = _sigma_parts([consts.c * consts.hbar * kv for kv in kvecs])
+    mass = np.array([mc2, mc2, -mc2, -mc2]).reshape((4,) + (1,) * grid.dim)
+    interaction = None
+    if np.any(pot.phi) or any(np.any(c) for c in pot.a):
+        interaction = _dirac_interaction(pot, consts, 0.5 * dt if strang else dt)
+
+    def step(values):
+        if interaction is not None:
+            values = interaction(values)
+        hat = np.fft.fftn(values, axes=axes)
+        hat = cos * hat + isinc * (_alpha_dot(sigma_k, hat) + mass * hat)
+        values = np.fft.ifftn(hat, axes=axes)
+        if interaction is not None and strang:
+            values = interaction(values)
+        return values
+
+    return step
 
 
 def dirac_step(
@@ -336,23 +358,7 @@ def dirac_step(
 ) -> BispinorField:
     """One split step of i*hbar dpsi/dt = [c*alpha.(p - qA) + m*c^2*gamma^0
     + q*phi] psi; the free factor is exact in transform space."""
-    if psi.grid != pot.grid:
-        raise ValueError("field and potential live on different grids")
-    grid = psi.grid
-    axes = tuple(range(1, grid.dim + 1))
-    dt = params.dt
-    strang = params.splitting_order == 2
-    interacting = bool(np.any(pot.phi) or any(np.any(c) for c in pot.a))
-    values = psi.values
-    if interacting:
-        values = _dirac_interaction(values, pot, consts, 0.5 * dt if strang else dt)
-    mult = _dirac_free_multiplier(grid, consts, dt)
-    hat = np.fft.fftn(values, axes=axes)
-    hat = np.einsum("ab...,b...->a...", mult, hat)
-    values = np.fft.ifftn(hat, axes=axes)
-    if interacting and strang:
-        values = _dirac_interaction(values, pot, consts, 0.5 * dt)
-    return BispinorField(grid, values)
+    return BispinorField(psi.grid, _dirac_stepper(psi.grid, pot, consts, params)(psi.values))
 
 
 # ---------------------------------------------------------------------------
@@ -493,36 +499,21 @@ def gps_apply(matrix: TaylorEvolutionMatrix, state) -> np.ndarray:
 # run drivers
 
 def run_schrodinger(psi, gauge, consts, params, **flags) -> EvolutionTrace:
-    trace = EvolutionTrace([], [])
-    _record(trace, 0, params, psi, 0.0)
-    for step in range(1, params.steps + 1):
-        psi = schrodinger_step(psi, gauge, consts, params, **flags)
-        _record(trace, step, params, psi, step * params.dt)
-    return trace
+    return _run(psi, params, lambda: _on_field(
+        psi, _scalar_stepper(psi.grid, gauge, consts, params, **flags)))
 
 
 def run_pauli(psi, gauge, consts, params, **flags) -> EvolutionTrace:
-    trace = EvolutionTrace([], [])
-    _record(trace, 0, params, psi, 0.0)
-    for step in range(1, params.steps + 1):
-        psi = pauli_step(psi, gauge, consts, params, **flags)
-        _record(trace, step, params, psi, step * params.dt)
-    return trace
+    return _run(psi, params, lambda: _on_field(
+        psi, _pauli_stepper(psi.grid, gauge, consts, params, **flags)))
 
 
 def run_dirac(psi, pot, consts, params) -> EvolutionTrace:
-    trace = EvolutionTrace([], [])
-    _record(trace, 0, params, psi, 0.0)
-    for step in range(1, params.steps + 1):
-        psi = dirac_step(psi, pot, consts, params)
-        _record(trace, step, params, psi, step * params.dt)
-    return trace
+    return _run(psi, params, lambda: _on_field(
+        psi, _dirac_stepper(psi.grid, pot, consts, params)))
 
 
 def run_wave(state: WaveState, j, consts, params) -> EvolutionTrace:
-    trace = EvolutionTrace([], [])
-    _record(trace, 0, params, state, state.time)
-    for step in range(1, params.steps + 1):
-        state = dalembert_step(state, j, consts, params)
-        _record(trace, step, params, state, state.time)
-    return trace
+    # Leapfrog has no factor to build: the step itself is the stepper.
+    return _run(state, params, lambda: lambda s: dalembert_step(s, j, consts, params),
+                clock=lambda s: s.time)

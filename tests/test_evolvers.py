@@ -1,8 +1,13 @@
 """Split-step integrators, the wave-equation leapfrog, and the Taylor
 evolution matrix."""
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qvlab import evolvers
 from qvlab.decomposition import FourCurrent, GaugeConfiguration, PhysicalConstants
 from qvlab.evolvers import (
     EvolutionParams,
@@ -13,6 +18,8 @@ from qvlab.evolvers import (
     gps_apply,
     gps_matrix,
     pauli_step,
+    run_dirac,
+    run_pauli,
     run_schrodinger,
     run_wave,
     schrodinger_step,
@@ -183,6 +190,16 @@ def test_potential_phase_warning():
         schrodinger_step(psi, gauge, NAT, EvolutionParams(0.01, 1))
 
 
+def test_potential_phase_warning_once_per_run():
+    g = make_grid(1, [32], [2 * np.pi])
+    psi = ComplexScalarField(g, np.ones(g.shape, dtype=complex))
+    gauge = GaugeConfiguration.assemble(g, u=np.full(g.shape, 100.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_schrodinger(psi, gauge, NAT, EvolutionParams(0.01, 5))
+    assert [w.category for w in caught] == [RuntimeWarning]
+
+
 def test_grid_mismatch_rejected():
     g1 = make_grid(1, [32], [2 * np.pi])
     g2 = make_grid(1, [64], [2 * np.pi])
@@ -219,6 +236,28 @@ def test_pauli_reduces_to_scalar_when_b_vanishes():
     )
     assert np.array_equal(spinor.values[0], scalar.values)
     assert np.all(spinor.values[1] == 0.0)
+
+
+@pytest.mark.parametrize("steps, calls", [(0, 0), (6, 1)])
+def test_pauli_run_builds_b_once(monkeypatch, steps, calls):
+    count = []
+    original = evolvers.magnetic_field
+
+    def counting(gauge):
+        count.append(1)
+        return original(gauge)
+
+    monkeypatch.setattr(evolvers, "magnetic_field", counting)
+    g = make_grid(2, [16, 16], [2 * np.pi, 2 * np.pi])
+    x = g.axis_coordinates(0)[:, None]
+    gauge = GaugeConfiguration.assemble(
+        g, a_classical=VectorField(g, (np.zeros(g.shape), np.broadcast_to(0.3 * np.sin(x), g.shape)))
+    )
+    up = np.ones(g.shape, dtype=complex)
+    psi = SpinorField(g, np.stack([up, np.zeros_like(up)]))
+    trace = run_pauli(psi, gauge, NAT, EvolutionParams(0.01, steps, snapshot_stride=2))
+    assert len(count) == calls
+    assert len(trace.snapshots) == steps // 2 + 1
 
 
 def test_larmor_precession_of_sigma_x():
@@ -289,6 +328,23 @@ def test_dirac_plane_wave_positive_energy_phase():
     assert linf(out.values - expected) <= 1e-12
 
 
+@pytest.mark.parametrize("branch", [3, 0], ids=["positive", "negative"])
+def test_dirac_oblique_plane_wave_phase(branch):
+    # k off every axis exercises all three alpha terms of the free factor
+    length = 3.0
+    g = make_grid(3, [8, 8, 8], [length] * 3)
+    k = np.array([1.0, 2.0, -1.0]) * 2 * np.pi / length
+    energies, states = dirac_free_eigenstates(k, 1.0, 1.0, 1.0)
+    energy = energies[branch]
+    assert (energy > 0.0) == (branch == 3)
+    x = [g.axis_coordinates(a).reshape([-1 if b == a else 1 for b in range(3)]) for a in range(3)]
+    wave = np.exp(1j * (k[0] * x[0] + k[1] * x[1] + k[2] * x[2]))
+    psi = BispinorField(g, states[:, branch].reshape(4, 1, 1, 1) * wave)
+    dt = 0.05
+    out = dirac_step(psi, FourPotential.free(g), NAT, EvolutionParams(dt, 1))
+    assert linf(out.values - psi.values * np.exp(-1j * energy * dt)) <= 1e-12
+
+
 def test_dirac_rest_spinors_carry_rest_energy_phase():
     g = make_grid(1, [32], [2 * np.pi])
     dt = 0.01
@@ -335,6 +391,91 @@ def test_dirac_uniform_scalar_potential_exact_phase():
     out = dirac_step(psi, pot, NAT, EvolutionParams(dt, 1))
     expected = np.exp(-1j * dt * (1.0 + NAT.q * phi0)) * ones
     assert linf(out.values[0] - expected) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# properties shared by the three split-step equations
+
+_SHAPES = [(8,), (16,), (32,), (4, 8), (8, 4)]
+
+
+def _coords(g):
+    return [
+        g.axis_coordinates(a).reshape([-1 if b == a else 1 for b in range(g.dim)])
+        for a in range(g.dim)
+    ]
+
+
+def _vector_potential(g, uniform, amplitude):
+    x = _coords(g)
+    return tuple(
+        np.full(g.shape, amplitude * (1.0 - 0.5 * a))
+        if uniform
+        else np.broadcast_to(amplitude * (1.0 + 0.5 * np.cos(x[a] + a)), g.shape)
+        for a in range(g.dim)
+    )
+
+
+def _split_step_case(equation, shape, uniform, seed):
+    """(state, step, run) for one equation with A, U or phi and B all
+    nonzero; step(state, params) and run(state, params) call the public API."""
+    rng = np.random.default_rng(seed)
+    g = make_grid(len(shape), list(shape), [2 * np.pi] * len(shape))
+    x = _coords(g)
+    comps = {"schrodinger": 1, "pauli": 2, "dirac": 4}[equation]
+    vals = rng.standard_normal((comps, *g.shape)) + 1j * rng.standard_normal((comps, *g.shape))
+    # The non-uniform cross factor is a series exact to O((tau*|C|/hbar)^6)
+    # and not exactly reversible: with |A| <= 0.03, |k| <= 16 and |tau| <=
+    # 0.05, tau*|C|/hbar <= 0.024 and the truncation stays below 3e-13.
+    a = _vector_potential(g, uniform, 0.3 if uniform else 0.02)
+    u = np.broadcast_to(0.5 * np.cos(x[0]), g.shape)
+    if equation == "dirac":
+        a3 = a + (0.1 * np.sin(x[0]),) * (3 - g.dim)
+        pot = FourPotential(g, u, a3)
+        state = BispinorField(g, vals)
+        return (state, lambda s, p: dirac_step(s, pot, NAT, p),
+                lambda s, p: run_dirac(s, pot, NAT, p))
+    gauge = GaugeConfiguration.assemble(
+        g, a_classical=VectorField(g, a), u=u, b_external=(0.4, -0.2, 0.7)
+    )
+    if equation == "pauli":
+        return (SpinorField(g, vals), lambda s, p: pauli_step(s, gauge, NAT, p),
+                lambda s, p: run_pauli(s, gauge, NAT, p))
+    return (ComplexScalarField(g, vals[0]), lambda s, p: schrodinger_step(s, gauge, NAT, p),
+            lambda s, p: run_schrodinger(s, gauge, NAT, p))
+
+
+_split_cases = dict(
+    equation=st.sampled_from(["schrodinger", "pauli", "dirac"]),
+    shape=st.sampled_from(_SHAPES),
+    uniform=st.booleans(),
+    seed=st.integers(0, 2**16),
+    dt=st.floats(1e-3, 0.1) | st.floats(-0.1, -1e-3),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.integers(1, 4), order=st.sampled_from([1, 2]), **_split_cases)
+def test_run_matches_repeated_steps(equation, shape, uniform, seed, dt, steps, order):
+    state, step, run = _split_step_case(equation, shape, uniform, seed)
+    params = EvolutionParams(dt, steps, snapshot_stride=3, splitting_order=order)
+    trace = run(state, params)
+    one = EvolutionParams(dt, 1, splitting_order=order)
+    for _ in range(steps):
+        state = step(state, one)
+    assert trace.times[-1] == pytest.approx(steps * dt)
+    assert linf(trace.snapshots[-1].values - state.values) <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_split_cases)
+def test_strang_step_then_reverse_step_is_identity(equation, shape, uniform, seed, dt):
+    # Only the symmetric (Strang) composition satisfies S(-dt) = S(dt)^-1;
+    # a Lie step reversed applies its factors in the wrong order.
+    state, step, _ = _split_step_case(equation, shape, uniform, seed)
+    there = step(state, EvolutionParams(dt, 1))
+    back = step(there, EvolutionParams(-dt, 1))
+    assert linf(back.values - state.values) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

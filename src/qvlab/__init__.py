@@ -96,8 +96,8 @@ from .trajectories import (
     advect,
     advect_ensemble,
     force_path,
+    sample_density,
     sample_inverse_cdf,
-    sample_rejection,
 )
 
 __version__ = "0.1.0"
@@ -184,6 +184,6 @@ __all__ = [
     "advect",
     "advect_ensemble",
     "force_path",
+    "sample_density",
     "sample_inverse_cdf",
-    "sample_rejection",
 ]

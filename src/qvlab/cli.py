@@ -197,7 +197,6 @@ class Scenario:
             or any(not isinstance(d, str) for d in self.diagnostics)
         ):
             raise ConfigError("config.diagnostics must be an array of strings")
-        self.profiles = top.boolean("profiles", False)
         self.trace = _parse_trace(top.section("trace", None))
         self.gps = _parse_gps(top.section("gps", None))
         self.fields = _parse_fields(top.section("fields", None))
@@ -698,9 +697,8 @@ def _load_run(scenario: Scenario, out: str):
 
 
 def _scalar_run_pieces(scenario: Scenario, times, snaps):
-    """Densities, currents, and Q series for a scalar snapshot series."""
+    """Gauge, densities and currents for a scalar snapshot series."""
     from .decomposition import current_scalar
-    from .diagnostics import quantum_potential
     from .fields import ComplexScalarField, density
 
     if not all(isinstance(s, ComplexScalarField) for s in snaps):
@@ -709,24 +707,17 @@ def _scalar_run_pieces(scenario: Scenario, times, snaps):
     consts = scenario.consts
     densities = [density(s) for s in snaps]
     currents = [current_scalar(s, gauge, consts) for s in snaps]
-    q_series = [quantum_potential(s, consts)[0] for s in snaps]
-    return gauge, densities, currents, q_series
+    return gauge, densities, currents
+
+
+def _q_series(scenario: Scenario, snaps):
+    from .diagnostics import quantum_potential
+
+    return [quantum_potential(s, scenario.consts)[0] for s in snaps]
 
 
 # ---------------------------------------------------------------------------
 # diagnose
-
-
-def _profile_csv(path: str, grid, values) -> None:
-    import numpy as np
-
-    coords = grid.axis_coordinates(0)
-    slicer = (slice(None),) + (0,) * (grid.dim - 1)
-    col = np.asarray(values)[slicer]
-    lines = ["x,value"]
-    lines += [f"{x:.17g},{v:.17g}" for x, v in zip(coords, col)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def cmd_diagnose(args) -> int:
@@ -763,7 +754,7 @@ def cmd_diagnose(args) -> int:
     for name in names:
         if name == "continuity":
             if isinstance(snaps[0], ComplexScalarField):
-                _, densities, currents, _ = scalar_pieces()
+                _, densities, currents = scalar_pieces()
             elif isinstance(snaps[0], SpinorField):
                 gauge = scenario.gauge()
                 densities = [density(s) for s in snaps]
@@ -775,7 +766,7 @@ def cmd_diagnose(args) -> int:
                 )
             reports.append(continuity_residual(times, densities, currents))
         elif name == "hamilton_jacobi":
-            gauge, _, _, _ = scalar_pieces()
+            gauge, _, _ = scalar_pieces()
             if len(snaps) < 3:
                 raise ConfigError("hamilton_jacobi needs at least 3 snapshots")
             mid = len(snaps) // 2
@@ -792,9 +783,11 @@ def cmd_diagnose(args) -> int:
                 )
             )
         elif name == "gauge":
-            gauge, _, _, q_series = scalar_pieces()
+            gauge, _, _ = scalar_pieces()
             reports.extend(
-                gauge_residuals(times, [gauge] * len(snaps), consts, q_series)
+                gauge_residuals(
+                    times, [gauge] * len(snaps), consts, _q_series(scenario, snaps)
+                )
             )
         elif name == "four_current":
             if not isinstance(snaps[0], BispinorField):
@@ -812,12 +805,6 @@ def cmd_diagnose(args) -> int:
             f"{report.name}: l2={report.l2:.3e} linf={report.linf:.3e} "
             f"mask={report.mask_fraction:.3f}"
         )
-        if scenario.profiles and report.per_point is not None:
-            _profile_csv(
-                os.path.join(out, f"{report.name}_profile.csv"),
-                snaps[0].grid,
-                report.per_point,
-            )
     return EXIT_OK
 
 
@@ -828,7 +815,7 @@ def cmd_diagnose(args) -> int:
 def _trace_flow(scenario, times, snaps, interpolation):
     from .trajectories import FlowSampler
 
-    _, densities, currents, _ = _scalar_run_pieces(scenario, times, snaps)
+    _, densities, currents = _scalar_run_pieces(scenario, times, snaps)
     return FlowSampler(
         snaps[0].grid, times, densities, currents, method=interpolation
     ), densities
@@ -894,15 +881,10 @@ def cmd_trace(args) -> int:
                 f"config.trace.starts: positions need {grid.dim} coordinates"
             )
     else:
-        from .trajectories import sample_inverse_cdf
+        from .trajectories import sample_density
 
         rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-        f0 = densities[0]
-        marginals = []
-        for axis in range(grid.dim):
-            other = tuple(a for a in range(grid.dim) if a != axis)
-            marginals.append(f0.sum(axis=other) if other else f0)
-        starts = sample_inverse_cdf(grid, marginals, trace_cfg["count"], rng)
+        starts = sample_density(grid, densities[0], trace_cfg["count"], rng)
 
     methods = (
         ["advect", "force"] if trace_cfg["method"] == "both" else [trace_cfg["method"]]
@@ -911,34 +893,32 @@ def cmd_trace(args) -> int:
 
     from .trajectories import advect, force_path
 
-    files = []
-    deviations = []
-    for index, start in enumerate(starts):
-        paths = {}
-        if "advect" in methods:
-            paths["advect"] = advect(start, flow, dt, steps)
-        if "force" in methods:
-            v0, v_mask = flow(start[None, :], times[0])
-            if bool(v_mask[0]):
-                raise RuntimeError(
-                    f"trace start {start.tolist()} sits in a masked node region"
-                )
-            paths["force"] = force_path(
-                start, v0[0], em, scenario.consts.gamma, dt, steps
+    batches = {}
+    if "advect" in methods:
+        batches["advect"] = advect(starts, flow, dt, steps)
+    if "force" in methods:
+        v0, v_mask = flow(starts, times[0])
+        if bool(v_mask.any()):
+            start = starts[int(np.argmax(v_mask))]
+            raise RuntimeError(
+                f"trace start {start.tolist()} sits in a masked node region"
             )
-        for method, path in paths.items():
-            suffix = f"_{method}" if len(paths) > 1 else ""
+        batches["force"] = force_path(starts, v0, em, scenario.consts.gamma, dt, steps)
+
+    files = []
+    for index in range(starts.shape[0]):
+        for method, paths in batches.items():
+            suffix = f"_{method}" if len(batches) > 1 else ""
             fname = f"trace_{index:03d}{suffix}.csv"
             with open(os.path.join(out, fname), "w", encoding="utf-8") as fh:
-                fh.write(path.to_csv())
+                fh.write(paths[index].to_csv())
             files.append(fname)
-        if len(paths) == 2:
-            gap = float(
-                np.max(
-                    np.abs(paths["advect"].positions - paths["force"].positions)
-                )
-            )
-            deviations.append(gap)
+    deviations = []
+    if len(batches) == 2:
+        deviations = [
+            float(np.max(np.abs(a.positions - f.positions)))
+            for a, f in zip(batches["advect"], batches["force"])
+        ]
     summary = {
         "n_paths": int(starts.shape[0]),
         "methods": methods,
@@ -969,10 +949,11 @@ def cmd_fields(args) -> int:
     family = scenario.fields["family"]
     out = _out_dir(args, scenario)
     _, times, snaps = _load_run(scenario, out)
-    gauge, densities, _, q_series = _scalar_run_pieces(scenario, times, snaps)
+    gauge, densities, _ = _scalar_run_pieces(scenario, times, snaps)
     consts = scenario.consts
     if consts.q == 0.0:
         raise ConfigError("config.constants: field reports need q != 0")
+    q_series = _q_series(scenario, snaps)
 
     from .diagnostics import em_fields, gauge_residuals, self_consistency_residual
 

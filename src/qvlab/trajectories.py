@@ -5,7 +5,12 @@ Two independent ways to trace a particle riding the probability flow:
     advect      dr/dt = <v>(r, t), the velocity field itself
     force_path  dr/dt = v, dv/dt = -gamma (E(r,t) + v x B(r,t))
 
-Both use classical fixed-step RK4.  When the two are seeded consistently
+Both run through one batched, fixed-step RK4 integrator; each supplies
+only its right-hand side and its rule for frozen particles.  A single
+start (a scalar or shape (dim,)) gives one Path, and a stack of shape
+(N, dim) is integrated in one batch and gives one Path per start, in
+order.  The field is evaluated once per step boundary, and that value is
+reused as the step's k1.  When the two are seeded consistently
 (v0 equal to the flow velocity at the start point) they must agree; that
 agreement is the executable content of the force-law theorem and is what
 the cross-validation tests check.
@@ -33,10 +38,10 @@ samples and is the right tool for globally smooth fields (E, B, A) or,
 with the tricubic method, for anything evaluated far from mask edges.
 
 A trajectory that enters a masked node region is frozen rather than
-extrapolated: the last valid velocity is kept, a (time, reason) event is
-recorded, and integration continues linearly until the sampler reports
-valid values again.  Mask checks happen at step boundaries, not inside
-RK4 substeps.
+extrapolated: a flow path keeps its last valid velocity, a force path
+coasts with zero acceleration, a (time, reason) event is recorded for that
+particle, and integration continues until the sampler reports valid values
+again.  Mask checks happen at step boundaries, not inside RK4 substeps.
 """
 from __future__ import annotations
 
@@ -325,62 +330,90 @@ def _wrap(points: np.ndarray, lengths) -> np.ndarray:
     return np.mod(points, lengths)
 
 
-def _rk4_positions(pos, t, dt, vel_fn):
-    k1 = vel_fn(pos, t)
-    k2 = vel_fn(pos + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = vel_fn(pos + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = vel_fn(pos + dt * k3, t + dt)
-    return pos + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(state, rhs, hold, dim: int, lengths, dt: float, steps: int, *, record: bool):
+    """The one RK4 loop over a batch of state rows, positions first.
 
-
-def _advect_many(points: np.ndarray, velocity, dt: float, steps: int, *,
-                 record: bool):
-    lengths = getattr(velocity, "lengths", None)
-    pos = _wrap(np.array(points, dtype=float), lengths)
-    n = pos.shape[0]
-    last_v = np.zeros_like(pos)
+    rhs(state, t) -> (derivative, masked) is the path kind's right-hand
+    side and hold(derivative, frozen, held) its rule for frozen rows, with
+    ``held`` the step's k1 (at a step boundary, the previous step's).  The
+    right-hand side is evaluated once per boundary and that value is k1.
+    Returns (state, frozen, trail, events); the trail has one (t,
+    positions, dr/dt, frozen) record per boundary, events one list per row.
+    """
+    dt, steps = float(dt), int(steps)
+    state = np.array(state, dtype=float)
+    state[:, :dim] = _wrap(state[:, :dim], lengths)
+    n = state.shape[0]
     frozen = np.zeros(n, dtype=bool)
-    trail, events = [], []
+    k1 = np.zeros_like(state)
+    trail, events = [], [[] for _ in range(n)]
     for step in range(steps + 1):
         t = step * dt
-        vals, masked = velocity(pos, t)
-        valid = ~masked
-        last_v[valid] = vals[valid]
-        if record and bool(np.any(masked & ~frozen)):
-            events.append((t, _MASK_REASON))
-        frozen = masked
-        v_eff = np.where(masked[:, None], last_v, vals)
+        raw, masked = rhs(state, t)
         if record:
-            trail.append((t, pos.copy(), v_eff.copy(), frozen.copy()))
+            for row in np.flatnonzero(masked & ~frozen):
+                events[row].append((t, _MASK_REASON))
+        frozen = masked
+        k1 = hold(raw, frozen, k1)
+        if record:
+            trail.append(
+                (t, state[:, :dim].copy(), k1[:, :dim].copy(), frozen.copy())
+            )
         if step == steps:
             break
+        k2 = hold(rhs(state + 0.5 * dt * k1, t + 0.5 * dt)[0], frozen, k1)
+        k3 = hold(rhs(state + 0.5 * dt * k2, t + 0.5 * dt)[0], frozen, k1)
+        k4 = hold(rhs(state + dt * k3, t + dt)[0], frozen, k1)
+        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        state[:, :dim] = _wrap(state[:, :dim], lengths)
+    return state, frozen, trail, events
 
-        def vel_fn(pts, tt, hold=frozen, held=last_v):
-            vv, _ = velocity(pts, tt)
-            return np.where(hold[:, None], held, vv)
 
-        pos = _wrap(_rk4_positions(pos, t, dt, vel_fn), lengths)
-    return pos, frozen, trail, events
+def _starts(r0) -> tuple[np.ndarray, bool]:
+    """Start rows of shape (N, dim), and whether r0 was a single start."""
+    arr = np.asarray(r0, dtype=float)
+    if arr.ndim <= 1:
+        return np.atleast_1d(arr)[None, :], True
+    return arr, False
 
 
-def advect(r0, velocity, dt: float, steps: int) -> Path:
-    """RK4 trajectory of dr/dt = <v>(r, t) from r0 at t = 0."""
-    start = np.atleast_1d(np.asarray(r0, dtype=float))
-    _, _, trail, events = _advect_many(
-        start[None, :], velocity, float(dt), int(steps), record=True
-    )
+def _paths(trail, events, single: bool):
     times = np.array([rec[0] for rec in trail])
-    positions = np.stack([rec[1][0] for rec in trail])
-    velocities = np.stack([rec[2][0] for rec in trail])
-    masked = np.array([rec[3][0] for rec in trail])
-    return Path(times, positions, velocities, masked, events)
+    positions, velocities, masked = (
+        np.stack([rec[k] for rec in trail], axis=1) for k in (1, 2, 3)
+    )
+    paths = [
+        Path(times, positions[i], velocities[i], masked[i], events[i])
+        for i in range(len(events))
+    ]
+    return paths[0] if single else paths
+
+
+def _hold_last_velocity(vals, frozen, held):
+    # a frozen flow row keeps its last valid velocity
+    return np.where(frozen[:, None], held, vals)
+
+
+def advect(r0, velocity, dt: float, steps: int) -> Path | list[Path]:
+    """RK4 trajectory of dr/dt = <v>(r, t) from r0 at t = 0.
+
+    A single start (a scalar or shape (dim,)) gives one Path; a stack of
+    shape (N, dim) is integrated in one batch and gives N Paths in order.
+    """
+    starts, single = _starts(r0)
+    _, _, trail, events = _rk4(
+        starts, velocity, _hold_last_velocity, starts.shape[1],
+        getattr(velocity, "lengths", None), dt, steps, record=True,
+    )
+    return _paths(trail, events, single)
 
 
 def advect_ensemble(points, velocity, dt: float, steps: int):
     """Vectorized advect over many start points; returns (positions, frozen)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    final, frozen, _, _ = _advect_many(
-        pts, velocity, float(dt), int(steps), record=False
+    final, frozen, _, _ = _rk4(
+        pts, velocity, _hold_last_velocity, pts.shape[1],
+        getattr(velocity, "lengths", None), dt, steps, record=False,
     )
     return final, frozen
 
@@ -393,62 +426,38 @@ def _embed3(vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def force_path(r0, v0, em: EMSeries, gamma: float, dt: float, steps: int) -> Path:
+def force_path(r0, v0, em: EMSeries, gamma: float, dt: float,
+               steps: int) -> Path | list[Path]:
     """RK4 of dr/dt = v, dv/dt = -gamma (E + v x B) from (r0, v0) at t = 0.
 
     E supplies grid-dim components, B three; velocities are embedded in 3D
     for the cross product and the out-of-plane acceleration is dropped,
-    which is exact whenever B is normal to the simulation plane.
+    which is exact whenever B is normal to the simulation plane.  A frozen
+    row coasts with zero acceleration.  Starts batch as in ``advect``, with
+    v0 shaped like r0.
     """
-    lengths = getattr(em.e, "lengths", None)
-    pos = np.atleast_2d(np.asarray(r0, dtype=float)).astype(float)
-    vel = np.atleast_2d(np.asarray(v0, dtype=float)).astype(float)
-    if vel.shape != pos.shape:
+    starts, single = _starts(r0)
+    vel = np.atleast_2d(np.asarray(v0, dtype=float))
+    if vel.shape != starts.shape:
         raise ValueError("r0 and v0 must have the same dimension")
-    pos = _wrap(pos, lengths)
-    dim = pos.shape[1]
-    n = pos.shape[0]
-    frozen = np.zeros(n, dtype=bool)
-    dt = float(dt)
+    dim = starts.shape[1]
 
-    def sample_mask(pts, t):
-        _, em_ = em.e(pts, t)
-        _, bm_ = em.b(pts, t)
-        return em_ | bm_
-
-    def accel(pts, vels, t, hold):
-        e_vals, _ = em.e(pts, t)
-        b_vals, _ = em.b(pts, t)
+    def rhs(state, t):
+        pos, vels = state[:, :dim], state[:, dim:]
+        e_vals, e_masked = em.e(pos, t)
+        b_vals, b_masked = em.b(pos, t)
         acc3 = -gamma * (_embed3(e_vals) + np.cross(_embed3(vels), b_vals))
-        acc = acc3[:, :dim]
-        acc[hold] = 0.0
-        return acc
+        return np.concatenate([vels, acc3[:, :dim]], axis=1), e_masked | b_masked
 
-    trail, events = [], []
-    for step in range(int(steps) + 1):
-        t = step * dt
-        masked = sample_mask(pos, t)
-        if bool(np.any(masked & ~frozen)):
-            events.append((t, _MASK_REASON))
-        frozen = masked
-        trail.append((t, pos.copy(), vel.copy(), frozen.copy()))
-        if step == steps:
-            break
-        k1p = vel
-        k1v = accel(pos, vel, t, frozen)
-        k2p = vel + 0.5 * dt * k1v
-        k2v = accel(pos + 0.5 * dt * k1p, k2p, t + 0.5 * dt, frozen)
-        k3p = vel + 0.5 * dt * k2v
-        k3v = accel(pos + 0.5 * dt * k2p, k3p, t + 0.5 * dt, frozen)
-        k4p = vel + dt * k3v
-        k4v = accel(pos + dt * k3p, k4p, t + dt, frozen)
-        pos = _wrap(pos + (dt / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p), lengths)
-        vel = vel + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-    times = np.array([rec[0] for rec in trail])
-    positions = np.stack([rec[1][0] for rec in trail])
-    velocities = np.stack([rec[2][0] for rec in trail])
-    masked_rows = np.array([rec[3][0] for rec in trail])
-    return Path(times, positions, velocities, masked_rows, events)
+    def hold(deriv, frozen, held):
+        deriv[frozen, dim:] = 0.0
+        return deriv
+
+    _, _, trail, events = _rk4(
+        np.concatenate([starts, vel], axis=1), rhs, hold, dim,
+        getattr(em.e, "lengths", None), dt, steps, record=True,
+    )
+    return _paths(trail, events, single)
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +469,9 @@ def sample_inverse_cdf(grid: Grid, marginals, count: int,
     """Draw positions from a separable density given per-axis marginals.
 
     Each marginal is sampled on its axis and treated as piecewise constant
-    over the cell centered on its node (matching sample_rejection's
-    nearest-node reading, and keeping the discrete mean unbiased); the
-    piecewise-linear CDF is inverted exactly.  Deterministic for a given
-    generator state.
+    over the cell centered on its node (as sample_density reads the joint
+    density, keeping the discrete mean unbiased); the piecewise-linear CDF
+    is inverted exactly.  Deterministic for a given generator state.
     """
     if len(marginals) != grid.dim:
         raise ValueError(f"need {grid.dim} marginals, got {len(marginals)}")
@@ -489,33 +497,24 @@ def sample_inverse_cdf(grid: Grid, marginals, count: int,
     return np.stack(cols, axis=1)
 
 
-def sample_rejection(grid: Grid, density, count: int,
-                     rng: np.random.Generator, *, max_tries: int = 1000) -> np.ndarray:
-    """Draw positions from an arbitrary grid density by rejection.
+def sample_density(grid: Grid, density, count: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Draw positions exactly from an arbitrary grid density.
 
-    Proposals are uniform over the box and accepted against the nearest
-    grid sample, i.e. the same piecewise-constant reading of the density
-    the inverse-CDF sampler uses.
+    Picks a cell from the CDF of the flattened grid, then draws uniformly
+    within that cell: the same piecewise-constant reading of the density,
+    on the cell centered on each node, that sample_inverse_cdf uses.
+    Deterministic for a given generator state.
     """
     f = np.asarray(density, dtype=float)
     if f.shape != grid.shape:
         raise ValueError(f"density has shape {f.shape}, expected {grid.shape}")
     if np.any(f < 0.0) or f.max() <= 0.0:
         raise ValueError("density must be nonnegative with positive mass")
-    peak = float(f.max())
-    lengths = np.asarray(grid.length, dtype=float)
-    out = np.empty((count, grid.dim))
-    have = 0
-    for _ in range(max_tries):
-        need = count - have
-        batch = max(2 * need, 64)
-        pts = rng.random((batch, grid.dim)) * lengths
-        accept_u = rng.random(batch) * peak
-        cells = _nearest_cells(grid, pts)
-        keep = accept_u < f[cells]
-        taken = pts[keep][:need]
-        out[have : have + taken.shape[0]] = taken
-        have += taken.shape[0]
-        if have == count:
-            return out
-    raise RuntimeError("rejection sampling failed to fill the request")
+    cdf = np.cumsum(f)
+    cdf /= cdf[-1]
+    flat = np.minimum(np.searchsorted(cdf, rng.random(count), side="right"), f.size - 1)
+    cells = np.stack(np.unravel_index(flat, grid.shape), axis=1)
+    spacing = np.asarray(grid.spacing, dtype=float)
+    return np.mod((cells + rng.random((count, grid.dim)) - 0.5) * spacing,
+                  np.asarray(grid.length, dtype=float))

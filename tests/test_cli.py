@@ -129,6 +129,14 @@ def test_unknown_top_level_key_is_named(tmp_path, capsys):
     assert "unknown key config.gird" in capsys.readouterr().err
 
 
+def test_profiles_key_is_rejected(tmp_path, capsys):
+    payload = _gaussian_config()
+    payload["profiles"] = True
+    cfg = _write_config(tmp_path / "profiles.json", payload)
+    assert main(["diagnose", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "unknown key config.profiles" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # diagnose
 
@@ -210,6 +218,99 @@ def test_trace_sampled_starts_are_seed_deterministic(gaussian_run, tmp_path):
     assert main(argv) == 0
     for name in names:
         assert (out / name).read_bytes() == first[name]
+
+
+def test_trace_batch_matches_single_start_paths(gaussian_run, tmp_path):
+    from qvlab.cli import Scenario, _load_config, _load_run, _trace_em, _trace_flow
+    from qvlab.trajectories import advect, force_path
+
+    _, out = gaussian_run
+    payload = _gaussian_config()
+    starts = [[21.0], [19.5], [20.7]]
+    payload["trace"] = {"method": "both", "interpolation": "spectral", "starts": starts}
+    cfg = _write_config(tmp_path / "three.json", payload)
+    assert main(["trace", "--config", str(cfg), "--out", str(out)]) == 0
+
+    summary = json.loads((out / "trace_summary.json").read_text(encoding="utf-8"))
+    assert summary["files"] == [
+        f"trace_{i:03d}_{m}.csv" for i in range(3) for m in ("advect", "force")
+    ]
+    scenario = Scenario(_load_config(str(cfg)), str(tmp_path))
+    _, times, snaps = _load_run(scenario, str(out))
+    flow, _ = _trace_flow(scenario, times, snaps, "spectral")
+    em = _trace_em(scenario, times, snaps, "spectral")
+    dt, steps = summary["dt"], summary["steps"]
+    for index, start in enumerate(starts):
+        v0, _ = flow(np.array([start]), times[0])
+        singles = {
+            "advect": advect(start, flow, dt, steps),
+            "force": force_path(start, v0[0], em, scenario.consts.gamma, dt, steps),
+        }
+        for method, path in singles.items():
+            table = np.loadtxt(
+                out / f"trace_{index:03d}_{method}.csv", delimiter=",", skiprows=1
+            )
+            assert np.array_equal(table[:, 0], path.times)
+            assert np.max(np.abs(table[:, 1] - path.positions[:, 0])) <= 1e-12
+            assert np.max(np.abs(table[:, 2] - path.velocities[:, 0])) <= 1e-12
+            assert np.array_equal(table[:, 3].astype(bool), path.masked)
+
+
+def test_trace_count_samples_the_joint_density(tmp_path):
+    # two blobs on the diagonal: the off-diagonal quadrants hold no mass,
+    # while the product of the marginals puts half the draws there
+    from qvlab.fields import ComplexScalarField, write_snapshot
+    from qvlab.lattice import make_grid
+
+    grid = make_grid(2, [32, 32], [16.0, 16.0])
+    xx, yy = grid.meshes()
+    blob = lambda c: np.exp(-((xx - c) ** 2 + (yy - c) ** 2) / (2 * 0.6**2))
+    psi = np.sqrt(blob(4.0) + blob(12.0)).astype(complex)
+    write_snapshot(ComplexScalarField(grid, psi), tmp_path / "blobs.qfs")
+    payload = {
+        "name": "two-blobs",
+        "equation": "schrodinger",
+        "grid": {"dim": 2, "n": [32, 32], "length": [16.0, 16.0]},
+        "constants": {"kind": "natural"},
+        "initial_state": {"preset": "custom", "path": "blobs.qfs"},
+        "evolution": {"dt": 1e-3, "steps": 2, "snapshot_stride": 1},
+        "trace": {"method": "advect", "interpolation": "tricubic", "count": 60,
+                  "steps": 1},
+    }
+    cfg = _write_config(tmp_path / "blobs.json", payload)
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["trace", "--config", str(cfg), "--out", str(out), "--seed", "5"]) == 0
+    firsts = np.array([
+        np.loadtxt(out / f"trace_{i:03d}.csv", delimiter=",", skiprows=1)[0, 1:3]
+        for i in range(60)
+    ])
+    low = firsts < 8.0
+    assert np.all(low[:, 0] == low[:, 1])
+    assert 0 < np.count_nonzero(low[:, 0]) < 60
+
+
+def test_trace_and_continuity_skip_the_quantum_potential(gaussian_run, tmp_path,
+                                                         monkeypatch):
+    import qvlab.diagnostics
+
+    calls = []
+    real = qvlab.diagnostics.quantum_potential
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qvlab.diagnostics, "quantum_potential", counting)
+    cfg, out = gaussian_run
+    assert main(["trace", "--config", str(cfg), "--out", str(out)]) == 0
+    payload = _gaussian_config()
+    payload["diagnostics"] = ["continuity"]
+    cont = _write_config(tmp_path / "continuity.json", payload)
+    assert main(["diagnose", "--config", str(cont), "--out", str(out)]) == 0
+    assert len(calls) == 0
+    assert main(["fields", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(calls) == 11
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from qvlab.trajectories import (
     advect,
     advect_ensemble,
     force_path,
+    sample_density,
     sample_inverse_cdf,
-    sample_rejection,
 )
 from oracles import GaussianPacket, cyclotron_position, cyclotron_velocity
 from util import linf
@@ -201,6 +201,77 @@ def test_advect_ensemble_matches_single_paths():
         assert abs(row[0] - single.positions[-1, 0]) <= 1e-14
 
 
+class _CountingSampler(AnalyticSampler):
+    def __init__(self, func):
+        super().__init__(func)
+        self.calls = 0
+
+    def __call__(self, points, t):
+        self.calls += 1
+        return super().__call__(points, t)
+
+
+def test_advect_evaluates_the_flow_four_times_per_step():
+    # one evaluation per step boundary, reused as k1, plus three substeps
+    for starts in (0.5, np.array([[0.5], [1.0], [2.0]])):
+        sampler = _CountingSampler(lambda pts, t: np.sin(pts) * np.cos(t))
+        advect(starts, sampler, dt=0.1, steps=7)
+        assert sampler.calls == 4 * 7 + 1
+
+
+def _sampler_kinds():
+    g = make_grid(2, [24, 24], [2 * np.pi, 2 * np.pi])
+    xx, yy = np.meshgrid(g.axis_coordinates(0), g.axis_coordinates(1), indexing="ij")
+    comps = (np.cos(xx) * np.sin(yy) + 0.5, 0.3 * np.sin(xx + 2 * yy) - 0.2)
+    later = tuple(1.2 * c for c in comps)
+    analytic = AnalyticSampler(
+        lambda pts, t: np.stack(
+            [np.cos(pts[:, 0]) * np.sin(pts[:, 1]) + 0.5, np.sin(pts[:, 0] + t)], axis=1
+        ),
+        lengths=g.length,
+    )
+    return {
+        "analytic": analytic,
+        "tricubic": GridFieldSampler(g, [0.0, 1.0], [comps, later], method="tricubic"),
+        "spectral": GridFieldSampler(g, [0.0, 1.0], [comps, later], method="spectral"),
+    }
+
+
+@pytest.mark.parametrize("kind", ["analytic", "tricubic", "spectral"])
+def test_advect_stack_matches_single_starts(kind):
+    sampler = _sampler_kinds()[kind]
+    starts = np.array([[0.5, 1.0], [3.0, 5.5], [6.0, 0.1], [2.2, 2.2]])
+    paths = advect(starts, sampler, dt=0.05, steps=20)
+    assert len(paths) == len(starts)
+    tol = 1e-12 if kind == "spectral" else 0.0
+    for start, path in zip(starts, paths):
+        single = advect(start, sampler, dt=0.05, steps=20)
+        assert np.array_equal(path.times, single.times)
+        assert linf(path.positions - single.positions) <= tol
+        assert linf(path.velocities - single.velocities) <= tol
+        assert np.array_equal(path.masked, single.masked)
+
+
+def test_batched_mask_events_stay_per_particle():
+    # the band of test_mask_freeze_records_event_and_holds_velocity: the
+    # start at 2.0 crosses it, the start at 4.2 stays clear
+    g = make_grid(1, [64], [8.0])
+    x = g.axis_coordinates(0)
+    v = np.ones(g.shape) + 8.0 * ((3.4 <= x) & (x < 3.6))
+    band = (3.0 <= x) & (x < 4.0)
+    sampler = GridFieldSampler(
+        g, [0.0, 5.0], [(v,), (v,)], method="tricubic", masks=[band, band]
+    )
+    crossing, clear = advect(np.array([[2.0], [4.2]]), sampler, dt=0.05, steps=60)
+    assert len(crossing.mask_events) == 1 and crossing.masked.any()
+    assert clear.mask_events == [] and not clear.masked.any()
+    for start, path in ((2.0, crossing), (4.2, clear)):
+        single = advect(start, sampler, dt=0.05, steps=60)
+        assert np.array_equal(path.masked, single.masked)
+        assert path.mask_events == single.mask_events
+        assert np.array_equal(path.positions, single.positions)
+
+
 # ---------------------------------------------------------------------------
 # force law
 
@@ -270,6 +341,24 @@ def test_advect_and_force_path_agree_on_free_packet():
     assert linf(flow_curve.positions - force_curve.positions) <= 1e-3
 
 
+@pytest.mark.parametrize("kind", ["analytic", "tricubic", "spectral"])
+def test_force_path_stack_matches_single_starts(kind):
+    e = _sampler_kinds()[kind]
+    b = AnalyticSampler(lambda pts, t: np.tile([0.0, 0.0, 1.5], (pts.shape[0], 1)))
+    em = EMSeries(e=e, b=b)
+    starts = np.array([[0.5, 1.0], [3.0, 5.5], [6.0, 0.1]])
+    v0 = np.array([[0.2, -0.1], [0.0, 0.4], [-0.3, 0.3]])
+    paths = force_path(starts, v0, em, NAT.gamma, dt=0.05, steps=20)
+    assert len(paths) == len(starts)
+    for start, vel, path in zip(starts, v0, paths):
+        single = force_path(start, vel, em, NAT.gamma, dt=0.05, steps=20)
+        assert linf(path.positions - single.positions) <= 1e-14
+        assert linf(path.velocities - single.velocities) <= 1e-14
+        assert np.array_equal(path.masked, single.masked)
+    with pytest.raises(ValueError, match="same dimension"):
+        force_path(starts, v0[0], em, NAT.gamma, dt=0.05, steps=2)
+
+
 def test_em_series_from_frames_runs():
     from qvlab.decomposition import GaugeConfiguration
     from qvlab.diagnostics import em_fields
@@ -337,18 +426,33 @@ def test_inverse_cdf_validation():
         sample_inverse_cdf(g, [ones, -ones], 10, np.random.default_rng(0))
 
 
-def test_rejection_sampler_agrees_with_inverse_cdf():
+def test_density_sampler_agrees_with_inverse_cdf():
     g = make_grid(1, [128], [2 * np.pi])
     x = g.axis_coordinates(0)
     f = 1.0 + 0.5 * np.sin(x)
-    a = sample_rejection(g, f, 5000, np.random.default_rng(3))
+    a = sample_density(g, f, 5000, np.random.default_rng(3))
     b = sample_inverse_cdf(g, [f], 5000, np.random.default_rng(3))
-    b2 = sample_rejection(g, f, 5000, np.random.default_rng(3))
+    b2 = sample_density(g, f, 5000, np.random.default_rng(3))
     assert np.array_equal(a, b2)
     # same target density: circular means agree within sampling noise
     mean_a = np.angle(np.exp(1j * a[:, 0]).mean())
     mean_b = np.angle(np.exp(1j * b[:, 0]).mean())
     assert abs(mean_a - mean_b) <= 0.1
+
+
+def test_density_sampler_draws_from_the_joint_density():
+    # one occupied cell of a 2D grid: every draw lands inside that cell
+    g = make_grid(2, [8, 4], [8.0, 2.0])
+    f = np.zeros(g.shape)
+    f[5, 1] = 2.0
+    pts = sample_density(g, f, 500, np.random.default_rng(0))
+    assert pts.shape == (500, 2)
+    assert np.all(np.abs(pts[:, 0] - 5.0) <= 0.5)
+    assert np.all(np.abs(pts[:, 1] - 0.5) <= 0.25)
+    with pytest.raises(ValueError, match="shape"):
+        sample_density(g, np.ones(8), 10, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        sample_density(g, -f, 10, np.random.default_rng(0))
 
 
 def test_ensemble_equivariance_chi_squared():

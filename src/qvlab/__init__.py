@@ -8,7 +8,37 @@ derivatives), `fields` (state containers and snapshot IO), `algebra`
 (split-step and leapfrog integrators), `diagnostics` (residual reports),
 and `trajectories` (characteristic curves and ensemble transport).
 The `cli` module wires everything into the `qvlab` command.
+
+QVLAB_THREADS caps the BLAS/OpenMP thread pools.  The cap is applied here,
+before the first numpy import, because the pools are sized when numpy loads;
+a variable already set in the environment wins.
 """
+import os
+
+_THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
+
+
+def _apply_thread_cap() -> None:
+    """Set each unset thread-pool variable to QVLAB_THREADS; ValueError when
+    that is not a positive integer."""
+    cap = os.environ.get("QVLAB_THREADS")
+    if cap is None or cap == "":
+        return
+    if not cap.isdigit() or int(cap) < 1:
+        raise ValueError(f"QVLAB_THREADS must be a positive integer, got {cap!r}")
+    for var in _THREAD_VARS:
+        os.environ.setdefault(var, cap)
+
+
+try:
+    _apply_thread_cap()
+except ValueError:
+    pass  # importing stays possible; `qvlab.cli.main` reports it and exits 2
 
 from .algebra import (
     IDENTITY_NAMES,

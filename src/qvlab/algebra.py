@@ -50,16 +50,27 @@ def dirac_gamma(mu: int) -> np.ndarray:
     return _GAMMA[mu].copy()
 
 
+def sigma_parts(v) -> tuple:
+    """(v_z, v_x - i*v_y, v_x + i*v_y), the entries of sigma.v."""
+    vx, vy, vz = v
+    return vz, vx - 1j * vy, vx + 1j * vy
+
+
+def sigma_apply(parts, values) -> np.ndarray:
+    """sigma.v, given as sigma_parts(v), applied to a two-component array."""
+    vz, minus, plus = parts
+    up, down = values
+    return np.stack([vz * up + minus * down, plus * up - vz * down])
+
+
 def sigma_dot(x) -> np.ndarray:
     """sigma.x for a 3-vector of scalars or broadcastable sample arrays.
 
     Returns shape (2, 2) for scalars, (2, 2, *field) for arrays.
     """
-    x1, x2, x3 = (np.asarray(c) for c in x)
-    x1, x2, x3 = np.broadcast_arrays(x1, x2, x3)
-    row0 = np.stack([x3.astype(complex), x1 - 1j * x2])
-    row1 = np.stack([x1 + 1j * x2, -x3.astype(complex)])
-    return np.stack([row0, row1])
+    x3, minus, plus = sigma_parts(np.broadcast_arrays(*(np.asarray(c) for c in x)))
+    x3 = x3.astype(complex)
+    return np.stack([np.stack([x3, minus]), np.stack([plus, -x3])])
 
 
 @dataclass(frozen=True)

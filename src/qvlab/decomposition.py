@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import ComplexScalarField, NodeError, SpinorField, BispinorField, VectorField, density, node_mask
+from .fields import ComplexScalarField, NodeError, SpinorField, BispinorField, VectorField, _component_list, density, node_mask
 from .lattice import Grid, divergence, k_squared, spectral_gradient
 
 _REL_TOL = 1e-12
@@ -230,12 +230,7 @@ def current_scalar(
     psi: ComplexScalarField, gauge: GaugeConfiguration, consts: PhysicalConstants
 ) -> VectorField:
     """J = i*alpha*(psi* grad psi - psi grad psi*) + gamma*f*A_psi."""
-    comps = _paramagnetic_current([psi.values], psi.grid, consts.alpha)
-    f = density(psi)
-    comps = [
-        j + consts.gamma * f * a for j, a in zip(comps, gauge.a_psi.components)
-    ]
-    return VectorField(psi.grid, tuple(comps))
+    return _current(psi, gauge, consts)
 
 
 def current_spinor(
@@ -243,7 +238,11 @@ def current_spinor(
 ) -> VectorField:
     """Componentwise scalar current plus gamma*(psi^dag psi)*A_psi; reduces
     exactly to current_scalar when one component vanishes."""
-    comps = _paramagnetic_current(list(psi.values), psi.grid, consts.alpha)
+    return _current(psi, gauge, consts)
+
+
+def _current(psi, gauge: GaugeConfiguration, consts: PhysicalConstants) -> VectorField:
+    comps = _paramagnetic_current(_component_list(psi), psi.grid, consts.alpha)
     f = density(psi)
     comps = [
         j + consts.gamma * f * a for j, a in zip(comps, gauge.a_psi.components)

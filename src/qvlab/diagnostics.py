@@ -24,7 +24,7 @@ from .decomposition import (
     velocity,
 )
 from .fields import ComplexScalarField, NodeError, VectorField, density, node_mask, phase_gradient
-from .lattice import Grid, curl, divergence, spectral_gradient, spectral_laplacian
+from .lattice import Grid, _curl3, curl, divergence, spectral_gradient, spectral_laplacian
 
 _JUMP_FRACTION = 0.9  # |angle| above this multiple of pi flags a branch jump
 
@@ -240,16 +240,6 @@ def hamilton_jacobi_residual(
 
 # ---------------------------------------------------------------------------
 # electromagnetic analogues
-
-def _curl3(components, grid: Grid):
-    """curl as a fixed 3-tuple; 2D fills the out-of-plane slot, 1D has none."""
-    zeros = np.zeros(grid.shape)
-    if grid.dim == 3:
-        return tuple(curl(components, grid))
-    if grid.dim == 2:
-        return (zeros, zeros, curl(components, grid)[0])
-    return (zeros, zeros, zeros)
-
 
 @dataclass
 class EMFields:

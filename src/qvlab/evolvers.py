@@ -28,9 +28,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .algebra import sigma_apply, sigma_parts
 from .decomposition import FourCurrent, GaugeConfiguration, PhysicalConstants
 from .fields import BispinorField, ComplexScalarField, SpinorField
-from .lattice import Grid, _kmesh, curl, divergence, k_squared, spectral_gradient, spectral_laplacian
+from .lattice import Grid, _curl3, _kmesh, divergence, k_squared, spectral_gradient, spectral_laplacian
 
 # Terms kept in the symmetrized cross-term series; the truncation error
 # (tau*|C|/hbar)^6/720 sits far below the O(dt^2) splitting error.
@@ -93,19 +94,6 @@ def _on_field(psi, stepper):
     """Lift a values -> values stepper to fields of psi's type and grid."""
     cls, grid = type(psi), psi.grid
     return lambda field: cls(grid, stepper(field.values))
-
-
-def _sigma_parts(v) -> tuple:
-    """(v_z, v_x - i*v_y, v_x + i*v_y), the entries of sigma.v."""
-    vx, vy, vz = v
-    return vz, vx - 1j * vy, vx + 1j * vy
-
-
-def _sigma_dot(parts, values) -> np.ndarray:
-    """sigma.v applied to a two-component array."""
-    vz, minus, plus = parts
-    up, down = values
-    return np.stack([vz * up + minus * down, plus * up - vz * down])
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +195,10 @@ def schrodinger_step(
 def magnetic_field(gauge: GaugeConfiguration) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Three B components: curl of a_psi (2D fills the out-of-plane slot,
     1D has no curl) plus any fixed b_external."""
-    grid = gauge.grid
-    zeros = np.zeros(grid.shape)
-    if grid.dim == 3:
-        b = curl(gauge.a_psi.components, grid)
-    elif grid.dim == 2:
-        b = [zeros, zeros, curl(gauge.a_psi.components, grid)[0]]
-    else:
-        b = [zeros, zeros, zeros]
+    b = _curl3(gauge.a_psi.components, gauge.grid)
     if gauge.b_external is not None:
-        b = [comp + ext for comp, ext in zip(b, gauge.b_external)]
-    return tuple(b)
+        b = tuple(comp + ext for comp, ext in zip(b, gauge.b_external))
+    return b
 
 
 def _spin_rotation(b, consts, tau):
@@ -229,8 +210,8 @@ def _spin_rotation(b, consts, tau):
     cos = np.cos(theta)
     safe = np.where(bmag > 0.0, bmag, 1.0)
     scale = 1j * np.where(bmag > 0.0, np.sin(theta) / safe, coeff)
-    sigma_b = _sigma_parts([scale * comp for comp in b])
-    return lambda values: cos * values + _sigma_dot(sigma_b, values)
+    sigma_b = sigma_parts([scale * comp for comp in b])
+    return lambda values: cos * values + sigma_apply(sigma_b, values)
 
 
 def _pauli_stepper(grid, gauge, consts, params, kinetic=True, potential=True):
@@ -299,7 +280,7 @@ class FourPotential:
 
 def _alpha_dot(parts, values) -> np.ndarray:
     """alpha.v on a bispinor: sigma.v with the upper and lower pairs swapped."""
-    return np.concatenate([_sigma_dot(parts, values[2:]), _sigma_dot(parts, values[:2])])
+    return np.concatenate([sigma_apply(parts, values[2:]), sigma_apply(parts, values[:2])])
 
 
 def _dirac_interaction(pot, consts, tau):
@@ -312,7 +293,7 @@ def _dirac_interaction(pot, consts, tau):
     scale = 1j * np.where(amag > 0.0, np.sin(w) / safe, consts.q * consts.c * tau * consts.beta)
     scalar = np.exp(-1j * consts.q * tau * consts.beta * pot.phi)
     diag = scalar * np.cos(w)
-    sigma_a = _sigma_parts([scalar * scale * comp for comp in pot.a])
+    sigma_a = sigma_parts([scalar * scale * comp for comp in pot.a])
     return lambda values: diag * values + _alpha_dot(sigma_a, values)
 
 
@@ -331,7 +312,7 @@ def _dirac_stepper(grid, pot, consts, params):
     phase = dt * energy * consts.beta
     cos = np.cos(phase)
     isinc = -1j * np.sin(phase) / energy
-    sigma_k = _sigma_parts([consts.c * consts.hbar * kv for kv in kvecs])
+    sigma_k = sigma_parts([consts.c * consts.hbar * kv for kv in kvecs])
     mass = np.array([mc2, mc2, -mc2, -mc2]).reshape((4,) + (1,) * grid.dim)
     interaction = None
     if np.any(pot.phi) or any(np.any(c) for c in pot.a):

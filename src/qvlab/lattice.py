@@ -3,8 +3,7 @@
 Every field in this package lives on a rectangular box [0, L_j) sampled at
 n_j equally spaced points per axis with periodic boundary conditions.
 Derivatives are evaluated in Fourier space (multiplication by i*k), exact
-for band-limited data.  A 2nd-order centered finite-difference fallback is
-provided for cross-validation only.
+for band-limited data.
 
 Conventions
     wavenumbers   k_j = 2*pi*m_j/L_j with integer m_j in FFT order
@@ -180,6 +179,16 @@ def curl(components: Sequence[np.ndarray], grid: Grid) -> list[np.ndarray]:
     raise ValueError("curl is undefined on 1D grids")
 
 
+def _curl3(components: Sequence[np.ndarray], grid: Grid) -> tuple[np.ndarray, ...]:
+    """curl as a fixed 3-tuple; 2D fills the out-of-plane slot, 1D has none."""
+    zeros = np.zeros(grid.shape)
+    if grid.dim == 3:
+        return tuple(curl(components, grid))
+    if grid.dim == 2:
+        return (zeros, zeros, curl(components, grid)[0])
+    return (zeros, zeros, zeros)
+
+
 def band_limit(values: np.ndarray, grid: Grid, fraction: float = 0.25) -> np.ndarray:
     """Zero all modes with |m_j| >= fraction*n_j on any axis."""
     values = _check_shape(values, grid)
@@ -192,24 +201,3 @@ def band_limit(values: np.ndarray, grid: Grid, fraction: float = 0.25) -> np.nda
         fhat = fhat * keep.reshape(shape)
     out = np.fft.ifftn(fhat)
     return _match_dtype(out, values)
-
-
-def fd_gradient(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
-    """2nd-order centered differences, periodic wrap. Cross-validation only."""
-    values = _check_shape(values, grid)
-    out = []
-    for axis in range(grid.dim):
-        num = np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)
-        out.append(num / (2.0 * grid.spacing[axis]))
-    return out
-
-
-def fd_laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """2nd-order centered Laplacian, periodic wrap. Cross-validation only."""
-    values = _check_shape(values, grid)
-    out = np.zeros_like(values)
-    for axis in range(grid.dim):
-        plus = np.roll(values, -1, axis=axis)
-        minus = np.roll(values, 1, axis=axis)
-        out = out + (plus - 2.0 * values + minus) / grid.spacing[axis] ** 2
-    return out

@@ -1,17 +1,20 @@
 """End-to-end tests for the qvlab command line interface.
 
-Every test drives ``qvlab.cli.main`` in process (fast, and capsys sees the
-output); one subprocess test at the bottom covers the ``python -m`` entry
-point.  Heavy evolution runs are shared through module-scoped fixtures.
+Tests drive ``qvlab.cli.main`` in process (fast, and capsys sees the
+output); subprocesses cover what needs a fresh interpreter: the thread cap
+applied before numpy loads, and the ``python -m`` entry point at the bottom.
+Heavy evolution runs are shared through module-scoped fixtures.
 """
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from qvlab import cli
 from qvlab.cli import main
 
 
@@ -137,6 +140,116 @@ def test_profiles_key_is_rejected(tmp_path, capsys):
     assert "unknown key config.profiles" in capsys.readouterr().err
 
 
+def _small_config():
+    return {
+        "name": "small",
+        "equation": "schrodinger",
+        "grid": {"dim": 1, "n": [16], "length": [8.0]},
+        "initial_state": {"preset": "gaussian", "center": [4.0]},
+        "evolution": {"dt": 1e-3, "steps": 1},
+    }
+
+
+# valid keys for every preset of every preset table
+_PRESET_KEYS = {
+    ("initial_state", "plane_wave"): {"mode": [1]},
+    ("initial_state", "gaussian"): {"sigma": 1.0},
+    ("initial_state", "ho_ground"): {"omega": 1.0},
+    ("initial_state", "spinor_up_x"): {"sigma": 1.0},
+    ("initial_state", "dirac_plane_wave"): {"mode": [1]},
+    ("initial_state", "custom"): {"path": "seed.qfs"},
+    ("gauge.u", "zero"): {},
+    ("gauge.u", "uniform"): {"value": 0.5},
+    ("gauge.u", "harmonic"): {"omega": 1.0},
+    ("gauge.u", "cosine"): {"mode": [1]},
+    ("gauge.a", "zero"): {},
+    ("gauge.a", "uniform"): {"value": [0.1]},
+}
+_PRESET_TABLES = (
+    ("initial_state", cli._STATES),
+    ("gauge.u", cli._POTENTIALS),
+    ("gauge.a", cli._VECTOR_POTENTIALS),
+)
+
+
+def _put(payload, path, value):
+    *heads, last = path.split(".")
+    for head in heads:
+        payload = payload.setdefault(head, {})
+    payload[last] = value
+
+
+@pytest.mark.parametrize(
+    "section, preset",
+    [(section, preset) for section, table in _PRESET_TABLES for preset in table],
+)
+def test_every_preset_rejects_extra_keys_and_bad_values(section, preset, tmp_path,
+                                                        capsys):
+    from qvlab.fields import ComplexScalarField, write_snapshot
+    from qvlab.lattice import make_grid
+
+    grid = make_grid(1, [16], [8.0])
+    seed = ComplexScalarField(grid, np.ones(16, dtype=complex))
+    write_snapshot(seed, tmp_path / "seed.qfs")
+    keys = _PRESET_KEYS[(section, preset)]
+    cases = [({**keys, "extra": 1}, f"unknown key config.{section}.extra")]
+    for key in keys:
+        cases.append(({**keys, key: True}, f"config.{section}.{key} must be"))
+    for values, message in cases:
+        payload = _small_config()
+        _put(payload, section, {"preset": preset, **values})
+        cfg = _write_config(tmp_path / "preset.json", payload)
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        if "extra" not in values:
+            assert err.rstrip().endswith("got true")
+
+
+# every key read through Section.choice, with the config that reaches it
+_CHOICES = [
+    "equation",
+    "constants.kind",
+    "initial_state.preset",
+    "initial_state.branch",
+    "gauge.u.preset",
+    "gauge.a.preset",
+    "gauge.chi",
+    "trace.method",
+    "trace.interpolation",
+    "fields.family",
+]
+
+
+@pytest.mark.parametrize("key", _CHOICES)
+def test_every_choice_names_its_key_and_bad_value(key, tmp_path, capsys):
+    payload = _small_config()
+    if key == "initial_state.branch":
+        payload["equation"] = "dirac"
+        payload["initial_state"] = {"preset": "dirac_plane_wave", "mode": [1]}
+    if key.startswith("trace."):
+        payload["trace"] = {"starts": [[4.0]]}
+    _put(payload, key, "nonesuch")
+    cfg = _write_config(tmp_path / "choice.json", payload)
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert f'config.{key} must be one of ' in err
+    assert err.rstrip().endswith('got "nonesuch"')
+
+
+def test_unknown_diagnostic_fails_evolve_before_it_runs(tmp_path, capsys):
+    payload = _gaussian_config()
+    payload["diagnostics"] = ["continuity", "hamilton_jacobi", "continuty"]
+    cfg = _write_config(tmp_path / "typo.json", payload)
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert (
+        "config.diagnostics[2] must be one of continuity, hamilton_jacobi, gauge, "
+        'four_current, got "continuty"'
+    ) in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # diagnose
 
@@ -221,7 +334,7 @@ def test_trace_sampled_starts_are_seed_deterministic(gaussian_run, tmp_path):
 
 
 def test_trace_batch_matches_single_start_paths(gaussian_run, tmp_path):
-    from qvlab.cli import Scenario, _load_config, _load_run, _trace_em, _trace_flow
+    from qvlab.cli import Run, Scenario, _load_config, _trace_em, _trace_flow
     from qvlab.trajectories import advect, force_path
 
     _, out = gaussian_run
@@ -236,12 +349,12 @@ def test_trace_batch_matches_single_start_paths(gaussian_run, tmp_path):
         f"trace_{i:03d}_{m}.csv" for i in range(3) for m in ("advect", "force")
     ]
     scenario = Scenario(_load_config(str(cfg)), str(tmp_path))
-    _, times, snaps = _load_run(scenario, str(out))
-    flow, _ = _trace_flow(scenario, times, snaps, "spectral")
-    em = _trace_em(scenario, times, snaps, "spectral")
+    run = Run(scenario, str(out))
+    flow = _trace_flow(run, "spectral")
+    em = _trace_em(run, "spectral")
     dt, steps = summary["dt"], summary["steps"]
     for index, start in enumerate(starts):
-        v0, _ = flow(np.array([start]), times[0])
+        v0, _ = flow(np.array([start]), run.times[0])
         singles = {
             "advect": advect(start, flow, dt, steps),
             "force": force_path(start, v0[0], em, scenario.consts.gamma, dt, steps),
@@ -400,6 +513,41 @@ def test_thread_cap_must_be_a_positive_integer(monkeypatch, capsys):
     monkeypatch.setenv("QVLAB_THREADS", "zero")
     assert main(["algebra-check", "--list"]) == 2
     assert "QVLAB_THREADS" in capsys.readouterr().err
+
+
+# Records the thread variables when numpy is first imported, then imports the CLI.
+_THREAD_PROBE = """
+import json, os, sys
+
+seen = {}
+
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update((v, os.environ.get(v))
+                        for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+        return None
+
+sys.meta_path.insert(0, Probe())
+import qvlab.cli
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("cap, expected", [("3", "3"), ("zero", None)])
+def test_thread_cap_is_set_before_numpy_loads(cap, expected):
+    env = {k: v for k, v in os.environ.items()
+           if not k.endswith("_NUM_THREADS") and k != "QVLAB_THREADS"}
+    env["QVLAB_THREADS"] = cap
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREAD_PROBE],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "OPENBLAS_NUM_THREADS": expected,
+        "OMP_NUM_THREADS": expected,
+    }
 
 
 # ---------------------------------------------------------------------------

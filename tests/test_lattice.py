@@ -6,14 +6,12 @@ from qvlab.lattice import (
     band_limit,
     curl,
     divergence,
-    fd_gradient,
-    fd_laplacian,
     k_squared,
     make_grid,
     spectral_gradient,
     spectral_laplacian,
 )
-from util import linf, random_band_limited
+from util import fd_gradient, fd_laplacian, linf, random_band_limited
 
 
 def test_make_grid_1d_wavenumbers():

@@ -167,6 +167,16 @@ def _config_sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+# the config sections that decide what `evolve` computes
+_PHYSICS = ("equation", "grid", "constants", "initial_state", "gauge", "evolution")
+
+
+def _physics_sha256(raw: dict) -> str:
+    """SHA-256 of the raw physics sections as canonical JSON."""
+    text = json.dumps({key: raw.get(key) for key in _PHYSICS}, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 # ---------------------------------------------------------------------------
 # scenario assembly
 
@@ -198,6 +208,7 @@ class Scenario:
         fields_section.finish()
         top.finish()
         self.config_dir = config_dir
+        self.physics_sha256 = _physics_sha256(raw)
 
     def require(self, attr: str, why: str):
         value = getattr(self, attr)
@@ -524,6 +535,7 @@ def cmd_evolve(args, scenario: Scenario) -> int:
         "command": "evolve",
         "equation": equation,
         "config_sha256": _config_sha256(args.config),
+        "physics_sha256": scenario.physics_sha256,
         "seed": args.seed,
         "grid": {"dim": grid.dim, "n": list(grid.n), "length": list(grid.length)},
         "dt": params.dt,
@@ -543,8 +555,9 @@ def cmd_evolve(args, scenario: Scenario) -> int:
 
 
 class Run:
-    """The snapshot series a manifest lists.  Densities, currents and the
-    quantum potential are each computed on first use, at most once."""
+    """The snapshot series a manifest lists, if the manifest's physics hash is
+    the scenario's.  Densities, currents and the quantum potential are each
+    computed on first use, at most once."""
 
     def __init__(self, scenario: Scenario, out: str):
         manifest_path = os.path.join(out, "manifest.json")
@@ -555,6 +568,13 @@ class Run:
             raise ConfigError(f"missing run manifest {manifest_path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"corrupt run manifest {manifest_path}: {exc}") from exc
+        recorded = manifest.get("physics_sha256")
+        if recorded != scenario.physics_sha256:
+            raise ConfigError(
+                f"{manifest_path} was evolved under other physics: its physics_sha256 "
+                f"{recorded} does not match the config's {scenario.physics_sha256}; "
+                "re-run evolve with this config"
+            )
         entries = manifest.get("snapshots", [])
         if not entries:
             raise ConfigError(f"{manifest_path} lists no snapshots")
@@ -711,11 +731,11 @@ def _trace_em(run: Run, interpolation):
 
 def cmd_trace(args, scenario: Scenario) -> int:
     trace_cfg = scenario.require("trace", "trace")
+    if scenario.consts.q == 0.0:
+        raise ConfigError("config.constants: tracing needs q != 0")
     out = _out_dir(args, scenario)
     run = Run(scenario, out)
     times, grid = run.times, run.grid
-    if scenario.consts.q == 0.0:
-        raise ConfigError("config.constants: tracing needs q != 0")
 
     flow = _trace_flow(run, trace_cfg["interpolation"])
 
@@ -794,13 +814,12 @@ def cmd_trace(args, scenario: Scenario) -> int:
 
 
 def cmd_fields(args, scenario: Scenario) -> int:
-    family = scenario.family
-    out = _out_dir(args, scenario)
-    run = Run(scenario, out).scalar()
-    consts = scenario.consts
-    gauges = [scenario.gauge] * len(run.snaps)
+    family, consts = scenario.family, scenario.consts
     if consts.q == 0.0:
         raise ConfigError("config.constants: field reports need q != 0")
+    out = _out_dir(args, scenario)
+    run = Run(scenario, out).scalar()
+    gauges = [scenario.gauge] * len(run.snaps)
 
     inner, frames = diagnostics.em_fields(run.times, gauges, consts, run.q_series)
     reports = list(diagnostics.gauge_residuals(run.times, gauges, consts, run.q_series))

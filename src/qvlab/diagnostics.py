@@ -91,6 +91,32 @@ def _centered(series: Sequence[np.ndarray], index: int, dt: float) -> np.ndarray
     return (series[index + 1] - series[index - 1]) / (2.0 * dt)
 
 
+def _freeze(parts):
+    """Mark every array in a nested tuple read-only; returns parts."""
+    if isinstance(parts, np.ndarray):
+        parts.flags.writeable = False
+    else:
+        for part in parts:
+            _freeze(part)
+    return parts
+
+
+def _per_gauge(gauges: Sequence[GaugeConfiguration], compute) -> list:
+    """[compute(g) for g in gauges], computed once per distinct gauge object.
+
+    A run with a static gauge repeats one object at every snapshot, so its
+    curls, divergences and gradients are taken once and shared between
+    frames; a time-varying series misses the cache every time.  The shared
+    arrays are read-only, so an in-place write fails instead of changing
+    other frames.
+    """
+    cache = {}
+    for g in gauges:
+        if id(g) not in cache:
+            cache[id(g)] = _freeze(compute(g))
+    return [cache[id(g)] for g in gauges]
+
+
 # ---------------------------------------------------------------------------
 # continuity and current conservation
 
@@ -266,7 +292,9 @@ def em_fields(
 
     E_psi = -dA_psi/dt - (2 alpha beta / gamma) grad(V) with V = U + Q; the
     classical split pairs (A, U) and the quantum split (A_Q, Q).  Q defaults
-    to zero when no series is given.  Returns (interior_times, [EMFields]).
+    to zero when no series is given.  The B fields and grad U are computed
+    once per distinct gauge object and shared, read-only, by the frames that
+    repeat it.  Returns (interior_times, [EMFields]).
     """
     dt = _series_spacing(times)
     grid = gauges[0].grid
@@ -278,35 +306,41 @@ def em_fields(
     if len(q_series) != len(times):
         raise ValueError("q_series must align with the snapshot times")
     coeff = 2.0 * consts.alpha * consts.beta / consts.gamma
-    out_times, frames = [], []
-    for i in range(1, len(times) - 1):
-        g = gauges[i]
-        parts = {}
-        for name, pick, scalar in (
-            ("psi", lambda cfg: cfg.a_psi, g.u + q_series[i]),
-            ("classical", lambda cfg: cfg.a_classical, g.u),
-            ("quantum", lambda cfg: cfg.a_quantum, q_series[i]),
-        ):
-            da = [
-                _centered([pick(cfg).components[ax] for cfg in gauges], i, dt)
-                for ax in range(grid.dim)
-            ]
-            grad = spectral_gradient(scalar, grid)
-            parts[name] = VectorField(
-                grid, tuple(-d - coeff * gr for d, gr in zip(da, grad))
-            )
-        b_psi = _curl3(g.a_psi.components, grid)
-        b_cl = _curl3(g.a_classical.components, grid)
-        b_q = _curl3(g.a_quantum.components, grid)
+
+    def static(g):
+        b_psi, b_cl, b_q = (
+            _curl3(a.components, grid) for a in (g.a_psi, g.a_classical, g.a_quantum)
+        )
         if g.b_external is not None:
             b_psi = tuple(b + ext for b, ext in zip(b_psi, g.b_external))
             b_cl = tuple(b + ext for b, ext in zip(b_cl, g.b_external))
+        return b_psi, b_cl, b_q, tuple(spectral_gradient(g.u, grid))
+
+    out_times, frames = [], []
+    for i, (b_psi, b_cl, b_q, grad_u) in enumerate(
+        _per_gauge(gauges[1:-1], static), start=1
+    ):
+        before, after = gauges[i - 1], gauges[i + 1]
+        e = {}
+        for name, grad in (
+            ("psi", spectral_gradient(gauges[i].u + q_series[i], grid)),
+            ("classical", grad_u),
+            ("quantum", spectral_gradient(q_series[i], grid)),
+        ):
+            pairs = zip(
+                getattr(before, f"a_{name}").components,
+                getattr(after, f"a_{name}").components,
+            )
+            da = [(a2 - a0) / (2.0 * dt) for a0, a2 in pairs]
+            e[name] = VectorField(
+                grid, tuple(-d - coeff * gr for d, gr in zip(da, grad))
+            )
         frames.append(
             EMFields(
                 grid=grid,
-                e_psi=parts["psi"],
-                e_classical=parts["classical"],
-                e_quantum=parts["quantum"],
+                e_psi=e["psi"],
+                e_classical=e["classical"],
+                e_quantum=e["quantum"],
                 b_psi=b_psi,
                 b_classical=b_cl,
                 b_quantum=b_q,
@@ -327,7 +361,8 @@ def gauge_residuals(
     r_psi = div A_psi + (2 alpha beta / gamma) (1/c^2) dV/dt with V = U + Q,
     r_lorentz = div A + (1/(q c^2)) dU/dt,
     r_quantum = div A_Q + (1/(q c^2)) dQ/dt,
-    and r_psi = r_lorentz + r_quantum up to roundoff by construction.
+    and r_psi = r_lorentz + r_quantum up to roundoff by construction.  The
+    divergences are taken once per distinct gauge object.
     """
     dt = _series_spacing(times)
     grid = gauges[0].grid
@@ -338,21 +373,20 @@ def gauge_residuals(
     v_series = [u + q for u, q in zip(u_series, q_series)]
     coeff = 2.0 * consts.alpha * consts.beta / consts.gamma
     inv_qc2 = 1.0 / (consts.q * consts.c**2)
+    divs = _per_gauge(
+        gauges[1:-1],
+        lambda g: tuple(
+            divergence(a.components, grid)
+            for a in (g.a_psi, g.a_classical, g.a_quantum)
+        ),
+    )
     rows = {"gauge_psi": [], "gauge_lorentz": [], "gauge_quantum": []}
-    for i in range(1, len(times) - 1):
-        g = gauges[i]
+    for i, (div_psi, div_cl, div_q) in enumerate(divs, start=1):
         rows["gauge_psi"].append(
-            divergence(g.a_psi.components, grid)
-            + coeff / consts.c**2 * _centered(v_series, i, dt)
+            div_psi + coeff / consts.c**2 * _centered(v_series, i, dt)
         )
-        rows["gauge_lorentz"].append(
-            divergence(g.a_classical.components, grid)
-            + inv_qc2 * _centered(u_series, i, dt)
-        )
-        rows["gauge_quantum"].append(
-            divergence(g.a_quantum.components, grid)
-            + inv_qc2 * _centered(q_series, i, dt)
-        )
+        rows["gauge_lorentz"].append(div_cl + inv_qc2 * _centered(u_series, i, dt))
+        rows["gauge_quantum"].append(div_q + inv_qc2 * _centered(q_series, i, dt))
     return tuple(_report(name, np.stack(r), dt=dt) for name, r in rows.items())
 
 

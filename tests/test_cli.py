@@ -8,6 +8,7 @@ Heavy evolution runs are shared through module-scoped fixtures.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -293,6 +294,47 @@ def test_diagnose_missing_manifest_is_a_config_error(tmp_path, capsys):
     empty.mkdir()
     assert main(["diagnose", "--config", str(cfg), "--out", str(empty)]) == 2
     assert "manifest" in capsys.readouterr().err
+
+
+def test_diagnose_refuses_a_run_evolved_under_other_physics(oscillator_run, tmp_path,
+                                                             capsys):
+    _, out = oscillator_run
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    recorded = manifest["physics_sha256"]
+    payload = _oscillator_config()
+    payload["gauge"] = {"u": {"preset": "zero"}}
+    flat = _write_config(tmp_path / "flat.json", payload)
+    wanted = cli.Scenario(payload, str(tmp_path)).physics_sha256
+    assert wanted != recorded
+    assert main(["diagnose", "--config", str(flat), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert recorded in err and wanted in err
+    assert "re-run evolve" in err
+
+
+def test_diagnose_refuses_a_manifest_without_physics_hash(oscillator_run, tmp_path,
+                                                          capsys):
+    cfg, out = oscillator_run
+    old = tmp_path / "old"
+    shutil.copytree(out, old)
+    manifest = json.loads((old / "manifest.json").read_text(encoding="utf-8"))
+    del manifest["physics_sha256"]
+    (old / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["diagnose", "--config", str(cfg), "--out", str(old)]) == 2
+    assert "re-run evolve" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["trace", "fields"])
+def test_zero_charge_fails_before_reading_the_run(command, tmp_path, capsys):
+    payload = _gaussian_config()
+    payload["constants"] = {"kind": "physical", "q": 0.0}
+    cfg = _write_config(tmp_path / "neutral.json", payload)
+    missing = tmp_path / "no-run"
+    assert main([command, "--config", str(cfg), "--out", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert "q != 0" in err
+    assert "manifest" not in err
+    assert not missing.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Residual evaluators: positive cases against closed forms, negative
 controls confirming each residual reacts to a corrupted input."""
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qvlab import diagnostics
 from qvlab.decomposition import (
     FourCurrent,
     GaugeConfiguration,
@@ -431,6 +435,112 @@ def test_gauge_residuals_constructed_condition_vanishes():
     ]
     r_bad, _, _ = gauge_residuals([0.0, dt, 2 * dt], gauges_bad, NAT)
     assert r_bad.l2 >= 10 * max(r_psi.l2, 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# per-gauge work, once per distinct gauge object
+
+def _random_gauge(g, rng, external=False):
+    def vector():
+        return VectorField(g, tuple(random_band_limited(g, rng) for _ in range(g.dim)))
+
+    return GaugeConfiguration.assemble(
+        g,
+        a_classical=vector(),
+        a_quantum=vector(),
+        u=random_band_limited(g, rng),
+        b_external=tuple(rng.standard_normal(3)) if external else None,
+    )
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(diagnostics, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, name, counting)
+    return calls
+
+
+def test_static_gauge_is_differentiated_once(monkeypatch):
+    rng = np.random.default_rng(43)
+    g = make_grid(2, [16, 16], [2 * np.pi, 5.0])
+    times, gauges = _static_series(_random_gauge(g, rng), count=7)
+    q_series = [random_band_limited(g, rng) for _ in times]
+    counts = {
+        name: _count_calls(monkeypatch, name)
+        for name in ("_curl3", "divergence", "spectral_gradient")
+    }
+    em_fields(times, gauges, NAT, q_series)
+    gauge_residuals(times, gauges, NAT, q_series)
+    assert len(counts["_curl3"]) == 3
+    assert len(counts["divergence"]) == 3
+    # grad U once; grad(U + Q) and grad Q at each of the 5 interior frames
+    assert len(counts["spectral_gradient"]) == 1 + 2 * 5
+
+
+def _assert_same_fields(got, want):
+    assert got[0] == want[0]
+    for fr, ref in zip(got[1], want[1], strict=True):
+        for name in ("psi", "classical", "quantum"):
+            pairs = zip(
+                getattr(fr, f"e_{name}").components + getattr(fr, f"b_{name}"),
+                getattr(ref, f"e_{name}").components + getattr(ref, f"b_{name}"),
+                strict=True,
+            )
+            for a, b in pairs:
+                assert a.tobytes() == b.tobytes()
+
+
+def _assert_same_reports(got, want):
+    for rep, ref in zip(got, want, strict=True):
+        assert rep.to_json() == ref.to_json()
+        assert rep.per_point.tobytes() == ref.per_point.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.sampled_from([(16,), (12,), (8, 12), (16, 8)]),
+    count=st.integers(3, 6),
+    external=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_shared_gauge_work_matches_per_frame_work(shape, count, external, seed):
+    rng = np.random.default_rng(seed)
+    g = make_grid(len(shape), list(shape), [2 * np.pi, 5.0][: len(shape)])
+    g1, g2 = _random_gauge(g, rng, external), _random_gauge(g, rng, external)
+    times = [0.01 * i for i in range(count)]
+    q_series = [random_band_limited(g, rng) for _ in times]
+    static = [g1] * count
+    alternating = [(g1, g2)[i % 2] for i in range(count)]
+    for shared in (static, alternating):
+        # deep copies are distinct objects: every frame computes its own
+        copies = [copy.deepcopy(gauge) for gauge in shared]
+        _assert_same_fields(
+            em_fields(times, shared, NAT, q_series),
+            em_fields(times, copies, NAT, q_series),
+        )
+        _assert_same_reports(
+            gauge_residuals(times, shared, NAT, q_series),
+            gauge_residuals(times, copies, NAT, q_series),
+        )
+
+
+def test_shared_gauge_arrays_are_read_only():
+    rng = np.random.default_rng(47)
+    g = make_grid(2, [16, 16], [2 * np.pi, 2 * np.pi])
+    times, gauges = _static_series(_random_gauge(g, rng, external=True), count=4)
+    _, frames = em_fields(times, gauges, NAT)
+    assert frames[0].b_psi is frames[1].b_psi
+    for name in ("b_psi", "b_classical", "b_quantum"):
+        for comp in getattr(frames[0], name):
+            with pytest.raises(ValueError, match="read-only"):
+                comp += 1.0
+    # E fields are built per frame and stay writable
+    frames[0].e_psi.components[0][...] = 0.0
 
 
 # ---------------------------------------------------------------------------

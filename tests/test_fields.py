@@ -1,6 +1,11 @@
 """Field containers, density/phase extraction, node masking, snapshot I/O."""
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qvlab.fields import (
     BispinorField,
@@ -147,6 +152,34 @@ def test_snapshot_round_trip_bit_exact(tmp_path, kind):
             assert np.array_equal(a, b)
     else:
         assert np.array_equal(back.values, field.values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.lists(st.integers(4, 8), min_size=1, max_size=3),
+    lengths=st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=3),
+    ncomp=st.sampled_from([1, 2, 4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_snapshot_round_trip_property(shape, lengths, ncomp, seed):
+    g = make_grid(len(shape), shape, lengths[: len(shape)])
+    # arbitrary finite bit patterns, not just the values a solver produces
+    bits = np.random.default_rng(seed).integers(
+        0, 2**64, size=2 * ncomp * g.size, dtype=np.uint64, endpoint=False
+    )
+    bits[~np.isfinite(bits.view(np.float64))] ^= np.uint64(1 << 62)
+    values = bits.view(np.complex128).reshape(ncomp, *g.shape)
+    if ncomp == 1:
+        field = ComplexScalarField(g, values[0])
+    else:
+        field = (SpinorField if ncomp == 2 else BispinorField)(g, values)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "field.qfs")
+        write_snapshot(field, path)
+        back = read_snapshot(path)
+    assert type(back) is type(field)
+    assert back.grid == g
+    assert back.values.tobytes() == field.values.tobytes()
 
 
 def test_snapshot_rewrite_is_deterministic(tmp_path):

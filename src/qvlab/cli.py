@@ -542,9 +542,11 @@ def cmd_evolve(args, scenario: Scenario) -> int:
         "steps": params.steps,
         "snapshot_stride": params.snapshot_stride,
         "versions": _versions(),
-        "timings": {"evolve_seconds": elapsed},
         "snapshots": entries,
     }
+    # wall time differs between reruns, so it stays out of the manifest,
+    # which is written last
+    _write_json(os.path.join(out, "timings.json"), {"evolve_seconds": elapsed})
     _write_json(os.path.join(out, "manifest.json"), manifest)
     print(f"wrote {len(entries)} snapshots and manifest.json to {out}")
     return EXIT_OK

@@ -21,21 +21,24 @@ one calling convention:
     sampler(points, t) -> (values, masked)
 
 with ``points`` of shape (N, dim), ``values`` of shape (N, ncomp) and
-``masked`` a boolean (N,) row mask.  Time lookup is linear between the
-stored snapshots (clamped at the ends); spatial evaluation is either
-trigonometric ("spectral", exact for band-limited data) or local cubic
-("tricubic", Catmull-Rom, O(4^dim) per point).  The cubic converges at
-third order in the spacing; on a unit-amplitude field resolved with 40+
-samples per wavelength (k <= 3 content at n = 128 on a 2 pi box) the
-error stays below 1e-4.
+``masked`` a boolean (N,) row mask.  A grid sampler stores its series as
+one (times, components, *grid) array, evaluates every component of the
+one or two snapshots bracketing t at once, and is linear in time between
+them (clamped at the ends).  Spatial evaluation is either trigonometric
+("spectral", exact for band-limited data; the first axis is one GEMM, the
+others are contracted point by point) or local cubic ("tricubic",
+Catmull-Rom, O(4^dim) per point).  The cubic converges at third order in
+the spacing; on a unit-amplitude field resolved with 40+ samples per
+wavelength (k <= 3 content at n = 128 on a 2 pi box) the error stays
+below 1e-4.
 
 Velocity fields deserve care: <v> = J/f is masked near nodes, and a
 masked array has jump edges that global trigonometric interpolation
-turns into ringing everywhere.  FlowSampler therefore interpolates the
-smooth pair (f, J) and divides at the evaluation point, which keeps the
-spectral method honest.  GridFieldSampler interpolates raw component
-samples and is the right tool for globally smooth fields (E, B, A) or,
-with the tricubic method, for anything evaluated far from mask edges.
+turns into ringing everywhere.  FlowSampler is therefore one grid sampler
+over the smooth series (f, J) that divides at the evaluation point.
+GridFieldSampler interpolates raw components and is the right tool for
+globally smooth fields (E, B, A) or, with the tricubic method, for
+anything evaluated far from mask edges.
 
 A trajectory that enters a masked node region is frozen rather than
 extrapolated: a flow path keeps its last valid velocity, a force path
@@ -68,21 +71,29 @@ def _point_array(points, dim: int) -> np.ndarray:
     return pts
 
 
-def _spectral_eval(fhat: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarray:
-    # direct trigonometric sum; cost O(N * prod n) via axis factors
-    factors = [
-        np.exp(1j * points[:, a, None] * grid.wavenumbers(a)[None, :])
-        for a in range(grid.dim)
-    ]
-    if grid.dim == 1:
-        vals = factors[0] @ fhat
-    elif grid.dim == 2:
-        vals = np.einsum("pa,pb,ab->p", factors[0], factors[1], fhat, optimize=True)
-    else:
-        vals = np.einsum(
-            "pa,pb,pc,abc->p", factors[0], factors[1], factors[2], fhat, optimize=True
-        )
-    return vals.real / grid.size
+def _on_grid(values, grid: Grid, what: str, dtype) -> np.ndarray:
+    arr = np.asarray(values, dtype=dtype)
+    if arr.shape != grid.shape:
+        raise ValueError(f"{what} has shape {arr.shape}, expected {grid.shape}")
+    return arr
+
+
+def _spectral_eval(spectra: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarray:
+    """Trigonometric sum of K stacked spectra (K, *shape) at the points: (N, K)."""
+    rows, width = spectra.shape[0], grid.n[0]
+    out = np.empty((points.shape[0], rows))
+    # blocks of n[0] points: the first contraction is no larger than the spectra
+    for start in range(0, points.shape[0], width):
+        block = points[start:start + width]
+        factors = [
+            np.exp(1j * block[:, a, None] * grid.wavenumbers(a)[None, :])
+            for a in range(grid.dim)
+        ]
+        vals = factors[0] @ spectra.reshape(rows, width, -1)
+        for a in range(1, grid.dim):
+            vals = factors[a][:, None, :] @ vals.reshape(*vals.shape[:2], grid.n[a], -1)
+        out[start:start + width] = vals.reshape(rows, -1).T.real / grid.size
+    return out
 
 
 def _catmull_rom_weights(t: np.ndarray) -> np.ndarray:
@@ -99,14 +110,15 @@ def _catmull_rom_weights(t: np.ndarray) -> np.ndarray:
     )
 
 
-def _tricubic_eval(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarray:
+def _tricubic_eval(samples: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarray:
+    """Catmull-Rom sum of K stacked sample arrays (K, *shape) at the points: (N, K)."""
     bases, weights = [], []
     for a in range(grid.dim):
         u = points[:, a] / grid.spacing[a]
         base = np.floor(u).astype(np.int64)
         weights.append(_catmull_rom_weights(u - base))
         bases.append(base)
-    out = np.zeros(points.shape[0])
+    out = np.zeros((samples.shape[0], points.shape[0]))
     for offsets in itertools.product(range(4), repeat=grid.dim):
         w = weights[0][:, offsets[0]]
         for a in range(1, grid.dim):
@@ -114,15 +126,8 @@ def _tricubic_eval(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.nda
         idx = tuple(
             (bases[a] + (offsets[a] - 1)) % grid.n[a] for a in range(grid.dim)
         )
-        out += w * values[idx]
-    return out
-
-
-def _nearest_cells(grid: Grid, points: np.ndarray) -> tuple[np.ndarray, ...]:
-    return tuple(
-        np.rint(points[:, a] / grid.spacing[a]).astype(np.int64) % grid.n[a]
-        for a in range(grid.dim)
-    )
+        out += w * samples[(slice(None), *idx)]
+    return out.T
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +154,9 @@ class GridFieldSampler:
 
     snapshots: one entry per time, each a VectorField or a sequence of
     component arrays.  All snapshots need the same component count.
-    masks: optional per-time boolean node masks; a queried point is
-    masked when its nearest cell is masked in either bracketing snapshot.
+    masks: optional per-time boolean node masks of the grid's shape; a
+    queried point is masked when its nearest cell is masked in either
+    bracketing snapshot.
     """
 
     def __init__(self, grid: Grid, times, snapshots, *, method: str = "spectral",
@@ -165,32 +171,32 @@ class GridFieldSampler:
             raise ValueError("need a non-empty 1D time array")
         if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("snapshot times must be strictly increasing")
-        comps = []
-        for snap in snapshots:
-            parts = snap.components if isinstance(snap, VectorField) else tuple(snap)
-            comps.append([np.asarray(p, dtype=float) for p in parts])
+        comps = [
+            snap.components if isinstance(snap, VectorField) else tuple(snap)
+            for snap in snapshots
+        ]
         if len(comps) != self.times.size:
             raise ValueError(
                 f"got {len(comps)} snapshots for {self.times.size} times"
             )
         self.ncomp = len(comps[0])
-        for parts in comps:
-            if len(parts) != self.ncomp:
-                raise ValueError("snapshots disagree on component count")
-            for p in parts:
-                if p.shape != grid.shape:
-                    raise ValueError(
-                        f"component has shape {p.shape}, expected {grid.shape}"
-                    )
-        if method == "spectral":
-            self._data = [[np.fft.fftn(p) for p in parts] for parts in comps]
-        else:
-            self._data = comps
+        if any(len(parts) != self.ncomp for parts in comps):
+            raise ValueError("snapshots disagree on component count")
+        # one transform per component, so the peak holds one spare component
+        spectral = method == "spectral"
+        self._data = np.empty(
+            (len(comps), self.ncomp, *grid.shape), dtype=complex if spectral else float
+        )
+        for t, parts in enumerate(comps):
+            for c, p in enumerate(parts):
+                p = _on_grid(p, grid, "component", float)
+                self._data[t, c] = np.fft.fftn(p) if spectral else p
         self.masks = None
         if masks is not None:
-            self.masks = [np.asarray(m, dtype=bool) for m in masks]
-            if len(self.masks) != self.times.size:
+            masks = [_on_grid(m, grid, "mask", bool) for m in masks]
+            if len(masks) != self.times.size:
                 raise ValueError("need one mask per snapshot")
+            self.masks = np.stack(masks)
 
     def _bracket(self, t: float):
         times = self.times
@@ -201,58 +207,53 @@ class GridFieldSampler:
         i = int(np.searchsorted(times, t, side="right")) - 1
         return i, i + 1, (t - times[i]) / (times[i + 1] - times[i])
 
-    def _eval_snapshot(self, index: int, points: np.ndarray) -> np.ndarray:
-        parts = self._data[index]
-        evaluate = _spectral_eval if self.method == "spectral" else _tricubic_eval
-        return np.stack(
-            [evaluate(parts[c], self.grid, points) for c in range(self.ncomp)],
-            axis=1,
-        )
-
     def __call__(self, points: np.ndarray, t: float):
         pts = _point_array(points, self.grid.dim)
         lo, hi, w = self._bracket(float(t))
-        vals = self._eval_snapshot(lo, pts)
-        if hi != lo and w != 0.0:
-            vals = (1.0 - w) * vals + w * self._eval_snapshot(hi, pts)
+        top = hi if w != 0.0 else lo
+        evaluate = _spectral_eval if self.method == "spectral" else _tricubic_eval
+        vals = evaluate(
+            self._data[lo:top + 1].reshape(-1, *self.grid.shape), self.grid, pts
+        ).reshape(pts.shape[0], -1, self.ncomp)
+        vals = (1.0 - w) * vals[:, 0] + w * vals[:, 1] if top != lo else vals[:, 0]
         if self.masks is None:
             masked = np.zeros(pts.shape[0], dtype=bool)
         else:
-            cells = _nearest_cells(self.grid, pts)
-            masked = self.masks[lo][cells]
-            if hi != lo:
-                masked = masked | self.masks[hi][cells]
+            cells = np.rint(pts / self.grid.spacing).astype(np.int64) % self.grid.n
+            masked = self.masks[(slice(lo, hi + 1), *cells.T)].any(axis=0)
         return vals, masked
 
 
 class FlowSampler:
     """Probability-flow velocity <v> = J/f off-grid, node-safe.
 
-    Interpolates the smooth pair (density, current) and divides at the
-    evaluation point; points where the interpolated density falls below
-    NODE_EPSILON of the series peak are masked.
+    Interpolates the smooth pair (density, current) as one series and
+    divides at the evaluation point; points where the interpolated density
+    falls below NODE_EPSILON of the series peak are masked.
     """
 
     def __init__(self, grid: Grid, times, densities, currents, *,
                  method: str = "spectral"):
         dens = [np.asarray(d, dtype=float) for d in densities]
-        self._f = GridFieldSampler(grid, times, [(d,) for d in dens], method=method)
-        self._j = GridFieldSampler(grid, times, currents, method=method)
-        if self._j.ncomp != grid.dim:
+        series = [
+            (d, *(j.components if isinstance(j, VectorField) else j))
+            for d, j in zip(dens, currents, strict=True)
+        ]
+        self._sampler = GridFieldSampler(grid, times, series, method=method)
+        if self._sampler.ncomp != 1 + grid.dim:
             raise ValueError(
-                f"current needs {grid.dim} components, got {self._j.ncomp}"
+                f"current needs {grid.dim} components, got {self._sampler.ncomp - 1}"
             )
         self._floor = NODE_EPSILON * max(float(d.max()) for d in dens)
         if self._floor <= 0.0:
             raise ValueError("density series has no support")
         self.grid = grid
-        self.times = self._f.times
+        self.times = self._sampler.times
         self.lengths = np.asarray(grid.length, dtype=float)
 
     def __call__(self, points: np.ndarray, t: float):
-        f_vals, _ = self._f(points, t)
-        j_vals, _ = self._j(points, t)
-        f_col = f_vals[:, 0]
+        vals, _ = self._sampler(points, t)
+        f_col, j_vals = vals[:, 0], vals[:, 1:]
         masked = f_col < self._floor
         out = np.zeros_like(j_vals)
         np.divide(j_vals, f_col[:, None], out=out, where=~masked[:, None])
@@ -506,9 +507,7 @@ def sample_density(grid: Grid, density, count: int,
     on the cell centered on each node, that sample_inverse_cdf uses.
     Deterministic for a given generator state.
     """
-    f = np.asarray(density, dtype=float)
-    if f.shape != grid.shape:
-        raise ValueError(f"density has shape {f.shape}, expected {grid.shape}")
+    f = _on_grid(density, grid, "density", float)
     if np.any(f < 0.0) or f.max() <= 0.0:
         raise ValueError("density must be nonnegative with positive mass")
     cdf = np.cumsum(f)

@@ -102,7 +102,8 @@ def test_evolve_writes_snapshot_series_and_manifest(gaussian_run):
     assert entries[0]["step"] == 0
     assert entries[-1]["step"] == 1000
     assert abs(entries[-1]["time"] - 1.0) < 1e-12
-    assert manifest["timings"]["evolve_seconds"] > 0.0
+    timings = json.loads((out / "timings.json").read_text(encoding="utf-8"))
+    assert timings["evolve_seconds"] > 0.0
 
 
 def test_evolve_rerun_is_byte_identical(gaussian_run, tmp_path, capsys):
@@ -113,6 +114,8 @@ def test_evolve_rerun_is_byte_identical(gaussian_run, tmp_path, capsys):
     assert "wrote 11 snapshots" in stdout
     for snap in sorted(out.glob("snap_*.qfs")):
         assert (again / snap.name).read_bytes() == snap.read_bytes()
+    manifest = (out / "manifest.json").read_bytes()
+    assert (again / "manifest.json").read_bytes() == manifest
 
 
 def test_unknown_preset_is_a_config_error(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Constants, gauge data, probability currents, and the Helmholtz-type split."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qvlab.algebra import dirac_gamma
 from qvlab.decomposition import (
@@ -277,6 +279,25 @@ def test_helmholtz_round_trip_and_divergence(dim, n, seed):
     rng = np.random.default_rng(100 * dim + seed)
     g = make_grid(dim, [n] * dim, [2 * np.pi] * dim)
     v = VectorField(g, tuple(random_band_limited(g, rng) for _ in range(dim)))
+    chi = random_band_limited(g, rng, zero_mean=True)
+    phi, a = helmholtz_split(v, chi, NAT)
+    back = recompose_velocity(phi, a, NAT)
+    for got, expect in zip(back.components, v.components):
+        assert linf(got - expect) <= 1e-10
+    assert linf(divergence(a.components, g) - chi) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.lists(st.integers(4, 16), min_size=1, max_size=3),
+    lengths=st.lists(st.floats(1.0, 30.0), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_helmholtz_round_trip_property(shape, lengths, seed):
+    # band-limited v and chi on odd and even n with unequal box lengths
+    rng = np.random.default_rng(seed)
+    g = make_grid(len(shape), shape, lengths[: len(shape)])
+    v = VectorField(g, tuple(random_band_limited(g, rng) for _ in range(g.dim)))
     chi = random_band_limited(g, rng, zero_mean=True)
     phi, a = helmholtz_split(v, chi, NAT)
     back = recompose_velocity(phi, a, NAT)

@@ -4,6 +4,8 @@ from math import erf
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qvlab.decomposition import PhysicalConstants
 from qvlab.diagnostics import quantum_force
@@ -22,7 +24,7 @@ from qvlab.trajectories import (
     sample_inverse_cdf,
 )
 from oracles import GaussianPacket, cyclotron_position, cyclotron_velocity
-from util import linf
+from util import linf, random_band_limited, reference_sample
 
 NAT = PhysicalConstants.natural()
 
@@ -114,6 +116,89 @@ def test_flow_sampler_masks_node_tails():
     vals, masked = flow(np.array([[12.0], [1.0]]), 0.0)
     assert not masked[0] and masked[1]
     assert vals[1, 0] == 0.0
+
+
+def test_grid_sampler_rejects_masks_of_the_wrong_shape():
+    g = make_grid(2, [8, 4], [1.0, 1.0])
+    ones = np.ones(g.shape)
+    with pytest.raises(ValueError, match=r"mask has shape \(8, 8\), expected \(8, 4\)"):
+        GridFieldSampler(g, [0.0], [(ones,)], masks=[np.zeros((8, 8), dtype=bool)])
+
+
+_series = st.fixed_dictionaries({
+    "shape": st.lists(st.integers(4, 12), min_size=1, max_size=3),
+    "lengths": st.lists(st.floats(0.5, 20.0), min_size=3, max_size=3),
+    "nsnap": st.integers(1, 3),
+    # before, between, on and after the snapshot times 0, 1, 2
+    "t": st.one_of(st.floats(-1.0, 3.0), st.sampled_from([0.0, 1.0, 2.0])),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+def _grid_and_points(case):
+    dim = len(case["shape"])
+    g = make_grid(dim, case["shape"], case["lengths"][:dim])
+    rng = np.random.default_rng(case["seed"])
+    # points in and outside the box: both methods are periodic
+    pts = (rng.random((7, g.dim)) * 3.0 - 1.0) * np.asarray(g.length)
+    return g, rng, pts
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_series, ncomp=st.integers(1, 4))
+def test_grid_sampler_matches_per_component_reference(case, ncomp):
+    g, rng, pts = _grid_and_points(case)
+    times = np.arange(case["nsnap"], dtype=float)
+    snaps = [tuple(rng.uniform(-1.0, 1.0, g.shape) for _ in range(ncomp))
+             for _ in times]
+    for method in ("spectral", "tricubic"):
+        vals, masked = GridFieldSampler(g, times, snaps, method=method)(pts, case["t"])
+        expect = reference_sample(g, times, snaps, pts, case["t"], method)
+        assert vals.shape == (len(pts), ncomp) and not masked.any()
+        if method == "spectral":
+            assert linf(vals - expect) <= 1e-12
+        else:
+            assert vals.tobytes() == np.ascontiguousarray(expect).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_series)
+def test_flow_sampler_is_current_over_density_of_separate_samplers(case):
+    g, rng, pts = _grid_and_points(case)
+    times = np.arange(case["nsnap"], dtype=float)
+    dens = [2.0 + random_band_limited(g, rng) for _ in times]
+    currs = [
+        VectorField(g, tuple(rng.uniform(-1.0, 1.0, g.shape) for _ in range(g.dim)))
+        for _ in times
+    ]
+    for method in ("spectral", "tricubic"):
+        flow = FlowSampler(g, times, dens, currs, method=method)
+        vals, masked = flow(pts, case["t"])
+        f, _ = GridFieldSampler(g, times, [(d,) for d in dens], method=method)(
+            pts, case["t"])
+        j, _ = GridFieldSampler(g, times, currs, method=method)(pts, case["t"])
+        assert not masked.any()
+        if method == "spectral":
+            assert linf(vals - j / f) <= 1e-12
+        else:
+            assert np.array_equal(vals, j / f)
+
+
+def test_flow_sampler_call_is_one_grid_evaluation(monkeypatch):
+    g = make_grid(2, [8, 8], [1.0, 1.0])
+    ones = np.ones(g.shape)
+    flow = FlowSampler(g, [0.0, 1.0], [ones, ones], [(ones, ones), (ones, ones)])
+    calls = []
+    evaluate = GridFieldSampler.__call__
+
+    def counting(self, points, t):
+        calls.append(t)
+        return evaluate(self, points, t)
+
+    monkeypatch.setattr(GridFieldSampler, "__call__", counting)
+    vals, _ = flow(np.array([[0.3, 0.6]]), 0.5)
+    assert calls == [0.5]
+    assert np.allclose(vals, 1.0)
 
 
 # ---------------------------------------------------------------------------

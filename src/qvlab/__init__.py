@@ -63,7 +63,6 @@ from .decomposition import (
     velocity,
 )
 from .diagnostics import (
-    EMFields,
     MaxwellFrame,
     ResidualReport,
     continuity_residual,
@@ -200,7 +199,6 @@ __all__ = [
     "phase_rate_from_snapshots",
     "hamilton_jacobi_residual",
     "em_fields",
-    "EMFields",
     "gauge_residuals",
     "self_consistency_residual",
     "MaxwellFrame",

@@ -68,18 +68,31 @@ def _array_of(check):
     return lambda value: isinstance(value, list) and all(check(v) for v in value)
 
 
+def _shape(value):
+    """Shape of a rectangular nested array of numbers (() for a number), else None."""
+    if _is_number(value):
+        return ()
+    shapes = {_shape(v) for v in value} if isinstance(value, list) else {None}
+    if len(shapes) > 1 or None in shapes:
+        return None
+    return (len(value), *shapes.pop()) if shapes else (0,)
+
+
 # kind -> (accepts the JSON value, converts it, what the value must be)
 _KINDS = {
     "number": (_is_number, float, "a number"),
     "positive": (lambda v: _is_number(v) and v > 0, float, "a positive number"),
     "integer": (_is_integer, int, "an integer"),
     "count": (lambda v: _is_integer(v) and v >= 1, int, "a positive integer"),
+    "natural": (lambda v: _is_integer(v) and v >= 0, int, "a non-negative integer"),
     "string": (lambda v: isinstance(v, str), str, "a string"),
     "numbers": (_array_of(_is_number), lambda v: [float(x) for x in v],
                 "an array of numbers"),
     "integers": (_array_of(_is_integer), list, "an array of integers"),
     "strings": (_array_of(lambda v: isinstance(v, str)), list, "an array of strings"),
-    "array": (lambda v: isinstance(v, list), list, "an array"),
+    "tensor": (lambda v: len(_shape(v) or ()) > 0, list, "a rectangular array of numbers"),
+    "points": (lambda v: len(_shape(v) or ()) in (1, 2), list,
+               "a point or an array of equal-length points"),
 }
 
 
@@ -202,9 +215,7 @@ class Scenario:
         self.trace = _parse_trace(top.section("trace", None))
         self.gps = _parse_gps(top.section("gps", None))
         fields_section = top.section("fields", {})
-        self.family = fields_section.choice(
-            "family", ("psi", "classical", "quantum"), "psi"
-        )
+        self.family = fields_section.choice("family", diagnostics.FAMILIES, "psi")
         fields_section.finish()
         top.finish()
         self.config_dir = config_dir
@@ -423,9 +434,9 @@ def _parse_trace(sec):
     out = {
         "method": sec.choice("method", ("advect", "force", "both"), "advect"),
         "interpolation": sec.choice("interpolation", ("spectral", "tricubic"), "spectral"),
-        "dt": sec.get("dt", "number", None),
-        "steps": sec.get("steps", "integer", None),
-        "starts": sec.get("starts", "array", None),
+        "dt": sec.get("dt", "positive", None),
+        "steps": sec.get("steps", "natural", None),
+        "starts": sec.get("starts", "points", None),
         "count": sec.get("count", "count", None),
     }
     sec.finish()
@@ -440,7 +451,7 @@ def _parse_gps(sec):
     out = {
         "order": sec.get("order", "integer"),
         "t": sec.get("t", "number"),
-        "state": sec.get("state", "array", None),
+        "state": sec.get("state", "tensor", None),
     }
     sec.finish()
     return out
@@ -738,6 +749,8 @@ def cmd_trace(args, scenario: Scenario) -> int:
     out = _out_dir(args, scenario)
     run = Run(scenario, out)
     times, grid = run.times, run.grid
+    if times[-1] < times[0]:
+        raise ConfigError("trace: paths run forward in time, but config.evolution.dt < 0")
 
     flow = _trace_flow(run, trace_cfg["interpolation"])
 
@@ -823,10 +836,10 @@ def cmd_fields(args, scenario: Scenario) -> int:
     run = Run(scenario, out).scalar()
     gauges = [scenario.gauge] * len(run.snaps)
 
-    inner, frames = diagnostics.em_fields(run.times, gauges, consts, run.q_series)
+    inner, frames = diagnostics.em_fields(run.times, gauges, consts, run.q_series, family)
     reports = list(diagnostics.gauge_residuals(run.times, gauges, consts, run.q_series))
-    mid = len(inner) // 2
-    e_mid = getattr(frames[mid], f"e_{family}")
+    mid, dim = len(inner) // 2, run.grid.dim
+    e_mid = fields.VectorField(run.grid, frames[mid].e[:dim])
     reports.append(
         diagnostics.self_consistency_residual(
             e_mid, fields.density(run.snaps[1 + mid]), consts
@@ -842,8 +855,8 @@ def cmd_fields(args, scenario: Scenario) -> int:
     rows = [
         {
             "time": t,
-            "e_rms": [rms(c) for c in getattr(frame, f"e_{family}").components],
-            "b_rms": [rms(c) for c in getattr(frame, f"b_{family}")],
+            "e_rms": [rms(c) for c in frame.e[:dim]],
+            "b_rms": [rms(c) for c in frame.b],
         }
         for t, frame in zip(inner, frames)
     ]

@@ -112,10 +112,6 @@ class PhysicalConstants:
         return 1.0 / (self.eps0 * self.c**2)
 
 
-def _zero_samples(grid: Grid) -> np.ndarray:
-    return np.zeros(grid.shape)
-
-
 @dataclass
 class GaugeConfiguration:
     """External scalar potential plus the split vector potential.
@@ -131,12 +127,10 @@ class GaugeConfiguration:
     a_classical: VectorField
     a_quantum: VectorField
     u: np.ndarray
-    chi: np.ndarray
     b_external: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def __post_init__(self):
         self.u = np.broadcast_to(np.asarray(self.u, dtype=float), self.grid.shape)
-        self.chi = np.broadcast_to(np.asarray(self.chi, dtype=float), self.grid.shape)
         for name in ("a_psi", "a_classical", "a_quantum"):
             fld = getattr(self, name)
             if fld.grid != self.grid:
@@ -168,7 +162,6 @@ class GaugeConfiguration:
         a_classical: Optional[VectorField] = None,
         a_quantum: Optional[VectorField] = None,
         u: Optional[np.ndarray] = None,
-        chi: Optional[np.ndarray] = None,
         b_external=None,
     ) -> "GaugeConfiguration":
         """Build a configuration from whichever parts are present; a_psi is
@@ -184,8 +177,7 @@ class GaugeConfiguration:
             a_psi=total,
             a_classical=a_cl,
             a_quantum=a_qu,
-            u=u if u is not None else _zero_samples(grid),
-            chi=chi if chi is not None else _zero_samples(grid),
+            u=u if u is not None else np.zeros(grid.shape),
             b_external=b_external,
         )
 

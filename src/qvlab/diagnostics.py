@@ -24,7 +24,7 @@ from .decomposition import (
     velocity,
 )
 from .fields import ComplexScalarField, NodeError, VectorField, density, node_mask, phase_gradient
-from .lattice import Grid, _curl3, curl, divergence, spectral_gradient, spectral_laplacian
+from .lattice import Grid, _curl3, _zero_slot, divergence, spectral_gradient, spectral_laplacian
 
 _JUMP_FRACTION = 0.9  # |angle| above this multiple of pi flags a branch jump
 
@@ -267,19 +267,7 @@ def hamilton_jacobi_residual(
 # ---------------------------------------------------------------------------
 # electromagnetic analogues
 
-@dataclass
-class EMFields:
-    """Field strengths of the total, classical, and quantum potentials at one
-    snapshot time.  E fields follow the grid dimension; B fields keep 3
-    components because the curl leaves the grid plane."""
-
-    grid: Grid
-    e_psi: VectorField
-    e_classical: VectorField
-    e_quantum: VectorField
-    b_psi: tuple
-    b_classical: tuple
-    b_quantum: tuple
+FAMILIES = ("psi", "classical", "quantum")
 
 
 def em_fields(
@@ -287,67 +275,48 @@ def em_fields(
     gauges: Sequence[GaugeConfiguration],
     consts: PhysicalConstants,
     q_series: Optional[Sequence[np.ndarray]] = None,
+    family: str = "psi",
 ):
-    """E and B fields of each potential family at the interior snapshot times.
+    """E and B of one potential family at the interior snapshot times.
 
-    E_psi = -dA_psi/dt - (2 alpha beta / gamma) grad(V) with V = U + Q; the
-    classical split pairs (A, U) and the quantum split (A_Q, Q).  Q defaults
-    to zero when no series is given.  The B fields and grad U are computed
-    once per distinct gauge object and shared, read-only, by the frames that
-    repeat it.  Returns (interior_times, [EMFields]).
+    E = -dA/dt - (2 alpha beta / gamma) grad(V); the psi family pairs
+    (A_psi, V = U + Q), the classical family (A, U) and the quantum family
+    (A_Q, Q).  Q defaults to zero when no series is given, and b_external
+    adds to the B of psi and classical.  B, and grad U for classical, are
+    computed once per distinct gauge object and shared, read-only, by the
+    frames that repeat it.  Returns (interior_times, [MaxwellFrame]).
     """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown field family {family!r}, expected one of {FAMILIES}")
     dt = _series_spacing(times)
     grid = gauges[0].grid
     if any(g.grid != grid for g in gauges):
         raise ValueError("gauge snapshots live on different grids")
-    zeros = np.zeros(grid.shape)
     if q_series is None:
-        q_series = [zeros] * len(times)
+        q_series = [np.zeros(grid.shape)] * len(times)
     if len(q_series) != len(times):
         raise ValueError("q_series must align with the snapshot times")
     coeff = 2.0 * consts.alpha * consts.beta / consts.gamma
+    a_name = f"a_{family}"
 
     def static(g):
-        b_psi, b_cl, b_q = (
-            _curl3(a.components, grid) for a in (g.a_psi, g.a_classical, g.a_quantum)
-        )
-        if g.b_external is not None:
-            b_psi = tuple(b + ext for b, ext in zip(b_psi, g.b_external))
-            b_cl = tuple(b + ext for b, ext in zip(b_cl, g.b_external))
-        return b_psi, b_cl, b_q, tuple(spectral_gradient(g.u, grid))
+        b = _curl3(getattr(g, a_name).components, grid)
+        if family != "quantum" and g.b_external is not None:
+            b = tuple(c + ext for c, ext in zip(b, g.b_external))
+        grad_u = tuple(spectral_gradient(g.u, grid)) if family == "classical" else ()
+        return b, grad_u
 
-    out_times, frames = [], []
-    for i, (b_psi, b_cl, b_q, grad_u) in enumerate(
-        _per_gauge(gauges[1:-1], static), start=1
-    ):
-        before, after = gauges[i - 1], gauges[i + 1]
-        e = {}
-        for name, grad in (
-            ("psi", spectral_gradient(gauges[i].u + q_series[i], grid)),
-            ("classical", grad_u),
-            ("quantum", spectral_gradient(q_series[i], grid)),
-        ):
-            pairs = zip(
-                getattr(before, f"a_{name}").components,
-                getattr(after, f"a_{name}").components,
-            )
-            da = [(a2 - a0) / (2.0 * dt) for a0, a2 in pairs]
-            e[name] = VectorField(
-                grid, tuple(-d - coeff * gr for d, gr in zip(da, grad))
-            )
-        frames.append(
-            EMFields(
-                grid=grid,
-                e_psi=e["psi"],
-                e_classical=e["classical"],
-                e_quantum=e["quantum"],
-                b_psi=b_psi,
-                b_classical=b_cl,
-                b_quantum=b_q,
-            )
-        )
-        out_times.append(times[i])
-    return out_times, frames
+    frames = []
+    for i, (b, grad_u) in enumerate(_per_gauge(gauges[1:-1], static), start=1):
+        if family == "classical":
+            grad = grad_u
+        else:
+            v = gauges[i].u + q_series[i] if family == "psi" else q_series[i]
+            grad = spectral_gradient(v, grid)
+        a0, a2 = (getattr(gauges[k], a_name).components for k in (i - 1, i + 1))
+        e = tuple(-(x2 - x0) / (2.0 * dt) - coeff * gr for x0, x2, gr in zip(a0, a2, grad))
+        frames.append(MaxwellFrame(grid, e, b))
+    return list(times[1:-1]), frames
 
 
 def gauge_residuals(
@@ -398,10 +367,24 @@ def self_consistency_residual(
     return _report("self_consistency", r)
 
 
+def _slots(grid: Grid, parts, name: str) -> tuple:
+    """dim or 3 components as 3 float sample arrays; absent slots (all three
+    when parts is None) are zero-stride read-only views."""
+    if parts is not None and len(parts) not in (grid.dim, 3):
+        raise ValueError(f"{name} needs {grid.dim} or 3 components, got {len(parts)}")
+    out = [np.asarray(c, dtype=float) for c in (() if parts is None else parts)]
+    out = [c if c.shape == grid.shape else np.broadcast_to(c, grid.shape) for c in out]
+    return tuple(out) + (_zero_slot(grid),) * (3 - len(out))
+
+
 @dataclass
 class MaxwellFrame:
-    """One snapshot of the Maxwell-type system: E, B, charge density, and
-    current, all as plain samples on a 3D grid."""
+    """One snapshot of the Maxwell-type system on a 1D, 2D or 3D grid.
+
+    E, B and J are 3-slot tuples of samples (dim components are padded with
+    zero slots); rho and J are optional and default to zero.  Absent slots
+    are zero-stride read-only views, so they cost no memory.
+    """
 
     grid: Grid
     e: tuple
@@ -410,18 +393,12 @@ class MaxwellFrame:
     j: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.grid.dim != 3:
-            raise ValueError("Maxwell frames need a 3D grid")
-        zeros = np.zeros(self.grid.shape)
-        self.e = tuple(np.broadcast_to(np.asarray(c, dtype=float), self.grid.shape) for c in self.e)
-        self.b = tuple(np.broadcast_to(np.asarray(c, dtype=float), self.grid.shape) for c in self.b)
-        if len(self.e) != 3 or len(self.b) != 3:
-            raise ValueError("E and B need exactly 3 components")
-        self.rho = zeros if self.rho is None else np.asarray(self.rho, dtype=float)
-        self.j = (
-            (zeros,) * 3
-            if self.j is None
-            else tuple(np.broadcast_to(np.asarray(c, dtype=float), self.grid.shape) for c in self.j)
+        self.e = _slots(self.grid, self.e, "E")
+        self.b = _slots(self.grid, self.b, "B")
+        self.j = _slots(self.grid, self.j, "J")
+        self.rho = (
+            _zero_slot(self.grid) if self.rho is None
+            else np.asarray(self.rho, dtype=float)
         )
 
 
@@ -433,7 +410,7 @@ def maxwell_residuals(
     """The four Maxwell-type residuals with D = eps0 E and mu0 H = B:
 
     div D - rho, div B, curl E + dB/dt, curl H - dD/dt - J,
-    evaluated at the interior snapshot times.
+    evaluated at the interior snapshot times, on grids of any dimension.
     """
     dt = _series_spacing(times)
     grid = frames[0].grid
@@ -442,10 +419,10 @@ def maxwell_residuals(
     gauss_e, gauss_b, faraday, ampere = [], [], [], []
     for i in range(1, len(times) - 1):
         fr = frames[i]
-        gauss_e.append(consts.eps0 * divergence(fr.e, grid) - fr.rho)
-        gauss_b.append(divergence(fr.b, grid))
-        curl_e = curl(fr.e, grid)
-        curl_b = curl(fr.b, grid)
+        gauss_e.append(consts.eps0 * divergence(fr.e[: grid.dim], grid) - fr.rho)
+        gauss_b.append(divergence(fr.b[: grid.dim], grid))
+        curl_e = _curl3(fr.e, grid)
+        curl_b = _curl3(fr.b, grid)
         for ax in range(3):
             db = _centered([b[ax] for b in b_series], i, dt)
             de = _centered([e[ax] for e in e_series], i, dt)

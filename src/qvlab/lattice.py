@@ -156,37 +156,47 @@ def divergence(components: Sequence[np.ndarray], grid: Grid) -> np.ndarray:
 
 
 def curl(components: Sequence[np.ndarray], grid: Grid) -> list[np.ndarray]:
-    """Spectral curl.
+    """Spectral curl, a view of ``_curl3``.
 
     3D grids take 3 components and return 3; 2D grids take 2 and return the
     single out-of-plane component [dx(v_y) - dy(v_x)].
     """
-    if grid.dim == 3:
-        if len(components) != 3:
-            raise ValueError(f"3D curl needs 3 components, got {len(components)}")
-        d = [spectral_gradient(c, grid) for c in components]
-        return [
-            d[2][1] - d[1][2],
-            d[0][2] - d[2][0],
-            d[1][0] - d[0][1],
-        ]
-    if grid.dim == 2:
-        if len(components) != 2:
-            raise ValueError(f"2D curl needs 2 components, got {len(components)}")
-        dy_vx = spectral_gradient(components[0], grid)[1]
-        dx_vy = spectral_gradient(components[1], grid)[0]
-        return [dx_vy - dy_vx]
-    raise ValueError("curl is undefined on 1D grids")
+    if grid.dim == 1:
+        raise ValueError("curl is undefined on 1D grids")
+    if len(components) != grid.dim:
+        raise ValueError(f"{grid.dim}D curl needs {grid.dim} components, got {len(components)}")
+    out = list(_curl3(components, grid))
+    return out if grid.dim == 3 else out[2:]
+
+
+def _zero_slot(grid: Grid) -> np.ndarray:
+    """Zeros on the grid as a read-only zero-stride view; allocates nothing."""
+    return np.broadcast_to(np.zeros(()), grid.shape)
 
 
 def _curl3(components: Sequence[np.ndarray], grid: Grid) -> tuple[np.ndarray, ...]:
-    """curl as a fixed 3-tuple; 2D fills the out-of-plane slot, 1D has none."""
-    zeros = np.zeros(grid.shape)
-    if grid.dim == 3:
-        return tuple(curl(components, grid))
-    if grid.dim == 2:
-        return (zeros, zeros, curl(components, grid)[0])
-    return (zeros, zeros, zeros)
+    """Spectral curl as a fixed 3-tuple from dim or 3 components on any grid.
+
+    Only derivatives along grid axes exist, and absent components are zero:
+    a 2D in-plane field fills only the out-of-plane slot.  Slots that vanish
+    this way are zero-stride read-only views.
+    """
+    if len(components) not in (grid.dim, 3):
+        raise ValueError(f"curl needs {grid.dim} or 3 components, got {len(components)}")
+    # d[c][a] = d(v_c)/dx_a; None off the grid axes and past the components.
+    # v_x on a 1D grid has no derivative the curl uses.
+    d = [[None] * 3 for _ in range(3)]
+    for c, v in enumerate(components):
+        if grid.dim > 1 or c > 0:
+            d[c][: grid.dim] = spectral_gradient(v, grid)
+    out = []
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        plus, minus = d[c][b], d[b][c]
+        if minus is None:
+            out.append(_zero_slot(grid) if plus is None else plus)
+        else:
+            out.append(-minus if plus is None else plus - minus)
+    return tuple(out)
 
 
 def band_limit(values: np.ndarray, grid: Grid, fraction: float = 0.25) -> np.ndarray:

@@ -268,16 +268,13 @@ class EMSeries:
     b: object
 
     @classmethod
-    def from_frames(cls, grid: Grid, times, frames, *, family: str = "psi",
+    def from_frames(cls, grid: Grid, times, frames, *,
                     method: str = "spectral") -> "EMSeries":
-        """Build from diagnostic EM frames; family is psi/classical/quantum."""
-        if family not in ("psi", "classical", "quantum"):
-            raise ValueError(f"unknown field family {family!r}")
-        e_series = [getattr(fr, f"e_{family}") for fr in frames]
-        b_series = [getattr(fr, f"b_{family}") for fr in frames]
+        """Build from diagnostic Maxwell frames (see ``em_fields``)."""
         return cls(
-            e=GridFieldSampler(grid, times, e_series, method=method),
-            b=GridFieldSampler(grid, times, b_series, method=method),
+            e=GridFieldSampler(grid, times, [fr.e[: grid.dim] for fr in frames],
+                               method=method),
+            b=GridFieldSampler(grid, times, [fr.b for fr in frames], method=method),
         )
 
 

@@ -6,14 +6,20 @@ applied before numpy loads, and the ``python -m`` entry point at the bottom.
 Heavy evolution runs are shared through module-scoped fixtures.
 """
 
+import contextlib
+import io
 import json
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qvlab import cli
 from qvlab.cli import main
@@ -252,6 +258,108 @@ def test_unknown_diagnostic_fails_evolve_before_it_runs(tmp_path, capsys):
         'four_current, got "continuty"'
     ) in capsys.readouterr().err
     assert not out.exists()
+
+
+def _traced_config():
+    """_small_config with a trace and a gps section."""
+    payload = _small_config()
+    payload["trace"] = {"starts": [[4.0]], "dt": 1e-3, "steps": 1}
+    payload["gps"] = {"order": 2, "t": 0.5, "state": [[1.0], [2.0]]}
+    return payload
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    base = tmp_path_factory.mktemp("small")
+    cfg = _write_config(base / "scenario.json", _traced_config())
+    assert main(["evolve", "--config", str(cfg), "--out", str(base / "run")]) == 0
+    return base / "run"
+
+
+# trace and gps values that pass a JSON type check but not numpy
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("gps.state", ["a", 1, 2]),
+        ("gps.state", [[1.0], [2.0, 3.0]]),
+        ("trace.starts", [[4.0], [4.0, 5.0]]),
+        ("trace.starts", [["x"]]),
+        ("trace.dt", 0),
+        ("trace.dt", -0.01),
+        ("trace.steps", -1),
+    ],
+)
+def test_values_numpy_cannot_take_are_config_errors(key, value, small_run, tmp_path,
+                                                    capsys):
+    payload = _traced_config()
+    _put(payload, key, value)
+    cfg = _write_config(tmp_path / "bad.json", payload)
+    command = key.split(".")[0]
+    assert main([command, "--config", str(cfg), "--out", str(small_run)]) == 2
+    err = capsys.readouterr().err
+    assert f"config.{key} must be " in err
+    assert err.rstrip().endswith(f"got {json.dumps(value)}")
+
+
+def test_zero_trace_steps_stay_valid(small_run, tmp_path):
+    payload = _traced_config()
+    _put(payload, "trace.steps", 0)
+    cfg = _write_config(tmp_path / "still.json", payload)
+    assert main(["trace", "--config", str(cfg), "--out", str(small_run)]) == 0
+    rows = np.loadtxt(small_run / "trace_000.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape[0] == 1
+
+
+def _key_paths(payload, prefix=""):
+    """(dotted path, value) of every key, depth first."""
+    for key, value in payload.items():
+        yield prefix + key, value
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + key + ".")
+
+
+def _drop(payload, path):
+    *heads, last = path.split(".")
+    for head in heads:
+        payload = payload[head]
+    del payload[last]
+
+
+_FUZZ_KEYS = dict(_key_paths(_traced_config()))
+_FUZZ_PATHS = sorted(_FUZZ_KEYS)
+_FUZZ_OBJECTS = [""] + sorted(p for p, v in _FUZZ_KEYS.items() if isinstance(v, dict))
+# wrong JSON types, an empty array, and small numbers only: no mutation can
+# make a run allocate or loop at scale
+_FUZZ_VALUES = ["text", True, None, {}, [1.0], [], -1, 0, 0.5]
+
+
+@st.composite
+def _mutated_configs(draw):
+    payload = _traced_config()
+    kind = draw(st.sampled_from(["replace", "drop", "unknown"]))
+    if kind == "replace":
+        path = draw(st.sampled_from(_FUZZ_PATHS))
+        _put(payload, path, draw(st.sampled_from(_FUZZ_VALUES)))
+    elif kind == "drop":
+        _drop(payload, draw(st.sampled_from(_FUZZ_PATHS)))
+    else:
+        section = draw(st.sampled_from(_FUZZ_OBJECTS))
+        _put(payload, f"{section}.extra" if section else "extra", 1)
+    return payload
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=_mutated_configs())
+def test_mutated_configs_exit_0_or_2_without_a_traceback(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write_config(pathlib.Path(tmp) / "fuzz.json", payload)
+        out = os.path.join(tmp, "run")
+        for command in ("evolve", "trace", "gps"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, "--config", str(cfg), "--out", out])
+            assert code in (0, 2), (command, payload, err.getvalue())
+            assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------

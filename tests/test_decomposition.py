@@ -70,7 +70,6 @@ def test_gauge_split_invariant_enforced():
             a_classical=a,
             a_quantum=a,
             u=np.zeros(16),
-            chi=np.zeros(16),
         )
     ok = GaugeConfiguration.assemble(g, a_classical=a, a_quantum=a)
     assert linf(ok.a_psi.components[0] - 2.0) == 0.0

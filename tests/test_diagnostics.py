@@ -16,6 +16,7 @@ from qvlab.decomposition import (
     current_bispinor,
 )
 from qvlab.diagnostics import (
+    FAMILIES,
     MaxwellFrame,
     ResidualReport,
     continuity_residual,
@@ -254,18 +255,25 @@ def _static_series(gauge, dt=0.01, count=3):
     return times, [gauge] * count
 
 
+def _by_family(times, gauges, q_series=None):
+    """The first interior frame of each family."""
+    return {
+        family: em_fields(times, gauges, NAT, q_series, family=family)[1][0]
+        for family in FAMILIES
+    }
+
+
 def test_em_fields_static_scalar_potential():
     g = make_grid(1, [64], [2 * np.pi])
     x = g.axis_coordinates(0)
     gauge = GaugeConfiguration.assemble(g, u=0.8 * np.sin(x))
     times, gauges = _static_series(gauge)
-    _, frames = em_fields(times, gauges, NAT)
-    fr = frames[0]
+    fr = _by_family(times, gauges)
     expected = -(1.0 / NAT.q) * 0.8 * np.cos(x)
-    assert linf(fr.e_psi.components[0] - expected) <= 1e-12
-    assert linf(fr.e_classical.components[0] - expected) <= 1e-12
-    assert linf(fr.e_quantum.components[0]) <= 1e-13
-    for comp in fr.b_psi:
+    assert linf(fr["psi"].e[0] - expected) <= 1e-12
+    assert linf(fr["classical"].e[0] - expected) <= 1e-12
+    assert linf(fr["quantum"].e[0]) <= 1e-13
+    for comp in fr["psi"].b:
         assert linf(comp) == 0.0
 
 
@@ -274,8 +282,8 @@ def test_em_fields_all_zero():
     times, gauges = _static_series(GaugeConfiguration.free(g))
     _, frames = em_fields(times, gauges, NAT)
     fr = frames[0]
-    assert linf(fr.e_psi.components[0]) == 0.0
-    assert all(linf(b) == 0.0 for b in fr.b_psi)
+    assert linf(fr.e[0]) == 0.0
+    assert all(linf(b) == 0.0 for b in fr.b)
 
 
 def test_em_fields_out_of_plane_b():
@@ -284,10 +292,10 @@ def test_em_fields_out_of_plane_b():
     b0 = 1.4
     a = VectorField(g, (np.zeros(g.shape), b0 * np.sin(x)))
     times, gauges = _static_series(GaugeConfiguration.assemble(g, a_classical=a))
-    _, frames = em_fields(times, gauges, NAT)
-    assert linf(frames[0].b_psi[2] - b0 * np.cos(x)) <= 1e-12
-    assert linf(frames[0].b_classical[2] - b0 * np.cos(x)) <= 1e-12
-    assert linf(frames[0].b_quantum[2]) == 0.0
+    fr = _by_family(times, gauges)
+    assert linf(fr["psi"].b[2] - b0 * np.cos(x)) <= 1e-12
+    assert linf(fr["classical"].b[2] - b0 * np.cos(x)) <= 1e-12
+    assert linf(fr["quantum"].b[2]) == 0.0
 
 
 def test_em_fields_time_derivative_term():
@@ -302,7 +310,7 @@ def test_em_fields_time_derivative_term():
     ]
     _, frames = em_fields([0.0, dt, 2 * dt], gauges, NAT)
     # dA/dt = 0.2/(2*dt) = 10 uniformly
-    assert linf(frames[0].e_psi.components[0] + 10.0) <= 1e-12
+    assert linf(frames[0].e[0] + 10.0) <= 1e-12
 
 
 def test_em_fields_split_sums_to_total():
@@ -323,12 +331,11 @@ def test_em_fields_split_sums_to_total():
             )
         )
     q_series = [random_band_limited(g, rng) for _ in range(3)]
-    _, frames = em_fields([0.0, dt, 2 * dt], gauges, NAT, q_series=q_series)
-    fr = frames[0]
-    for ax in range(2):
-        total = fr.e_classical.components[ax] + fr.e_quantum.components[ax]
-        assert linf(fr.e_psi.components[ax] - total) <= 1e-12
-    for b_total, b_cl, b_qu in zip(fr.b_psi, fr.b_classical, fr.b_quantum):
+    fr = _by_family([0.0, dt, 2 * dt], gauges, q_series)
+    for ax in range(3):
+        total = fr["classical"].e[ax] + fr["quantum"].e[ax]
+        assert linf(fr["psi"].e[ax] - total) <= 1e-12
+    for b_total, b_cl, b_qu in zip(fr["psi"].b, fr["classical"].b, fr["quantum"].b):
         assert linf(b_total - (b_cl + b_qu)) <= 1e-12
 
 
@@ -363,8 +370,29 @@ def test_em_fields_linearity():
     _, f1 = em_fields(times, g1, NAT)
     _, f2 = em_fields(times, g2, NAT)
     _, fm = em_fields(times, merged, NAT)
-    summed = f1[0].e_psi.components[0] + f2[0].e_psi.components[0]
-    assert linf(fm[0].e_psi.components[0] - summed) <= 1e-12
+    summed = f1[0].e[0] + f2[0].e[0]
+    assert linf(fm[0].e[0] - summed) <= 1e-12
+
+
+def test_em_fields_rejects_an_unknown_family():
+    g = make_grid(1, [32], [2 * np.pi])
+    times, gauges = _static_series(GaugeConfiguration.free(g))
+    with pytest.raises(ValueError, match="unknown field family 'total'"):
+        em_fields(times, gauges, NAT, family="total")
+
+
+def test_em_frames_hold_absent_slots_as_zero_views():
+    rng = np.random.default_rng(53)
+    g = make_grid(2, [16, 16], [2 * np.pi, 5.0])
+    times, gauges = _static_series(_random_gauge(g, rng))
+    _, frames = em_fields(times, gauges, NAT)
+    fr = frames[0]
+    # E beyond dim, rho and J: no memory, and no writes
+    for slot in (fr.e[2], fr.rho, *fr.j):
+        assert slot.strides == (0, 0)
+        assert not slot.flags.writeable
+        assert linf(slot) == 0.0
+    assert all(e.flags.writeable and e.strides != (0, 0) for e in fr.e[:2])
 
 
 def test_em_fields_needs_three_snapshots():
@@ -465,7 +493,8 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_static_gauge_is_differentiated_once(monkeypatch):
+@pytest.mark.parametrize("family", FAMILIES)
+def test_static_gauge_is_differentiated_once(monkeypatch, family):
     rng = np.random.default_rng(43)
     g = make_grid(2, [16, 16], [2 * np.pi, 5.0])
     times, gauges = _static_series(_random_gauge(g, rng), count=7)
@@ -474,25 +503,25 @@ def test_static_gauge_is_differentiated_once(monkeypatch):
         name: _count_calls(monkeypatch, name)
         for name in ("_curl3", "divergence", "spectral_gradient")
     }
-    em_fields(times, gauges, NAT, q_series)
+    em_fields(times, gauges, NAT, q_series, family=family)
     gauge_residuals(times, gauges, NAT, q_series)
-    assert len(counts["_curl3"]) == 3
+    # one curl of the family's A
+    assert len(counts["_curl3"]) == 1
     assert len(counts["divergence"]) == 3
-    # grad U once; grad(U + Q) and grad Q at each of the 5 interior frames
-    assert len(counts["spectral_gradient"]) == 1 + 2 * 5
+    # grad(U + Q) or grad Q at each of the 5 interior frames; classical: grad U once
+    assert len(counts["spectral_gradient"]) == (1 if family == "classical" else 5)
 
 
 def _assert_same_fields(got, want):
     assert got[0] == want[0]
     for fr, ref in zip(got[1], want[1], strict=True):
-        for name in ("psi", "classical", "quantum"):
-            pairs = zip(
-                getattr(fr, f"e_{name}").components + getattr(fr, f"b_{name}"),
-                getattr(ref, f"e_{name}").components + getattr(ref, f"b_{name}"),
-                strict=True,
-            )
-            for a, b in pairs:
-                assert a.tobytes() == b.tobytes()
+        pairs = zip(
+            fr.e + fr.b + fr.j + (fr.rho,),
+            ref.e + ref.b + ref.j + (ref.rho,),
+            strict=True,
+        )
+        for a, b in pairs:
+            assert a.tobytes() == b.tobytes()
 
 
 def _assert_same_reports(got, want):
@@ -519,10 +548,11 @@ def test_shared_gauge_work_matches_per_frame_work(shape, count, external, seed):
     for shared in (static, alternating):
         # deep copies are distinct objects: every frame computes its own
         copies = [copy.deepcopy(gauge) for gauge in shared]
-        _assert_same_fields(
-            em_fields(times, shared, NAT, q_series),
-            em_fields(times, copies, NAT, q_series),
-        )
+        for family in FAMILIES:
+            _assert_same_fields(
+                em_fields(times, shared, NAT, q_series, family=family),
+                em_fields(times, copies, NAT, q_series, family=family),
+            )
         _assert_same_reports(
             gauge_residuals(times, shared, NAT, q_series),
             gauge_residuals(times, copies, NAT, q_series),
@@ -533,14 +563,14 @@ def test_shared_gauge_arrays_are_read_only():
     rng = np.random.default_rng(47)
     g = make_grid(2, [16, 16], [2 * np.pi, 2 * np.pi])
     times, gauges = _static_series(_random_gauge(g, rng, external=True), count=4)
-    _, frames = em_fields(times, gauges, NAT)
-    assert frames[0].b_psi is frames[1].b_psi
-    for name in ("b_psi", "b_classical", "b_quantum"):
-        for comp in getattr(frames[0], name):
+    for family in FAMILIES:
+        _, frames = em_fields(times, gauges, NAT, family=family)
+        assert all(b0 is b1 for b0, b1 in zip(frames[0].b, frames[1].b, strict=True))
+        for comp in frames[0].b:
             with pytest.raises(ValueError, match="read-only"):
                 comp += 1.0
-    # E fields are built per frame and stay writable
-    frames[0].e_psi.components[0][...] = 0.0
+        # E fields are built per frame and stay writable
+        frames[0].e[0][...] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -629,11 +659,22 @@ def test_maxwell_divergence_of_curl_is_solenoidal():
     assert reports["gauss_magnetic"].linf <= 1e-11
 
 
-def test_maxwell_frame_requires_3d():
-    g = make_grid(2, [16, 16], [2 * np.pi, 2 * np.pi])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_maxwell_vacuum_plane_wave_below_3d(dim):
+    # E_y and B_z of a wave along x; the 3D test's bound holds on 1D and 2D
+    g = make_grid(dim, [16] * dim, [2 * np.pi] * dim)
+    times, frames = _vacuum_wave_frames(g, dt=1e-3)
+    clean = maxwell_residuals(times, frames, NAT)
+    for rep in clean.values():
+        assert rep.l2 <= 1e-6
+    x = g.meshes()[0]
+    spurious = (np.zeros(g.shape), 0.1 * np.sin(x), np.zeros(g.shape))
+    times, frames = _vacuum_wave_frames(g, dt=1e-3, j_extra=spurious)
+    dirty = maxwell_residuals(times, frames, NAT)
+    assert dirty["ampere"].l2 >= 10 * clean["ampere"].l2
     zeros = np.zeros(g.shape)
-    with pytest.raises(ValueError, match="3D"):
-        MaxwellFrame(g, (zeros,) * 3, (zeros,) * 3)
+    with pytest.raises(ValueError, match=f"E needs {dim} or 3 components"):
+        MaxwellFrame(g, (zeros,) * (3 - dim), (zeros,) * 3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Grid construction and spectral operator checks."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qvlab.lattice import (
+    _curl3,
     band_limit,
     curl,
     divergence,
@@ -125,12 +128,50 @@ def test_curl_2d_scalar():
     assert linf(bz - (np.cos(x) - np.cos(y))) <= 1e-11
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    full=st.booleans(),
+    n=st.sampled_from([8, 9]),
+    seed=st.integers(0, 2**16),
+)
+def test_curl3_matches_the_component_formula(dim, full, n, seed):
+    rng = np.random.default_rng(seed)
+    g = make_grid(dim, [n, 6, 7][:dim], [2 * np.pi, 5.0, 3.0][:dim])
+    v = [random_band_limited(g, rng) for _ in range(3 if full else dim)]
+    # d[c][a] = dv_c/dx_a, zero for an absent component or a missing axis
+    zero = np.zeros(g.shape)
+    d = [[zero] * 3 for _ in range(3)]
+    for c, comp in enumerate(v):
+        d[c][:dim] = spectral_gradient(comp, g)
+
+    def levi_civita(i, j, k):
+        return (i - j) * (j - k) * (k - i) / 2
+
+    got = _curl3(v, g)
+    assert len(got) == 3
+    for i in range(3):
+        want = sum(
+            levi_civita(i, j, k) * d[k][j] for j in range(3) for k in range(3)
+        )
+        assert got[i].shape == g.shape
+        assert linf(got[i] - want) <= 1e-12
+    if dim > 1 and len(v) == dim:
+        view = curl(v, g)
+        assert [c.tobytes() for c in view] == [
+            c.tobytes() for c in (got if dim == 3 else got[2:])
+        ]
+
+
 def test_curl_rejects_1d_and_bad_counts():
     with pytest.raises(ValueError):
         curl([np.zeros(8)], make_grid(1, [8], [1.0]))
     g = make_grid(3, [8, 8, 8], [1, 1, 1])
     with pytest.raises(ValueError):
         curl([np.zeros(g.shape)] * 2, g)
+    g = make_grid(2, [8, 8], [1.0, 1.0])
+    with pytest.raises(ValueError, match="2 or 3 components"):
+        _curl3([np.zeros(g.shape)], g)
 
 
 def test_band_limit_removes_high_modes_and_is_idempotent():

@@ -451,11 +451,9 @@ def test_em_series_from_frames_runs():
     g = make_grid(2, [16, 16], [2 * np.pi, 2 * np.pi])
     gauges = [GaugeConfiguration.free(g)] * 3
     inner, frames = em_fields([0.0, 0.1, 0.2], gauges, NAT)
-    em = EMSeries.from_frames(g, inner, frames, family="psi")
+    em = EMSeries.from_frames(g, inner, frames)
     path = force_path([1.0, 1.0], [0.2, 0.1], em, NAT.gamma, dt=0.05, steps=10)
     assert linf(path.positions[-1] - np.array([1.1, 1.05])) <= 1e-12
-    with pytest.raises(ValueError, match="family"):
-        EMSeries.from_frames(g, inner, frames, family="total")
 
 
 # ---------------------------------------------------------------------------

@@ -161,13 +161,16 @@ def _sized(sec: Section, key: str, kind: str, count: int, default=_MISSING):
 
 
 def _load_config(path: str) -> dict:
+    def reject(token):
+        raise ConfigError(f"config {path} is not valid JSON: {token} is not a number")
+
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        cfg = json.loads(raw.decode("utf-8"))
+        cfg = json.loads(raw.decode("utf-8"), parse_constant=reject)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -605,6 +608,17 @@ class Run:
                 f"snapshot grid {self.grid.n} does not match config grid {scenario.grid.n}"
             )
 
+    def spaced(self) -> "Run":
+        """Self, if its snapshots can feed centred time differences."""
+        try:
+            diagnostics._series_spacing(self.times)
+        except ValueError as exc:
+            raise ConfigError(
+                f"config.evolution.steps/snapshot_stride: {exc}; take steps a "
+                "multiple of snapshot_stride and at least twice it"
+            ) from exc
+        return self
+
     def scalar(self) -> "Run":
         if not all(isinstance(s, fields.ComplexScalarField) for s in self.snaps):
             raise ConfigError("this command needs a scalar (schrodinger) run")
@@ -649,11 +663,7 @@ def _continuity(run: Run):
 def _hamilton_jacobi(run: Run):
     snaps, times = run.scalar().snaps, run.times
     gauge = run.scenario.gauge
-    if len(snaps) < 3:
-        raise ConfigError("hamilton_jacobi needs at least 3 snapshots")
     mid = len(snaps) // 2
-    if mid == len(snaps) - 1:
-        mid -= 1
     spacing = times[mid + 1] - times[mid - 1]
     rate, rate_mask, _ = diagnostics.phase_rate_from_snapshots(
         snaps[mid - 1], snaps[mid + 1], spacing
@@ -693,7 +703,7 @@ def cmd_diagnose(args, scenario: Scenario) -> int:
     if not names:
         print("no diagnostics requested")
         return EXIT_OK
-    run = Run(scenario, out)
+    run = Run(scenario, out).spaced()
     reports = [report for name in names for report in _DIAGNOSTICS[name](run)]
     for report in reports:
         _write_report(out, report)
@@ -754,6 +764,8 @@ def cmd_trace(args, scenario: Scenario) -> int:
 
     flow = _trace_flow(run, trace_cfg["interpolation"])
 
+    if trace_cfg["dt"] is None and len(times) < 2:
+        raise ConfigError("config.trace.dt is required: the run has one snapshot")
     dt = trace_cfg["dt"] if trace_cfg["dt"] is not None else (times[1] - times[0])
     if trace_cfg["steps"] is not None:
         steps = trace_cfg["steps"]
@@ -833,7 +845,7 @@ def cmd_fields(args, scenario: Scenario) -> int:
     if consts.q == 0.0:
         raise ConfigError("config.constants: field reports need q != 0")
     out = _out_dir(args, scenario)
-    run = Run(scenario, out).scalar()
+    run = Run(scenario, out).spaced().scalar()
     gauges = [scenario.gauge] * len(run.snaps)
 
     inner, frames = diagnostics.em_fields(run.times, gauges, consts, run.q_series, family)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import ComplexScalarField, NodeError, SpinorField, BispinorField, VectorField, _component_list, density, node_mask
+from .fields import ComplexScalarField, SpinorField, BispinorField, VectorField, _component_list, _ratio, _support, density
 from .lattice import Grid, divergence, k_squared, spectral_gradient
 
 _REL_TOL = 1e-12
@@ -259,15 +259,9 @@ def current_bispinor(psi: BispinorField, c: float) -> FourCurrent:
 
 def velocity(j: VectorField, f: np.ndarray):
     """<v> = J/f with nodes masked; raises NodeError when f has no support."""
-    mask = node_mask(f)
-    if mask.all():
-        raise NodeError("velocity undefined: density has no support")
-    comps = []
-    for comp in j.components:
-        v = np.zeros(j.grid.shape)
-        np.divide(comp, f, out=v, where=~mask)
-        comps.append(v)
-    return VectorField(j.grid, tuple(comps)), mask
+    mask = _support(f, "velocity")
+    comps = tuple(_ratio(comp, f, mask) for comp in j.components)
+    return VectorField(j.grid, comps), mask
 
 
 def helmholtz_split(

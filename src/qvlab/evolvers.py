@@ -479,14 +479,14 @@ def gps_apply(matrix: TaylorEvolutionMatrix, state) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # run drivers
 
-def run_schrodinger(psi, gauge, consts, params, **flags) -> EvolutionTrace:
+def run_schrodinger(psi, gauge, consts, params) -> EvolutionTrace:
     return _run(psi, params, lambda: _on_field(
-        psi, _scalar_stepper(psi.grid, gauge, consts, params, **flags)))
+        psi, _scalar_stepper(psi.grid, gauge, consts, params)))
 
 
-def run_pauli(psi, gauge, consts, params, **flags) -> EvolutionTrace:
+def run_pauli(psi, gauge, consts, params) -> EvolutionTrace:
     return _run(psi, params, lambda: _on_field(
-        psi, _pauli_stepper(psi.grid, gauge, consts, params, **flags)))
+        psi, _pauli_stepper(psi.grid, gauge, consts, params)))
 
 
 def run_dirac(psi, pot, consts, params) -> EvolutionTrace:

@@ -8,7 +8,9 @@ for reporting.
 
 Grid points where the density falls below NODE_EPSILON relative to its peak
 are masked: phase and velocity data are unreliable there and every consumer
-either skips or freezes across them.
+either skips or freezes across them.  Every quantity that divides by the
+density or by psi takes its mask from _support, which refuses a density
+with no support, and divides with _ratio, which writes 0 on the nodes.
 
 Snapshots (.qfs) are a fixed 64-byte little-endian header followed by raw
 float64 samples, interleaved per grid point; round-trips are bit-exact.
@@ -126,12 +128,28 @@ def density(field: Field) -> np.ndarray:
     return out
 
 
-def node_mask(f: np.ndarray, rel_eps: float = NODE_EPSILON) -> np.ndarray:
+def node_mask(f: np.ndarray) -> np.ndarray:
     """True where the density is too small for phase data to mean anything."""
     peak = float(np.max(f))
     if peak <= 0.0:
         return np.ones_like(f, dtype=bool)
-    return f < rel_eps * peak
+    return f < NODE_EPSILON * peak
+
+
+def _support(f: np.ndarray, what: str) -> np.ndarray:
+    """node_mask(f); raises NodeError naming `what` when every point is a node."""
+    mask = node_mask(f)
+    if mask.all():
+        raise NodeError(f"{what} undefined: density has no support")
+    return mask
+
+
+def _ratio(num, den, mask: np.ndarray) -> np.ndarray:
+    """num/den off the nodes and 0 on them, broadcast and typed as num/den."""
+    shape = np.broadcast_shapes(np.shape(num), np.shape(den), mask.shape)
+    out = np.zeros(shape, dtype=np.result_type(num, den))
+    np.divide(num, den, out=out, where=~mask)
+    return out
 
 
 def _unwrap_with_mask(wrapped: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -162,10 +180,7 @@ def phase(field: ComplexScalarField, strict: bool = False):
     branch-free phase_gradient instead.  strict=True raises NodeError listing
     masked points instead of returning them.
     """
-    f = density(field)
-    mask = node_mask(f)
-    if mask.all():
-        raise NodeError("phase undefined: all samples are below the node threshold")
+    mask = _support(density(field), "phase")
     if strict and mask.any():
         raise NodeError(
             f"{int(mask.sum())} samples below the node threshold",
@@ -178,17 +193,9 @@ def phase(field: ComplexScalarField, strict: bool = False):
 def phase_gradient(field: ComplexScalarField):
     """Branch-free grad(phi) = Im(conj(psi)*grad(psi))/f, masked at nodes."""
     f = density(field)
-    mask = node_mask(f)
-    if mask.all():
-        raise NodeError("phase gradient undefined: field has no support")
+    mask = _support(f, "phase gradient")
     grads = spectral_gradient(field.values, field.grid)
-    out = []
-    for d in grads:
-        num = (np.conj(field.values) * d).imag
-        comp = np.zeros(field.grid.shape)
-        np.divide(num, f, out=comp, where=~mask)
-        out.append(comp)
-    return out, mask
+    return [_ratio((np.conj(field.values) * d).imag, f, mask) for d in grads], mask
 
 
 def _field_payload(field) -> tuple[int, int, np.ndarray]:

@@ -48,13 +48,14 @@ again.  Mask checks happen at step boundaries, not inside RK4 substeps.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fields import NODE_EPSILON, VectorField
+from .fields import NODE_EPSILON, VectorField, _ratio
 from .lattice import Grid
 
 _MASK_REASON = "entered masked node region"
@@ -229,7 +230,9 @@ class FlowSampler:
 
     Interpolates the smooth pair (density, current) as one series and
     divides at the evaluation point; points where the interpolated density
-    falls below NODE_EPSILON of the series peak are masked.
+    falls below NODE_EPSILON of the series peak are masked.  The floor is
+    fixed once, not taken by node_mask per call: the interpolated values at
+    a few points say nothing about the peak of the grid.
     """
 
     def __init__(self, grid: Grid, times, densities, currents, *,
@@ -255,9 +258,7 @@ class FlowSampler:
         vals, _ = self._sampler(points, t)
         f_col, j_vals = vals[:, 0], vals[:, 1:]
         masked = f_col < self._floor
-        out = np.zeros_like(j_vals)
-        np.divide(j_vals, f_col[:, None], out=out, where=~masked[:, None])
-        return out, masked
+        return _ratio(j_vals, f_col[:, None], masked[:, None]), masked
 
 
 @dataclass(frozen=True)
@@ -466,10 +467,8 @@ def sample_inverse_cdf(grid: Grid, marginals, count: int,
                        rng: np.random.Generator) -> np.ndarray:
     """Draw positions from a separable density given per-axis marginals.
 
-    Each marginal is sampled on its axis and treated as piecewise constant
-    over the cell centered on its node (as sample_density reads the joint
-    density, keeping the discrete mean unbiased); the piecewise-linear CDF
-    is inverted exactly.  Deterministic for a given generator state.
+    Each marginal is sampled on its axis; the draw is sample_density of
+    their outer product.  Deterministic for a given generator state.
     """
     if len(marginals) != grid.dim:
         raise ValueError(f"need {grid.dim} marginals, got {len(marginals)}")
@@ -482,17 +481,8 @@ def sample_inverse_cdf(grid: Grid, marginals, count: int,
             )
         if np.any(f < 0.0) or f.sum() <= 0.0:
             raise ValueError("marginals must be nonnegative with positive mass")
-        cdf = np.concatenate([[0.0], np.cumsum(f)])
-        cdf /= cdf[-1]
-        u = rng.random(count)
-        cell = np.searchsorted(cdf, u, side="right") - 1
-        cell = np.clip(cell, 0, grid.n[axis] - 1)
-        span = cdf[cell + 1] - cdf[cell]
-        frac = np.where(span > 0.0, (u - cdf[cell]) / np.maximum(span, 1e-300), 0.0)
-        cols.append(
-            np.mod((cell + frac - 0.5) * grid.spacing[axis], grid.length[axis])
-        )
-    return np.stack(cols, axis=1)
+        cols.append(f)
+    return sample_density(grid, functools.reduce(np.multiply, np.ix_(*cols)), count, rng)
 
 
 def sample_density(grid: Grid, density, count: int,
@@ -500,8 +490,8 @@ def sample_density(grid: Grid, density, count: int,
     """Draw positions exactly from an arbitrary grid density.
 
     Picks a cell from the CDF of the flattened grid, then draws uniformly
-    within that cell: the same piecewise-constant reading of the density,
-    on the cell centered on each node, that sample_inverse_cdf uses.
+    within that cell: the density is read as piecewise constant over the
+    cell centered on each node, which keeps the discrete mean unbiased.
     Deterministic for a given generator state.
     """
     f = _on_grid(density, grid, "density", float)

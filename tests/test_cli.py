@@ -261,8 +261,10 @@ def test_unknown_diagnostic_fails_evolve_before_it_runs(tmp_path, capsys):
 
 
 def _traced_config():
-    """_small_config with a trace and a gps section."""
+    """_small_config over 3 snapshots, with diagnostics, trace and gps sections."""
     payload = _small_config()
+    payload["evolution"]["steps"] = 2
+    payload["diagnostics"] = ["continuity", "hamilton_jacobi", "gauge"]
     payload["trace"] = {"starts": [[4.0]], "dt": 1e-3, "steps": 1}
     payload["gps"] = {"order": 2, "t": 0.5, "state": [[1.0], [2.0]]}
     return payload
@@ -310,6 +312,52 @@ def test_zero_trace_steps_stay_valid(small_run, tmp_path):
     assert rows.shape[0] == 1
 
 
+_ONE_SNAPSHOT = {"steps": 0}
+_UNEVEN = {"steps": 5, "snapshot_stride": 2}  # snapshots at steps 0, 2, 4, 5
+_SCHEDULE = "config.evolution.steps/snapshot_stride"
+
+
+# runs that cannot feed a command, and the key its config error names
+@pytest.mark.parametrize(
+    "evolution, command, key",
+    [
+        (_ONE_SNAPSHOT, "diagnose", _SCHEDULE),
+        (_ONE_SNAPSHOT, "fields", _SCHEDULE),
+        (_ONE_SNAPSHOT, "trace", "config.trace.dt"),
+        (_UNEVEN, "diagnose", _SCHEDULE),
+        (_UNEVEN, "fields", _SCHEDULE),
+    ],
+    ids=["one-diagnose", "one-fields", "one-trace", "uneven-diagnose", "uneven-fields"],
+)
+def test_runs_that_cannot_feed_a_command_name_the_key(evolution, command, key,
+                                                      tmp_path, capsys):
+    payload = _traced_config()
+    payload["evolution"].update(evolution)
+    del payload["trace"]["dt"]
+    cfg = _write_config(tmp_path / "short.json", payload)
+    out = str(tmp_path / "run")
+    assert main(["evolve", "--config", str(cfg), "--out", out]) == 0
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", out]) == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, token, command",
+    [("gps.t", "NaN", "gps"), ("grid.length", "[Infinity]", "evolve"),
+     ("grid.length", "[-Infinity]", "evolve")],
+)
+def test_non_json_number_tokens_are_config_errors(key, token, command, tmp_path,
+                                                  capsys):
+    payload = _traced_config()
+    _put(payload, key, "TOKEN")
+    cfg = tmp_path / "token.json"
+    cfg.write_text(json.dumps(payload).replace('"TOKEN"', token), encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert f"{token.strip('[]')} is not a number" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def _key_paths(payload, prefix=""):
     """(dotted path, value) of every key, depth first."""
     for key, value in payload.items():
@@ -354,7 +402,7 @@ def test_mutated_configs_exit_0_or_2_without_a_traceback(payload):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = _write_config(pathlib.Path(tmp) / "fuzz.json", payload)
         out = os.path.join(tmp, "run")
-        for command in ("evolve", "trace", "gps"):
+        for command in ("evolve", "trace", "gps", "diagnose", "fields"):
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 code = main([command, "--config", str(cfg), "--out", out])

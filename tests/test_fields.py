@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qvlab.decomposition import GaugeConfiguration, PhysicalConstants, current_scalar, velocity
+from qvlab.diagnostics import quantum_force, quantum_potential
 from qvlab.fields import (
     BispinorField,
     ComplexScalarField,
@@ -21,8 +23,10 @@ from qvlab.fields import (
     read_snapshot,
     write_snapshot,
 )
-from qvlab.lattice import make_grid, spectral_gradient
+from qvlab.lattice import make_grid, spectral_gradient, spectral_laplacian
 from util import linf, random_band_limited
+
+NAT = PhysicalConstants.natural()
 
 
 @pytest.fixture
@@ -111,6 +115,79 @@ def test_node_mask_relative_threshold(grid1d):
     f[3] = 1e-9
     mask = node_mask(f)
     assert mask[3] and mask.sum() == 1
+
+
+def _velocity(psi):
+    j = current_scalar(psi, GaugeConfiguration.free(psi.grid), NAT)
+    v, mask = velocity(j, density(psi))
+    return v.components, mask
+
+
+# every quantity that divides by the density or by psi, by the name its
+# NodeError gives
+_NODE_RATIOS = {
+    "phase": phase,
+    "phase gradient": phase_gradient,
+    "velocity": _velocity,
+    "quantum potential": lambda psi: quantum_potential(psi, NAT),
+    "quantum force": lambda psi: quantum_force(psi, NAT),
+}
+
+
+@pytest.mark.parametrize("what", sorted(_NODE_RATIOS))
+def test_zero_field_has_no_support(grid1d, what):
+    psi = ComplexScalarField(grid1d, np.zeros(grid1d.shape, dtype=complex))
+    with pytest.raises(NodeError, match=f"^{what} undefined: density has no support$"):
+        _NODE_RATIOS[what](psi)
+
+
+def _plain_ratios(psi):
+    """The node-safe quantities as plain quotients, nodes included."""
+    v, g = psi.values, psi.grid
+    c = NAT.alpha / NAT.beta
+    d1 = spectral_gradient(v, g)
+    lap = spectral_laplacian(v, g)
+    f = density(psi)
+    j = current_scalar(psi, GaugeConfiguration.free(g), NAT)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        grads = [(np.conj(v) * d).imag / f for d in d1]
+        inv = 1.0 / v
+        r1 = [d * inv for d in d1]
+        rlap = lap * inv
+        dlap = spectral_gradient(lap, g)
+        force = []
+        for a in range(g.dim):
+            second = spectral_gradient(d1[a], g)
+            dg = (dlap[a] * inv - rlap * r1[a]).real
+            for b in range(g.dim):
+                dg = dg + 2.0 * r1[b].imag * (second[b] * inv - r1[a] * r1[b]).imag
+            force.append(-c * dg)
+        return {
+            "phase gradient": grads,
+            "velocity": [comp / f for comp in j.components],
+            "quantum potential": [c * ((lap / v).real + sum(q**2 for q in grads))],
+            "quantum force": force,
+        }
+
+
+def test_node_safe_ratios_are_zero_on_nodes_and_plain_quotients_off_them():
+    g = make_grid(2, [32, 16], [20.0, 12.0])
+    x, y = np.meshgrid(g.axis_coordinates(0), g.axis_coordinates(1), indexing="ij")
+    envelope = np.exp(-((x - 10.0) ** 2) / 2.0 - ((y - 6.0) ** 2) / 3.0)
+    psi = ComplexScalarField(g, envelope * np.exp(1j * (0.7 * x - 0.4 * y)))
+    plain = _plain_ratios(psi)
+    q, q_mask = quantum_potential(psi, NAT)
+    outputs = {
+        "phase gradient": phase_gradient(psi),
+        "velocity": _velocity(psi),
+        "quantum potential": ([q], q_mask),
+        "quantum force": quantum_force(psi, NAT),
+    }
+    for what, (comps, mask) in outputs.items():
+        assert 0 < mask.sum() < mask.size
+        for comp, ref in zip(comps, plain[what], strict=True):
+            assert np.all(comp[mask] == 0.0), what
+            assert np.array_equal(comp[~mask], ref[~mask]), what
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -532,6 +533,10 @@ def cmd_evolve(args, scenario: Scenario) -> int:
             f"config.initial_state: preset builds a {type(state).__name__}, "
             f"but equation {equation!r} needs a {expected.__name__}"
         )
+    try:
+        fields._support(fields.density(state), "phase and velocity")
+    except fields.NodeError as exc:
+        raise ConfigError(f"config.initial_state: {exc}") from exc
 
     started = time.perf_counter()
     trace = run(state, scenario, params)
@@ -770,7 +775,14 @@ def cmd_trace(args, scenario: Scenario) -> int:
     if trace_cfg["steps"] is not None:
         steps = trace_cfg["steps"]
     else:
-        steps = max(1, int(round((times[-1] - times[0]) / dt)))
+        span = times[-1] - times[0]
+        steps = max(1, int(round(span / dt)))
+        # the tolerance _series_spacing uses for equal spacing
+        if len(times) > 1 and not math.isclose(span / dt, steps, rel_tol=1e-9):
+            raise ConfigError(
+                f"config.trace.steps is required, or a config.trace.dt that divides "
+                f"the run's span {span:g} (dt {dt:g} leaves {span / dt:g} steps)"
+            )
 
     if trace_cfg["starts"] is not None:
         starts = np.atleast_2d(np.asarray(trace_cfg["starts"], dtype=float))

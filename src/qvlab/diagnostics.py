@@ -78,9 +78,14 @@ def _report(name, samples, mask=None, dt=None) -> ResidualReport:
     )
 
 
-def _series_spacing(times: Sequence[float]) -> float:
+def _series_spacing(times: Sequence[float], **series) -> float:
+    """The spacing of at least 3 equally spaced times, each named series
+    (None skips it) holding one entry per time."""
     if len(times) < 3:
         raise ValueError(f"need at least 3 snapshots, got {len(times)}")
+    for name, values in series.items():
+        if values is not None and len(values) != len(times):
+            raise ValueError(f"{name} has {len(values)} entries for {len(times)} times")
     steps = np.diff(np.asarray(times, dtype=float))
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         raise ValueError("snapshots must be equally spaced in time")
@@ -126,9 +131,7 @@ def continuity_residual(
     currents: Sequence[VectorField],
 ) -> ResidualReport:
     """r = df/dt + div J at the interior snapshot times."""
-    dt = _series_spacing(times)
-    if not len(times) == len(densities) == len(currents):
-        raise ValueError("times, densities, and currents must align")
+    dt = _series_spacing(times, densities=densities, currents=currents)
     rows = []
     for i in range(1, len(times) - 1):
         grid = currents[i].grid
@@ -144,7 +147,7 @@ def four_current_divergence(
     consts: PhysicalConstants,
 ) -> ResidualReport:
     """r = (1/c) dJ^0/dt + div J at the interior snapshot times."""
-    dt = _series_spacing(times)
+    dt = _series_spacing(times, currents=currents)
     j0 = [j.j0 for j in currents]
     rows = [
         _centered(j0, i, dt) / consts.c + currents[i].spatial_divergence()
@@ -282,14 +285,12 @@ def em_fields(
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown field family {family!r}, expected one of {FAMILIES}")
-    dt = _series_spacing(times)
+    dt = _series_spacing(times, gauges=gauges, q_series=q_series)
     grid = gauges[0].grid
     if any(g.grid != grid for g in gauges):
         raise ValueError("gauge snapshots live on different grids")
     if q_series is None:
         q_series = [np.zeros(grid.shape)] * len(times)
-    if len(q_series) != len(times):
-        raise ValueError("q_series must align with the snapshot times")
     coeff = 2.0 * consts.alpha * consts.beta / consts.gamma
     a_name = f"a_{family}"
 
@@ -327,7 +328,7 @@ def gauge_residuals(
     and r_psi = r_lorentz + r_quantum up to roundoff by construction.  The
     divergences are taken once per distinct gauge object.
     """
-    dt = _series_spacing(times)
+    dt = _series_spacing(times, gauges=gauges, q_series=q_series)
     grid = gauges[0].grid
     zeros = np.zeros(grid.shape)
     if q_series is None:
@@ -406,7 +407,7 @@ def maxwell_residuals(
     div D - rho, div B, curl E + dB/dt, curl H - dD/dt - J,
     evaluated at the interior snapshot times, on grids of any dimension.
     """
-    dt = _series_spacing(times)
+    dt = _series_spacing(times, frames=frames)
     grid = frames[0].grid
     e_series = [fr.e for fr in frames]
     b_series = [fr.b for fr in frames]

@@ -7,20 +7,21 @@ pointwise phase for U + q^2|A|^2/(2m), an exact transform-space kinetic
 multiplier, and the cross term -(q/2m)(A.p + p.A).  For uniform A the cross
 term is diagonal in transform space, commutes with the kinetic multiplier and
 is folded into it, so the whole step is exact; otherwise it is applied through
-a short series of the symmetrized generator, a unitary deviation far below the
-O(dt^2) splitting error.  The spinor step wraps that machinery componentwise
-between exact 2x2 rotations for the magnetic moment term, and the bispinor
-step pairs a closed-form free propagator (H_free^2 is scalar in transform
-space, so it is applied per component without a matrix field) with a
-pointwise closed-form interaction exponential.
+the series of its generator, summed until the terms fall below roundoff.  The
+spinor step wraps that machinery componentwise between exact 2x2 rotations
+for the magnetic moment term, and the bispinor step pairs a closed-form free
+propagator (H_free^2 is scalar in transform space, so it is applied per
+component without a matrix field) with a pointwise closed-form interaction
+exponential.
 
 Each equation has one stepper, built once per run: its factory computes every
 factor fixed for the run and returns a closure that advances the values one
-step.  The *_step functions apply a fresh stepper once; the run_* functions
-share one loop, which builds no stepper for a run of zero steps.
+step.  The run_* functions share one loop, which builds no stepper for a run
+of zero steps; a single step is the last snapshot of a one-step run.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,12 +31,9 @@ import numpy as np
 
 from .algebra import sigma_apply, sigma_parts
 from .decomposition import FourCurrent, GaugeConfiguration, PhysicalConstants
-from .fields import BispinorField, ComplexScalarField, SpinorField
 from .lattice import Grid, _curl3, _kmesh, divergence, k_squared, spectral_gradient, spectral_laplacian
 
-# Terms kept in the symmetrized cross-term series; the truncation error
-# (tau*|C|/hbar)^6/720 sits far below the O(dt^2) splitting error.
-_CROSS_TERMS = 6
+_STABILITY = 0.5  # leapfrog bound: c*|dt| <= _STABILITY * smallest spacing
 
 
 @dataclass(frozen=True)
@@ -43,15 +41,14 @@ class EvolutionParams:
     """Step size and bookkeeping for a run.
 
     dt may be negative so a step can be undone (the split factors invert
-    exactly); the wave solver additionally bounds c*|dt| by
-    stability_factor*min_spacing.
+    exactly); the wave solver additionally bounds c*|dt| by half the
+    smallest grid spacing.
     """
 
     dt: float
     steps: int
     snapshot_stride: int = 1
     splitting_order: int = 2
-    stability_factor: float = 0.5
 
     def __post_init__(self):
         if self.dt == 0.0 or not math.isfinite(self.dt):
@@ -62,8 +59,6 @@ class EvolutionParams:
             raise ValueError("snapshot_stride must be at least 1")
         if self.splitting_order not in (1, 2):
             raise ValueError("splitting_order is 1 (Lie) or 2 (Strang)")
-        if not 0.0 < self.stability_factor <= 1.0:
-            raise ValueError("stability_factor must lie in (0, 1]")
 
 
 @dataclass
@@ -117,8 +112,9 @@ def _uniform_components(field) -> Optional[list[float]]:
 
 def _apply_cross(values, grid, a, coeff):
     """exp(-i*tau*C/hbar) with C = -(q/2m)(A.p + p.A) for non-uniform A, as a
-    series in the generator; -i*tau*C/hbar reduces to the real coefficient
-    coeff = tau*q/(2m) on div(A psi) + A.grad(psi)."""
+    series in the generator summed until a term falls below roundoff of the
+    sum; -i*tau*C/hbar reduces to the real coefficient coeff = tau*q/(2m) on
+    div(A psi) + A.grad(psi)."""
 
     def gen(arr):
         flux = divergence([c * arr for c in a], grid)
@@ -126,70 +122,54 @@ def _apply_cross(values, grid, a, coeff):
         return coeff * (flux + adv)
 
     out = term = values
-    for n in range(1, _CROSS_TERMS):
+    for n in itertools.count(1):
         term = gen(term) / n
         out = out + term
-    return out
+        size = float(np.max(np.abs(term)))
+        if not math.isfinite(size):
+            raise FloatingPointError("cross-term series overflowed: reduce dt or |A|")
+        if size <= np.finfo(float).eps * float(np.max(np.abs(out))):
+            return out
 
 
-def _scalar_stepper(grid, gauge, consts, params, kinetic=True, potential=True):
+def _scalar_stepper(grid, gauge, consts, params):
+    """One split step of i*hbar dpsi/dt = [(p - qA)^2/(2m) + U] psi; exact to
+    roundoff when A and U are uniform, unitary to roundoff whenever A is."""
     if grid != gauge.grid:
         raise ValueError("field and gauge configuration live on different grids")
     dt = params.dt
     strang = params.splitting_order == 2
-    v_phase = k_phase = coeff = None
-    if potential:
-        v = _potential_energy(gauge, consts)
-        if abs(dt) * float(np.max(np.abs(v))) * consts.beta > 0.5:
-            warnings.warn(
-                "potential phase exceeds 0.5 rad per step; splitting accuracy degrades",
-                RuntimeWarning,
-            )
-        v_phase = np.exp(-1j * (0.5 * dt if strang else dt) * v * consts.beta)
-    if kinetic:
-        k_phase = np.exp(-1j * dt * consts.hbar * k_squared(grid) / (2.0 * consts.m))
-        uniform = _uniform_components(gauge.a_psi)
-        if uniform is None:
-            coeff = (0.5 * dt if strang else dt) * consts.q / (2.0 * consts.m)
-        elif any(uniform):
-            # Both cross halves are diagonal in transform space and commute
-            # with the kinetic multiplier: one phase over the whole dt.
-            shift = sum(a * _kmesh(grid, axis, True) for axis, a in enumerate(uniform))
-            k_phase = k_phase * np.exp(1j * dt * (consts.q / consts.m) * shift)
+    tau = 0.5 * dt if strang else dt
+    v = _potential_energy(gauge, consts)
+    if abs(dt) * float(np.max(np.abs(v))) * consts.beta > 0.5:
+        warnings.warn(
+            "potential phase exceeds 0.5 rad per step; splitting accuracy degrades",
+            RuntimeWarning,
+        )
+    v_phase = np.exp(-1j * tau * v * consts.beta)
+    k_phase = np.exp(-1j * dt * consts.hbar * k_squared(grid) / (2.0 * consts.m))
+    coeff = None
+    uniform = _uniform_components(gauge.a_psi)
+    if uniform is None:
+        coeff = tau * consts.q / (2.0 * consts.m)
+    elif any(uniform):
+        # Both cross halves are diagonal in transform space and commute
+        # with the kinetic multiplier: one phase over the whole dt.
+        shift = sum(a * _kmesh(grid, axis, True) for axis, a in enumerate(uniform))
+        k_phase = k_phase * np.exp(1j * dt * (consts.q / consts.m) * shift)
 
     def step(values):
-        if v_phase is not None:
-            values = values * v_phase
+        values = values * v_phase
         if coeff is not None:
             values = _apply_cross(values, grid, gauge.a_psi.components, coeff)
-        if k_phase is not None:
-            values = np.fft.ifftn(k_phase * np.fft.fftn(values))
+        values = np.fft.ifftn(k_phase * np.fft.fftn(values))
         if coeff is not None and strang:
             values = _apply_cross(values, grid, gauge.a_psi.components, coeff)
-        if v_phase is not None and strang:
+        if strang:
             values = values * v_phase
         return values
 
     return step
-
-
-def schrodinger_step(
-    psi: ComplexScalarField,
-    gauge: GaugeConfiguration,
-    consts: PhysicalConstants,
-    params: EvolutionParams,
-    *,
-    kinetic: bool = True,
-    potential: bool = True,
-) -> ComplexScalarField:
-    """One split step of i*hbar dpsi/dt = [(p - qA)^2/(2m) + U] psi.
-
-    Exact to roundoff when A and U are uniform; unitary to roundoff whenever
-    A is uniform.  The kinetic/potential switches drop the corresponding
-    factors, which isolates either piece for phase checks.
-    """
-    stepper = _scalar_stepper(psi.grid, gauge, consts, params, kinetic, potential)
-    return ComplexScalarField(psi.grid, stepper(psi.values))
 
 
 def magnetic_field(gauge: GaugeConfiguration) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -214,8 +194,11 @@ def _spin_rotation(b, consts, tau):
     return lambda values: cos * values + sigma_apply(sigma_b, values)
 
 
-def _pauli_stepper(grid, gauge, consts, params, kinetic=True, potential=True):
-    scalar = _scalar_stepper(grid, gauge, consts, params, kinetic, potential)
+def _pauli_stepper(grid, gauge, consts, params):
+    """Componentwise scalar step between exact 2x2 rotations by the moment
+    term -(q*hbar/2m) sigma.B; with B = 0 the rotation is skipped, so each
+    component follows the scalar path bit for bit."""
+    scalar = _scalar_stepper(grid, gauge, consts, params)
     b = magnetic_field(gauge)
     strang = params.splitting_order == 2
     rotate = None
@@ -231,25 +214,6 @@ def _pauli_stepper(grid, gauge, consts, params, kinetic=True, potential=True):
         return values
 
     return step
-
-
-def pauli_step(
-    psi: SpinorField,
-    gauge: GaugeConfiguration,
-    consts: PhysicalConstants,
-    params: EvolutionParams,
-    *,
-    kinetic: bool = True,
-    potential: bool = True,
-) -> SpinorField:
-    """Componentwise scalar step wrapped in exact 2x2 rotations generated by
-    the magnetic moment term -(q*hbar/2m) sigma.B.
-
-    With B = 0 the rotation is skipped outright, so each component follows
-    the scalar path bit for bit.
-    """
-    stepper = _pauli_stepper(psi.grid, gauge, consts, params, kinetic, potential)
-    return SpinorField(psi.grid, stepper(psi.values))
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +262,9 @@ def _dirac_interaction(pot, consts, tau):
 
 
 def _dirac_stepper(grid, pot, consts, params):
-    """exp(-i*dt*H_free/hbar) per wave vector is cos(E*dt/hbar) -
-    i*sin(E*dt/hbar)*H_free/E, since H_free^2 = E^2."""
+    """One split step of i*hbar dpsi/dt = [c*alpha.(p - qA) + m*c^2*gamma^0
+    + q*phi] psi.  The free factor exp(-i*dt*H_free/hbar) per wave vector is
+    cos(E*dt/hbar) - i*sin(E*dt/hbar)*H_free/E, since H_free^2 = E^2."""
     if grid != pot.grid:
         raise ValueError("field and potential live on different grids")
     axes = tuple(range(1, grid.dim + 1))
@@ -331,17 +296,6 @@ def _dirac_stepper(grid, pot, consts, params):
     return step
 
 
-def dirac_step(
-    psi: BispinorField,
-    pot: FourPotential,
-    consts: PhysicalConstants,
-    params: EvolutionParams,
-) -> BispinorField:
-    """One split step of i*hbar dpsi/dt = [c*alpha.(p - qA) + m*c^2*gamma^0
-    + q*phi] psi; the free factor is exact in transform space."""
-    return BispinorField(psi.grid, _dirac_stepper(psi.grid, pot, consts, params)(psi.values))
-
-
 # ---------------------------------------------------------------------------
 # four-potential wave equation
 
@@ -360,18 +314,12 @@ class WaveState:
             comps = getattr(self, name)
             if len(comps) != 4:
                 raise ValueError("wave state carries exactly 4 potential components")
-            setattr(
-                self,
-                name,
-                tuple(
-                    np.broadcast_to(np.asarray(c, dtype=float), self.grid.shape)
-                    for c in comps
-                ),
-            )
+            setattr(self, name, tuple(
+                np.broadcast_to(np.asarray(c, dtype=float), self.grid.shape) for c in comps))
 
 
 def _check_cfl(grid: Grid, consts: PhysicalConstants, params: EvolutionParams):
-    limit = params.stability_factor * min(grid.spacing)
+    limit = _STABILITY * min(grid.spacing)
     if consts.c * abs(params.dt) > limit:
         raise ValueError(
             f"CFL violation: c*dt = {consts.c * abs(params.dt):.3e} "

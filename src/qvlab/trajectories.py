@@ -55,7 +55,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fields import NODE_EPSILON, VectorField, _ratio
+from .fields import NODE_EPSILON, NodeError, VectorField, _ratio
 from .lattice import Grid
 
 _MASK_REASON = "entered masked node region"
@@ -249,7 +249,7 @@ class FlowSampler:
             )
         self._floor = NODE_EPSILON * max(float(d.max()) for d in dens)
         if self._floor <= 0.0:
-            raise ValueError("density series has no support")
+            raise NodeError("flow velocity undefined: density has no support")
         self.grid = grid
         self.times = self._sampler.times
         self.lengths = np.asarray(grid.length, dtype=float)

@@ -23,6 +23,8 @@ from hypothesis import strategies as st
 
 from qvlab import cli
 from qvlab.cli import main
+from qvlab.fields import ComplexScalarField, write_snapshot
+from qvlab.lattice import make_grid
 
 
 def _write_config(path, payload):
@@ -340,6 +342,51 @@ def test_runs_that_cannot_feed_a_command_name_the_key(evolution, command, key,
     capsys.readouterr()
     assert main([command, "--config", str(cfg), "--out", out]) == 2
     assert f"config error: {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trace_dt", [None, 2e-3], ids=["default-dt", "explicit-dt"])
+def test_trace_that_cannot_span_the_run_names_the_keys(trace_dt, tmp_path, capsys):
+    # snapshots at 0, 0.002, 0.004 and 0.005: dt 0.002 cannot reach 0.005
+    payload = _traced_config()
+    payload["evolution"].update(_UNEVEN)
+    payload["trace"] = {"starts": [[4.0]]}
+    if trace_dt is not None:
+        payload["trace"]["dt"] = trace_dt
+    cfg = _write_config(tmp_path / "uneven.json", payload)
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["trace", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: config.trace.steps is required, or a config.trace.dt" in err
+    assert not (out / "trace_summary.json").exists()
+
+
+def test_trace_of_an_equally_spaced_run_spans_it(tmp_path):
+    payload = _traced_config()
+    payload["evolution"].update({"steps": 4, "snapshot_stride": 2})
+    payload["trace"] = {"starts": [[4.0]]}
+    cfg = _write_config(tmp_path / "even.json", payload)
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["trace", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "trace_summary.json").read_text(encoding="utf-8"))
+    assert (summary["dt"], summary["steps"]) == (0.002, 2)
+    assert summary["files"] == ["trace_000.csv"]
+
+
+def test_evolve_refuses_a_state_with_no_support(tmp_path, capsys):
+    payload = _small_config()
+    grid = make_grid(1, [16], [8.0])
+    write_snapshot(ComplexScalarField(grid, np.zeros(16, dtype=complex)), tmp_path / "zero.qfs")
+    payload["initial_state"] = {"preset": "custom", "path": "zero.qfs"}
+    cfg = _write_config(tmp_path / "zero.json", payload)
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: config.initial_state: " in err
+    assert "density has no support" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -110,6 +110,33 @@ def test_continuity_requires_uniform_series():
         continuity_residual([0.0, 0.1, 0.3], [f, f, f], [j, j, j])
 
 
+# one series of each time-series residual, its length off the time count
+_G16 = make_grid(1, [16], [2 * np.pi])
+_F, _J = np.ones(_G16.shape), VectorField.zero(_G16)
+_J4 = FourCurrent(_G16, np.ones(_G16.shape), (0.0, 0.0, 0.0))
+_GAUGE = GaugeConfiguration.free(_G16)
+_FRAME = MaxwellFrame(_G16, (np.zeros(_G16.shape),), (np.zeros(_G16.shape),))
+
+
+@pytest.mark.parametrize(
+    "call, name, entries, count",
+    [
+        (lambda t: continuity_residual(t, [_F] * 3, [_J] * 4), "currents", 4, 3),
+        (lambda t: four_current_divergence(t, [_J4] * 6, NAT), "currents", 6, 3),
+        (lambda t: maxwell_residuals(t, [_FRAME] * 7, NAT), "frames", 7, 3),
+        (lambda t: maxwell_residuals(t, [_FRAME] * 3, NAT), "frames", 3, 4),
+        (lambda t: gauge_residuals(t, [_GAUGE] * 5, NAT), "gauges", 5, 3),
+        (lambda t: gauge_residuals(t, [_GAUGE] * 4, NAT, [_F] * 3), "q_series", 3, 4),
+        (lambda t: em_fields(t, [_GAUGE] * 6, NAT), "gauges", 6, 3),
+    ],
+    ids=["continuity", "four_current", "maxwell_long", "maxwell_short",
+         "gauge_gauges", "gauge_q", "em_fields"],
+)
+def test_series_must_align_with_times(call, name, entries, count):
+    with pytest.raises(ValueError, match=f"^{name} has {entries} entries for {count} times$"):
+        call([0.1 * i for i in range(count)])
+
+
 # ---------------------------------------------------------------------------
 # quantum potential
 

@@ -1,4 +1,9 @@
 """The package's export list."""
+import ast
+import importlib
+import inspect
+import pathlib
+
 import qvlab
 
 
@@ -13,3 +18,31 @@ def test_em_fields_frames_are_the_one_frame_type():
     assert "EMFields" not in qvlab.__all__
     assert not hasattr(qvlab, "EMFields")
     assert {"MaxwellFrame", "maxwell_residuals", "em_fields"} <= set(qvlab.__all__)
+
+
+_LIBRARY = ("lattice", "fields", "algebra", "decomposition", "evolvers", "diagnostics",
+            "trajectories")
+
+
+def _called_names() -> set:
+    """Every name the package's own source calls, bare or as an attribute."""
+    names = set()
+    for path in pathlib.Path(qvlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                names.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return names
+
+
+def test_every_public_function_is_exported_or_used():
+    # a public function nothing exports or calls is a second entry point
+    used = set(qvlab.__all__) | _called_names()
+    orphans = [
+        f"{module}.{name}"
+        for module in _LIBRARY
+        for name, obj in vars(importlib.import_module(f"qvlab.{module}")).items()
+        if inspect.isfunction(obj) and obj.__module__ == f"qvlab.{module}"
+        and not name.startswith("_") and name not in used
+    ]
+    assert orphans == []

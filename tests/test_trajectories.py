@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qvlab.decomposition import PhysicalConstants
 from qvlab.diagnostics import quantum_force
-from qvlab.fields import ComplexScalarField, VectorField
+from qvlab.fields import ComplexScalarField, NodeError, VectorField
 from qvlab.lattice import make_grid
 from qvlab.trajectories import (
     AnalyticSampler,
@@ -236,6 +236,13 @@ def test_stationary_ground_state_is_fixed_point():
     path = advect(12.8, flow, dt=0.05, steps=20)
     assert linf(path.positions[:, 0] - 12.8) <= 1e-12
     assert not path.masked.any()
+
+
+def test_flow_of_a_zero_density_series_is_a_node_error():
+    g = make_grid(1, [16], [2 * np.pi])
+    zero_j = VectorField.zero(g)
+    with pytest.raises(NodeError, match="^flow velocity undefined: density has no support$"):
+        FlowSampler(g, [0.0, 1.0], [np.zeros(g.shape)] * 2, [zero_j] * 2)
 
 
 def test_rk4_order_on_closed_form_flow():

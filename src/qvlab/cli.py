@@ -20,6 +20,7 @@ thread pools; `import qvlab` applies it, and an invalid value exits 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -410,7 +411,6 @@ _VECTOR_POTENTIALS = {
 def _build_gauge(sec: Section, scenario: Scenario):
     u = _build(sec.section("u", {}), _POTENTIALS, scenario, "zero")
     a = _build(sec.section("a", {}), _VECTOR_POTENTIALS, scenario, "zero")
-    sec.choice("chi", ("zero",), "zero")
     b_external = _sized(sec, "b_external", "numbers", 3, None)
     sec.finish()
     return decomposition.GaugeConfiguration.assemble(
@@ -422,12 +422,9 @@ def _build_evolution(sec: Section):
     dt = sec.get("dt", "number")
     steps = sec.get("steps", "integer")
     stride = sec.get("snapshot_stride", "integer", 1)
-    order = sec.get("splitting_order", "integer", 2)
     sec.finish()
     try:
-        return evolvers.EvolutionParams(
-            dt=dt, steps=steps, snapshot_stride=stride, splitting_order=order
-        )
+        return evolvers.EvolutionParams(dt=dt, steps=steps, snapshot_stride=stride)
     except ValueError as exc:
         raise ConfigError(f"config.evolution: {exc}") from exc
 
@@ -543,6 +540,9 @@ def cmd_evolve(args, scenario: Scenario) -> int:
     elapsed = time.perf_counter() - started
 
     out = _out_dir(args, scenario)
+    # an old manifest must not list a series this run is half way to replacing
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out, "manifest.json"))
     entries = []
     for snap_time, snap in zip(trace.times, trace.snapshots):
         step = int(round(snap_time / params.dt))
@@ -772,17 +772,20 @@ def cmd_trace(args, scenario: Scenario) -> int:
     if trace_cfg["dt"] is None and len(times) < 2:
         raise ConfigError("config.trace.dt is required: the run has one snapshot")
     dt = trace_cfg["dt"] if trace_cfg["dt"] is not None else (times[1] - times[0])
-    if trace_cfg["steps"] is not None:
-        steps = trace_cfg["steps"]
-    else:
-        span = times[-1] - times[0]
+    span, rtol, steps = times[-1] - times[0], diagnostics.TIME_RTOL, trace_cfg["steps"]
+    if steps is None:
         steps = max(1, int(round(span / dt)))
-        # the tolerance _series_spacing uses for equal spacing
-        if len(times) > 1 and not math.isclose(span / dt, steps, rel_tol=1e-9):
+        if len(times) > 1 and not math.isclose(span / dt, steps, rel_tol=rtol):
             raise ConfigError(
                 f"config.trace.steps is required, or a config.trace.dt that divides "
                 f"the run's span {span:g} (dt {dt:g} leaves {span / dt:g} steps)"
             )
+    # past the last snapshot the samplers would clamp; one snapshot is static
+    elif len(times) > 1 and dt * steps > span * (1.0 + rtol):
+        raise ConfigError(
+            f"config.trace.steps and config.trace.dt carry the paths to {dt * steps:g}, "
+            f"past the run's span {span:g}"
+        )
 
     if trace_cfg["starts"] is not None:
         starts = np.atleast_2d(np.asarray(trace_cfg["starts"], dtype=float))

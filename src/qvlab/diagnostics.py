@@ -27,6 +27,7 @@ from .fields import ComplexScalarField, NodeError, VectorField, _ratio, _support
 from .lattice import Grid, _curl3, _zero_slot, divergence, spectral_gradient, spectral_laplacian
 
 _JUMP_FRACTION = 0.9  # |angle| above this multiple of pi flags a branch jump
+TIME_RTOL = 1e-9  # relative tolerance on the spacing and span of snapshot times
 
 
 @dataclass
@@ -87,7 +88,7 @@ def _series_spacing(times: Sequence[float], **series) -> float:
         if values is not None and len(values) != len(times):
             raise ValueError(f"{name} has {len(values)} entries for {len(times)} times")
     steps = np.diff(np.asarray(times, dtype=float))
-    if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+    if not np.allclose(steps, steps[0], rtol=TIME_RTOL, atol=0.0):
         raise ValueError("snapshots must be equally spaced in time")
     return float(steps[0])
 

@@ -152,6 +152,18 @@ def test_profiles_key_is_rejected(tmp_path, capsys):
     assert "unknown key config.profiles" in capsys.readouterr().err
 
 
+# keys that once selected a splitting scheme and a gauge condition, each set
+# to the one value it used to accept
+@pytest.mark.parametrize("key, value", [("evolution.splitting_order", 2), ("gauge.chi", "zero")])
+def test_retired_keys_are_unknown(key, value, tmp_path, capsys):
+    payload = _small_config()
+    _put(payload, key, value)
+    cfg = _write_config(tmp_path / "retired.json", payload)
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert f"unknown key config.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def _small_config():
     return {
         "name": "small",
@@ -226,7 +238,6 @@ _CHOICES = [
     "initial_state.branch",
     "gauge.u.preset",
     "gauge.a.preset",
-    "gauge.chi",
     "trace.method",
     "trace.interpolation",
     "fields.family",
@@ -373,6 +384,81 @@ def test_trace_of_an_equally_spaced_run_spans_it(tmp_path):
     summary = json.loads((out / "trace_summary.json").read_text(encoding="utf-8"))
     assert (summary["dt"], summary["steps"]) == (0.002, 2)
     assert summary["files"] == ["trace_000.csv"]
+
+
+# explicit trace spans against a run over 0.002 (a one-snapshot run is static)
+@pytest.mark.parametrize(
+    "evolution_steps, trace, code",
+    [(2, {"dt": 0.01, "steps": 50}, 2), (2, {"dt": 1e-3, "steps": 2}, 0),
+     (0, {"dt": 0.01, "steps": 50}, 0)],
+    ids=["past-the-run", "exact-span", "static"],
+)
+def test_explicit_trace_steps_stop_at_the_last_snapshot(evolution_steps, trace, code,
+                                                        tmp_path, capsys):
+    payload = _traced_config()
+    payload["evolution"]["steps"] = evolution_steps
+    payload["trace"].update(trace)
+    cfg = _write_config(tmp_path / "span.json", payload)
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["trace", "--config", str(cfg), "--out", str(out)]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert "config error: config.trace.steps and config.trace.dt carry the paths" in err
+        assert not (out / "trace_summary.json").exists()
+    else:
+        rows = np.loadtxt(out / "trace_000.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert rows[-1, 0] == pytest.approx(trace["dt"] * trace["steps"])
+
+
+def test_failed_evolve_leaves_no_manifest_over_new_snapshots(tmp_path, monkeypatch,
+                                                             capsys):
+    first = _traced_config()
+    second = _traced_config()
+    second["initial_state"]["k0"] = [3.0]
+    cfg = _write_config(tmp_path / "first.json", first)
+    other = _write_config(tmp_path / "second.json", second)
+    out = str(tmp_path / "run")
+    assert main(["evolve", "--config", str(cfg), "--out", out]) == 0
+    write, written = cli.fields.write_snapshot, []
+
+    def write_two(snap, path):
+        if len(written) == 2:
+            raise OSError("disk full")
+        written.append(path)
+        write(snap, path)
+
+    monkeypatch.setattr(cli.fields, "write_snapshot", write_two)
+    assert main(["evolve", "--config", str(other), "--out", out]) == 1
+    monkeypatch.undo()
+    capsys.readouterr()
+    # two of three snapshots belong to the second run: the first run's
+    # manifest must not vouch for them
+    assert main(["diagnose", "--config", str(cfg), "--out", out]) == 2
+    assert "missing run manifest" in capsys.readouterr().err
+
+
+def test_every_config_key_the_cli_reads_is_documented(tmp_path, monkeypatch):
+    read, take = set(), cli.Section.take
+
+    def recording(self, key, *default):
+        read.add(key)
+        return take(self, key, *default)
+
+    monkeypatch.setattr(cli.Section, "take", recording)
+    grid = make_grid(1, [16], [8.0])
+    write_snapshot(ComplexScalarField(grid, np.ones(16, dtype=complex)), tmp_path / "seed.qfs")
+    for section, table in _PRESET_TABLES:
+        for preset in table:
+            payload = _traced_config()
+            payload["constants"] = {"kind": "physical"}
+            _put(payload, section, {"preset": preset, **_PRESET_KEYS[(section, preset)]})
+            scenario = cli.Scenario(payload, str(tmp_path))
+            scenario.state, scenario.gauge, scenario.evolution
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    missing = sorted(k for k in read if f"`{k}`" not in readme and f'"{k}"' not in readme)
+    assert missing == []
 
 
 def test_evolve_refuses_a_state_with_no_support(tmp_path, capsys):

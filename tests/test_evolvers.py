@@ -13,7 +13,6 @@ from qvlab.evolvers import (
     EvolutionParams,
     FourPotential,
     WaveState,
-    dalembert_step,
     gps_apply,
     gps_matrix,
     run_dirac,
@@ -47,7 +46,6 @@ def test_params_validation():
         dict(good, dt=0.0),
         dict(good, steps=-1),
         dict(good, snapshot_stride=0),
-        dict(good, splitting_order=3),
     ):
         with pytest.raises(ValueError):
             EvolutionParams(**bad)
@@ -114,21 +112,6 @@ def test_coherent_state_second_order_convergence():
     coarse = _coherent_error(2e-3, 0.5)
     fine = _coherent_error(1e-3, 0.5)
     assert coarse / fine >= 3.5
-
-
-def test_lie_splitting_is_less_accurate():
-    state = CoherentState(displacement=1.0)
-    g = make_grid(1, [128], [24.0])
-    x = g.axis_coordinates(0) - 12.0
-    gauge = GaugeConfiguration.assemble(g, u=state.potential(x))
-    psi = ComplexScalarField(g, state.psi(x, 0.0))
-    errs = {}
-    for order in (1, 2):
-        trace = run_schrodinger(
-            psi, gauge, NAT, EvolutionParams(1e-3, 200, splitting_order=order)
-        )
-        errs[order] = linf(trace.snapshots[-1].values - state.psi(x, 0.2))
-    assert errs[1] > 5 * errs[2]
 
 
 def test_norm_conserved_uniform_gauge():
@@ -434,13 +417,13 @@ _split_cases = dict(
 
 
 @settings(max_examples=40, deadline=None)
-@given(steps=st.integers(1, 4), order=st.sampled_from([1, 2]), **_split_cases)
-def test_run_matches_repeated_steps(equation, shape, uniform, seed, dt, steps, order):
+@given(steps=st.integers(1, 4), **_split_cases)
+def test_run_matches_repeated_steps(equation, shape, uniform, seed, dt, steps):
     # one stepper built for the whole run against one rebuilt for every step
     state, run = _split_step_case(equation, shape, uniform, seed)
-    params = EvolutionParams(dt, steps, snapshot_stride=3, splitting_order=order)
+    params = EvolutionParams(dt, steps, snapshot_stride=3)
     trace = run(state, params)
-    one = EvolutionParams(dt, 1, splitting_order=order)
+    one = EvolutionParams(dt, 1)
     for _ in range(steps):
         state = run(state, one).snapshots[-1]
     assert trace.times[-1] == pytest.approx(steps * dt)
@@ -450,8 +433,7 @@ def test_run_matches_repeated_steps(equation, shape, uniform, seed, dt, steps, o
 @settings(max_examples=40, deadline=None)
 @given(**_split_cases)
 def test_strang_step_then_reverse_step_is_identity(equation, shape, uniform, seed, dt):
-    # Only the symmetric (Strang) composition satisfies S(-dt) = S(dt)^-1;
-    # a Lie step reversed applies its factors in the wrong order.
+    # the symmetric (Strang) composition satisfies S(-dt) = S(dt)^-1
     state, run = _split_step_case(equation, shape, uniform, seed)
     there = run(state, EvolutionParams(dt, 1)).snapshots[-1]
     back = run(there, EvolutionParams(-dt, 1)).snapshots[-1]
@@ -524,6 +506,44 @@ def test_wave_cfl_violation_raises():
         wave_initial_state(g, (zeros,) * 4, (zeros,) * 4, NAT, params)
 
 
+def test_wave_run_checks_cfl_only_when_it_steps():
+    g = make_grid(1, [64], [2 * np.pi])
+    zeros = np.zeros(g.shape)
+    state = WaveState(g, (zeros,) * 4, (zeros,) * 4, 0.0)
+    with pytest.raises(ValueError, match="CFL"):
+        run_wave(state, None, NAT, EvolutionParams(dt=0.2, steps=1))
+    trace = run_wave(state, None, NAT, EvolutionParams(dt=0.2, steps=0))
+    assert len(trace.snapshots) == 1 and trace.snapshots[0] is state
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    shape=st.sampled_from(_SHAPES),
+    sourced=st.booleans(),
+    seed=st.integers(0, 2**16),
+    dt=st.floats(1e-3, 0.05) | st.floats(-0.05, -1e-3),
+    steps=st.integers(1, 4),
+)
+def test_wave_run_matches_repeated_steps(shape, sourced, seed, dt, steps):
+    # the leapfrog stepper built for the whole run against one rebuilt for
+    # every step, with and without a source current
+    rng = np.random.default_rng(seed)
+    g = make_grid(len(shape), list(shape), [2 * np.pi] * len(shape))
+    levels = [random_band_limited(g, rng) for _ in range(8)]
+    j = None
+    if sourced:
+        j = FourCurrent(g, random_band_limited(g, rng),
+                        tuple(random_band_limited(g, rng) for _ in range(3)))
+    state = WaveState(g, tuple(levels[:4]), tuple(levels[4:]), 0.0)
+    trace = run_wave(state, j, NAT, EvolutionParams(dt, steps, snapshot_stride=3))
+    for _ in range(steps):
+        state = run_wave(state, j, NAT, EvolutionParams(dt, 1)).snapshots[-1]
+    final = trace.snapshots[-1]
+    assert final.time == state.time
+    for ours, theirs in zip(final.prev + final.curr, state.prev + state.curr):
+        assert np.array_equal(ours, theirs)
+
+
 def test_wave_energy_stays_bounded():
     g = make_grid(1, [64], [2 * np.pi])
     x = g.axis_coordinates(0)
@@ -532,10 +552,8 @@ def test_wave_energy_stays_bounded():
     state = wave_initial_state(
         g, (zeros, np.sin(3.0 * x), zeros, zeros), (zeros,) * 4, NAT, params
     )
-    peak = 0.0
-    for _ in range(params.steps):
-        state = dalembert_step(state, None, NAT, params)
-        peak = max(peak, float(np.max(np.abs(state.curr[1]))))
+    trace = run_wave(state, None, NAT, params)
+    peak = max(float(np.max(np.abs(snap.curr[1]))) for snap in trace.snapshots)
     assert peak <= 1.001
 
 

@@ -9,9 +9,9 @@
 
 Scenarios are single strict JSON documents: every key must be recognized,
 and an unknown key aborts with exit code 2 naming its path.  One scenario
-file can drive evolve, diagnose, trace, and fields in sequence; subcommand
-specific sections (diagnostics, trace, gps, fields) are checked by every
-subcommand and used only by their own.
+file can drive evolve, diagnose, trace, and fields in sequence; every
+subcommand parses every section against the schema at the end of this
+module, and uses only the sections it needs.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.  All JSON
 output is UTF-8 and newline-terminated.  QVLAB_THREADS caps the BLAS/OpenMP
@@ -28,6 +28,7 @@ import os
 import sys
 import time
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,9 +54,10 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# strict config access
+# strict config parsing
 
 _MISSING = object()
+_ZEROS = object()  # the default of a per-axis key: 0.0 on every grid axis
 
 
 def _is_number(value) -> bool:
@@ -98,68 +100,78 @@ _KINDS = {
 }
 
 
-def _choose(label: str, value, options):
-    if value is not None and value not in options:
+class _Key(NamedTuple):
+    """How one config key is read.  `kind` is a _KINDS name, a tuple of allowed
+    strings, a list of them (an array of allowed strings), a schema (a nested
+    object) or a _Presets table.  A `default` of _MISSING makes the key
+    required, and None makes it optional.  `size` is the entry count, "dim" for
+    one entry per grid axis."""
+
+    kind: object
+    default: object = _MISSING
+    size: object = None
+
+
+class _Presets(dict):
+    """preset name -> (schema of the keys the preset adds to its section,
+    builder(record, scenario))."""
+
+    def build(self, record: dict, scenario, selector: str = "preset"):
+        return self[record[selector]][1](record, scenario)
+
+
+def _value(label: str, value, kind):
+    """`value` checked and converted as `kind`: a _KINDS name, allowed strings
+    (a tuple or a preset table), or a list of allowed strings for an array."""
+    if isinstance(kind, str):
+        accepts, convert, what = _KINDS[kind]
+        if not accepts(value):
+            raise ConfigError(f"{label} must be {what}, got {json.dumps(value)}")
+        return convert(value)
+    if isinstance(kind, list):
+        names = _value(label, value, "strings")
+        return [_value(f"{label}[{index}]", name, tuple(kind))
+                for index, name in enumerate(names)]
+    value = _value(label, value, "string")
+    if value not in kind:
         raise ConfigError(
-            f"{label} must be one of {', '.join(options)}, got {json.dumps(value)}"
+            f"{label} must be one of {', '.join(kind)}, got {json.dumps(value)}"
         )
     return value
 
 
-class Section:
-    """Dict wrapper that tracks consumption so leftovers can be rejected."""
-
-    def __init__(self, data, path: str = "config"):
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path} must be a JSON object")
-        self._data = dict(data)
-        self._path = path
-
-    def label(self, key: str) -> str:
-        return f"{self._path}.{key}"
-
-    def take(self, key: str, default=_MISSING):
-        if key in self._data:
-            return self._data.pop(key)
-        if default is _MISSING:
-            raise ConfigError(f"missing required key {self.label(key)}")
-        return default
-
-    def get(self, key: str, kind: str, default=_MISSING):
-        """The value of `key` checked and converted as `kind` (see _KINDS);
-        a default of None makes the key optional."""
-        value = self.take(key, default)
+def _parse(data, schema: dict, path: str, dim) -> dict:
+    """The canonical record of the JSON object `data`: every key of `schema`
+    checked, converted and sized, with the absent ones at their defaults.  Any
+    other key is unknown.  `dim` sizes the per-axis keys; None (no grid) leaves
+    them unsized."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must be a JSON object")
+    data, record = dict(data), {}
+    keys = list(schema.items())
+    for key, (kind, default, size) in keys:  # a chosen preset appends its keys
+        label = f"{path}.{key}"
+        value = data.pop(key, default)
+        if value is _MISSING:
+            raise ConfigError(f"missing required key {label}")
+        if value is _ZEROS:
+            value = [0.0] * (dim or 0)
         if value is None and default is None:
-            return None
-        accepts, convert, what = _KINDS[kind]
-        if not accepts(value):
-            raise ConfigError(f"{self.label(key)} must be {what}, got {json.dumps(value)}")
-        return convert(value)
-
-    def choice(self, key: str, options, default=_MISSING):
-        """A string drawn from `options` (a table or tuple of names)."""
-        return _choose(self.label(key), self.get(key, "string", default), options)
-
-    def section(self, key: str, default=_MISSING):
-        value = self.take(key, default)
-        if value is None and default is None:
-            return None
-        return Section(value, self.label(key))
-
-    def finish(self) -> None:
-        if self._data:
-            key = sorted(self._data)[0]
-            raise ConfigError(f"unknown key {self.label(key)}")
-
-
-def _sized(sec: Section, key: str, kind: str, count: int, default=_MISSING):
-    """An array of `count` entries (None when optional and absent)."""
-    values = sec.get(key, kind, default)
-    if values is not None and len(values) != count:
-        raise ConfigError(
-            f"{sec.label(key)} must have {count} entries, got {json.dumps(values)}"
-        )
-    return values
+            record[key] = None
+            continue
+        if isinstance(kind, dict) and not isinstance(kind, _Presets):
+            value = _parse(value, kind, label, dim)
+        else:
+            value = _value(label, value, kind)
+            if isinstance(kind, _Presets):
+                keys.extend(kind[value][0].items())
+        count = dim if size == "dim" else size
+        if count is not None and len(value) != count:
+            raise ConfigError(f"{label} must have {count} entries, got {json.dumps(value)}")
+        record[key] = value
+    if data:
+        raise ConfigError(f"unknown key {path}.{sorted(data)[0]}")
+    return record
 
 
 def _load_config(path: str) -> dict:
@@ -185,104 +197,88 @@ def _config_sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-# the config sections that decide what `evolve` computes
-_PHYSICS = ("equation", "grid", "constants", "initial_state", "gauge", "evolution")
-
-
-def _physics_sha256(raw: dict) -> str:
-    """SHA-256 of the raw physics sections as canonical JSON."""
-    text = json.dumps({key: raw.get(key) for key in _PHYSICS}, sort_keys=True)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # scenario assembly
 
+# the parsed sections that decide what `evolve` computes, with the constants
+_PHYSICS = ("equation", "grid", "initial_state", "gauge", "evolution")
+_UNITS = ("hbar", "m", "q", "c", "eps0")
+
 
 class Scenario:
-    """Everything a subcommand may need, parsed and validated up front.  The
-    state, gauge and evolution need the grid and are built on first use."""
+    """A scenario file, parsed whole for every subcommand into one canonical
+    record, `config`.  The state, gauge and evolution need the grid and are
+    built from their records on first use."""
 
     def __init__(self, raw: dict, config_dir: str):
-        top = Section(raw)
-        self.name = top.get("name", "string", "scenario")
-        self.output = top.get("output", "string", None)
-        self.equation = top.choice("equation", _EQUATIONS, None)
-        grid_section = top.section("grid", None)
-        self.grid = None if grid_section is None else _build_grid(grid_section)
-        self.consts = _build_constants(top.section("constants", {}))
-        self._state_section = top.section("initial_state", None)
-        self._gauge_section = top.section("gauge", {})
-        self._evolution_section = top.section("evolution", None)
-        self.diagnostics = top.get("diagnostics", "strings", None)
-        for index, name in enumerate(self.diagnostics or ()):
-            _choose(f"config.diagnostics[{index}]", name, _DIAGNOSTICS)
-        self.trace = _parse_trace(top.section("trace", None))
-        self.gps = _parse_gps(top.section("gps", None))
-        fields_section = top.section("fields", {})
-        self.family = fields_section.choice("family", diagnostics.FAMILIES, "psi")
-        fields_section.finish()
-        top.finish()
+        # the grid sizes the per-axis keys, so it is read first
+        self.grid = _make_grid(raw.get("grid"))
+        dim = None if self.grid is None else self.grid.dim
+        self.config = config = _parse(raw, _CONFIG, "config", dim)
+        self.consts = _CONSTANTS.build(config["constants"], self, "kind")
+        trace = config["trace"]
+        if trace is not None:
+            starts = trace["starts"]
+            if (starts is None) == (trace["count"] is None):
+                raise ConfigError("config.trace needs exactly one of starts or count")
+            if starts is not None and dim is not None and _shape(starts)[-1] != dim:
+                raise ConfigError(f"config.trace.starts: positions need {dim} coordinates")
         self.config_dir = config_dir
-        self.physics_sha256 = _physics_sha256(raw)
+        physics = {key: config[key] for key in _PHYSICS}
+        physics["constants"] = {key: getattr(self.consts, key) for key in _UNITS}
+        text = json.dumps(physics, sort_keys=True)
+        self.physics_sha256 = hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    def require(self, attr: str, why: str):
-        value = getattr(self, attr)
+    def require(self, key: str):
+        value = self.config[key]
         if value is None:
-            raise ConfigError(f"config.{why} is required for this command")
+            raise ConfigError(f"config.{key} is required for this command")
         return value
 
     @cached_property
     def state(self):
-        section = self.require("_state_section", "initial_state")
-        self.require("grid", "grid")
-        return _build(section, _STATES, self)
+        record = self.require("initial_state")
+        self.require("grid")
+        return _STATES.build(record, self)
 
     @cached_property
     def gauge(self):
-        self.require("grid", "grid")
-        return _build_gauge(self._gauge_section, self)
+        self.require("grid")
+        record = self.config["gauge"]
+        return decomposition.GaugeConfiguration.assemble(
+            self.grid,
+            a_classical=_VECTOR_POTENTIALS.build(record["a"], self),
+            u=_POTENTIALS.build(record["u"], self),
+            b_external=record["b_external"],
+        )
 
     @cached_property
     def evolution(self):
-        return _build_evolution(self.require("_evolution_section", "evolution"))
+        try:
+            return evolvers.EvolutionParams(**self.require("evolution"))
+        except ValueError as exc:
+            raise ConfigError(f"config.evolution: {exc}") from exc
 
 
-def _build(sec: Section, table: dict, scenario: Scenario, default=_MISSING):
-    """Call the builder `table` holds for the preset `sec` names.  The builder
-    reads its own keys; any key left over is unknown."""
-    value = table[sec.choice("preset", table, default)](sec, scenario)
-    sec.finish()
-    return value
-
-
-def _build_grid(sec: Section):
-    dim = sec.get("dim", "integer")
-    n = sec.get("n", "integers")
-    length = sec.get("length", "numbers")
-    sec.finish()
+def _make_grid(data):
+    if data is None:
+        return None
     try:
-        return lattice.make_grid(dim, n, length)
+        return lattice.make_grid(**_parse(data, _GRID, "config.grid", None))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config.grid: {exc}") from exc
 
 
-def _build_constants(sec: Section):
-    kind = sec.choice("kind", ("natural", "physical"), "natural")
-    if kind == "natural":
-        sec.finish()
-        return decomposition.PhysicalConstants.natural()
-    values = {key: sec.get(key, "number", 1.0) for key in ("hbar", "m", "q", "c", "eps0")}
-    sec.finish()
+def _physical(record, scenario):
     try:
-        return decomposition.PhysicalConstants.from_physical(**values)
+        return decomposition.PhysicalConstants.from_physical(
+            **{key: record[key] for key in _UNITS})
     except ValueError as exc:
         raise ConfigError(f"config.constants: {exc}") from exc
 
 
-def _wavenumbers(sec: Section, grid):
+def _wavenumbers(mode, grid):
     """Angular wavenumbers of the integer `mode`, one per axis."""
-    mode = _sized(sec, "mode", "integers", grid.dim)
     return [2.0 * np.pi * m / L for m, L in zip(mode, grid.length)]
 
 
@@ -294,33 +290,28 @@ def _phase(grid, k_axis):
     return phase
 
 
-def _gaussian_envelope(sec: Section, grid):
+def _gaussian_envelope(record, grid):
     """Normalized packet of width `sigma` about `center` with mean wavenumber `k0`."""
-    sigma = sec.get("sigma", "positive", 1.0)
-    center = _sized(sec, "center", "numbers", grid.dim, [0.0] * grid.dim)
-    k0 = _sized(sec, "k0", "numbers", grid.dim, [0.0] * grid.dim)
+    sigma = record["sigma"]
     vals = np.ones(grid.shape, dtype=complex)
-    for axis, c0 in enumerate(center):
+    for axis, c0 in enumerate(record["center"]):
         x = grid.meshes()[axis]
         norm = (2.0 * np.pi * sigma**2) ** -0.25
         vals = vals * (norm * np.exp(-((x - c0) ** 2) / (4.0 * sigma**2)))
-    return vals * np.exp(1j * _phase(grid, k0))
+    return vals * np.exp(1j * _phase(grid, record["k0"]))
 
 
-def _plane_wave(sec: Section, scenario: Scenario):
+def _plane_wave(record, scenario: Scenario):
     grid = scenario.grid
-    phase = _phase(grid, _wavenumbers(sec, grid))
-    amplitude = sec.get("amplitude", "number", 1.0)
-    return fields.ComplexScalarField(grid, amplitude * np.exp(1j * phase))
+    phase = _phase(grid, _wavenumbers(record["mode"], grid))
+    return fields.ComplexScalarField(grid, record["amplitude"] * np.exp(1j * phase))
 
 
-def _ho_ground(sec: Section, scenario: Scenario):
-    grid, consts = scenario.grid, scenario.consts
-    omega = sec.get("omega", "positive", 1.0)
-    center = _sized(sec, "center", "numbers", grid.dim, [0.0] * grid.dim)
+def _ho_ground(record, scenario: Scenario):
+    grid, consts, omega = scenario.grid, scenario.consts, record["omega"]
     width = consts.hbar / (consts.m * omega)  # sigma^2 = hbar / (2 m omega) * 2
     vals = np.ones(grid.shape, dtype=complex)
-    for axis, c0 in enumerate(center):
+    for axis, c0 in enumerate(record["center"]):
         x = grid.meshes()[axis]
         vals = vals * (
             (consts.m * omega / (np.pi * consts.hbar)) ** 0.25
@@ -329,15 +320,14 @@ def _ho_ground(sec: Section, scenario: Scenario):
     return fields.ComplexScalarField(grid, vals)
 
 
-def _spinor_up_x(sec: Section, scenario: Scenario):
-    env = _gaussian_envelope(sec, scenario.grid) / np.sqrt(2.0)
+def _spinor_up_x(record, scenario: Scenario):
+    env = _gaussian_envelope(record, scenario.grid) / np.sqrt(2.0)
     return fields.SpinorField(scenario.grid, (env, env.copy()))
 
 
-def _dirac_plane_wave(sec: Section, scenario: Scenario):
+def _dirac_plane_wave(record, scenario: Scenario):
     grid, consts = scenario.grid, scenario.consts
-    k_axis = _wavenumbers(sec, grid)
-    branch = sec.choice("branch", ("positive", "negative"), "positive")
+    k_axis = _wavenumbers(record["mode"], grid)
     k3 = np.zeros(3)
     k3[: grid.dim] = k_axis
     p = consts.hbar * k3
@@ -345,7 +335,7 @@ def _dirac_plane_wave(sec: Section, scenario: Scenario):
     energy = np.sqrt(consts.c**2 * float(p @ p) + mc2**2)
     chi = np.array([1.0, 0.0], dtype=complex)
     sigma_p_chi = algebra.sigma_dot(p)[:, 0]
-    if branch == "positive":
+    if record["branch"] == "positive":
         spinor = np.concatenate([chi, consts.c * sigma_p_chi / (energy + mc2)])
     else:
         spinor = np.concatenate([-consts.c * sigma_p_chi / (energy + mc2), chi])
@@ -354,11 +344,10 @@ def _dirac_plane_wave(sec: Section, scenario: Scenario):
     return fields.BispinorField(grid, tuple(component * plane for component in spinor))
 
 
-def _custom(sec: Section, scenario: Scenario):
-    label = sec.label("path")
-    path = os.path.join(scenario.config_dir, sec.get("path", "string"))
+def _custom(record, scenario: Scenario):
+    label = "config.initial_state.path"
     try:
-        state = fields.read_snapshot(path)
+        state = fields.read_snapshot(os.path.join(scenario.config_dir, record["path"]))
     except (OSError, fields.SnapshotError) as exc:
         raise ConfigError(f"{label}: {exc}") from exc
     if state.grid != scenario.grid:
@@ -369,93 +358,17 @@ def _custom(sec: Section, scenario: Scenario):
     return state
 
 
-def _harmonic(sec: Section, scenario: Scenario):
+def _harmonic(record, scenario: Scenario):
     grid = scenario.grid
-    omega = sec.get("omega", "number", 1.0)
-    center = _sized(sec, "center", "numbers", grid.dim, [0.0] * grid.dim)
     u = np.zeros(grid.shape)
-    for axis, c0 in enumerate(center):
+    for axis, c0 in enumerate(record["center"]):
         u = u + (grid.meshes()[axis] - c0) ** 2
-    return 0.5 * scenario.consts.m * omega**2 * u
+    return 0.5 * scenario.consts.m * record["omega"] ** 2 * u
 
 
-def _uniform_a(sec: Section, scenario: Scenario):
+def _uniform_a(record, scenario: Scenario):
     grid = scenario.grid
-    value = _sized(sec, "value", "numbers", grid.dim)
-    return fields.VectorField(grid, tuple(np.full(grid.shape, v) for v in value))
-
-
-# preset -> builder(section, scenario), one table per preset section
-_STATES = {
-    "plane_wave": _plane_wave,
-    "gaussian": lambda sec, sc: fields.ComplexScalarField(
-        sc.grid, _gaussian_envelope(sec, sc.grid)),
-    "ho_ground": _ho_ground,
-    "spinor_up_x": _spinor_up_x,
-    "dirac_plane_wave": _dirac_plane_wave,
-    "custom": _custom,
-}
-_POTENTIALS = {
-    "zero": lambda sec, sc: np.zeros(sc.grid.shape),
-    "uniform": lambda sec, sc: np.full(sc.grid.shape, sec.get("value", "number")),
-    "harmonic": _harmonic,
-    "cosine": lambda sec, sc: sec.get("amplitude", "number", 1.0) * np.cos(
-        _phase(sc.grid, _wavenumbers(sec, sc.grid))),
-}
-_VECTOR_POTENTIALS = {
-    "zero": lambda sec, sc: fields.VectorField.zero(sc.grid),
-    "uniform": _uniform_a,
-}
-
-
-def _build_gauge(sec: Section, scenario: Scenario):
-    u = _build(sec.section("u", {}), _POTENTIALS, scenario, "zero")
-    a = _build(sec.section("a", {}), _VECTOR_POTENTIALS, scenario, "zero")
-    b_external = _sized(sec, "b_external", "numbers", 3, None)
-    sec.finish()
-    return decomposition.GaugeConfiguration.assemble(
-        scenario.grid, a_classical=a, u=u, b_external=b_external
-    )
-
-
-def _build_evolution(sec: Section):
-    dt = sec.get("dt", "number")
-    steps = sec.get("steps", "integer")
-    stride = sec.get("snapshot_stride", "integer", 1)
-    sec.finish()
-    try:
-        return evolvers.EvolutionParams(dt=dt, steps=steps, snapshot_stride=stride)
-    except ValueError as exc:
-        raise ConfigError(f"config.evolution: {exc}") from exc
-
-
-def _parse_trace(sec):
-    if sec is None:
-        return None
-    out = {
-        "method": sec.choice("method", ("advect", "force", "both"), "advect"),
-        "interpolation": sec.choice("interpolation", ("spectral", "tricubic"), "spectral"),
-        "dt": sec.get("dt", "positive", None),
-        "steps": sec.get("steps", "natural", None),
-        "starts": sec.get("starts", "points", None),
-        "count": sec.get("count", "count", None),
-    }
-    sec.finish()
-    if (out["starts"] is None) == (out["count"] is None):
-        raise ConfigError("config.trace needs exactly one of starts or count")
-    return out
-
-
-def _parse_gps(sec):
-    if sec is None:
-        return None
-    out = {
-        "order": sec.get("order", "integer"),
-        "t": sec.get("t", "number"),
-        "state": sec.get("state", "tensor", None),
-    }
-    sec.finish()
-    return out
+    return fields.VectorField(grid, tuple(np.full(grid.shape, v) for v in record["value"]))
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +388,7 @@ def _write_report(out: str, report) -> None:
 
 
 def _out_dir(args, scenario: Scenario) -> str:
-    out = args.out or scenario.output or "."
+    out = args.out or scenario.config["output"] or "."
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -520,8 +433,8 @@ _EQUATIONS = {
 
 
 def cmd_evolve(args, scenario: Scenario) -> int:
-    equation = scenario.require("equation", "equation")
-    grid = scenario.require("grid", "grid")
+    equation = scenario.require("equation")
+    grid = scenario.require("grid")
     state = scenario.state
     params = scenario.evolution
     expected, run = _EQUATIONS[equation]
@@ -550,13 +463,13 @@ def cmd_evolve(args, scenario: Scenario) -> int:
         fields.write_snapshot(snap, os.path.join(out, fname))
         entries.append({"file": fname, "step": step, "time": snap_time})
     manifest = {
-        "name": scenario.name,
+        "name": scenario.config["name"],
         "command": "evolve",
         "equation": equation,
         "config_sha256": _config_sha256(args.config),
         "physics_sha256": scenario.physics_sha256,
         "seed": args.seed,
-        "grid": {"dim": grid.dim, "n": list(grid.n), "length": list(grid.length)},
+        "grid": grid,
         "dt": params.dt,
         "steps": params.steps,
         "snapshot_stride": params.snapshot_stride,
@@ -703,7 +616,7 @@ _DIAGNOSTICS = {
 
 
 def cmd_diagnose(args, scenario: Scenario) -> int:
-    names = scenario.require("diagnostics", "diagnostics")
+    names = scenario.require("diagnostics")
     out = _out_dir(args, scenario)
     if not names:
         print("no diagnostics requested")
@@ -758,7 +671,7 @@ def _trace_em(run: Run, interpolation):
 
 
 def cmd_trace(args, scenario: Scenario) -> int:
-    trace_cfg = scenario.require("trace", "trace")
+    trace_cfg = scenario.require("trace")
     if scenario.consts.q == 0.0:
         raise ConfigError("config.constants: tracing needs q != 0")
     out = _out_dir(args, scenario)
@@ -789,10 +702,6 @@ def cmd_trace(args, scenario: Scenario) -> int:
 
     if trace_cfg["starts"] is not None:
         starts = np.atleast_2d(np.asarray(trace_cfg["starts"], dtype=float))
-        if starts.shape[1] != grid.dim:
-            raise ConfigError(
-                f"config.trace.starts: positions need {grid.dim} coordinates"
-            )
     else:
         rng = np.random.default_rng(args.seed if args.seed is not None else 0)
         starts = trajectories.sample_density(
@@ -856,7 +765,7 @@ def cmd_trace(args, scenario: Scenario) -> int:
 
 
 def cmd_fields(args, scenario: Scenario) -> int:
-    family, consts = scenario.family, scenario.consts
+    family, consts = scenario.config["fields"]["family"], scenario.consts
     if consts.q == 0.0:
         raise ConfigError("config.constants: field reports need q != 0")
     out = _out_dir(args, scenario)
@@ -900,7 +809,7 @@ def cmd_fields(args, scenario: Scenario) -> int:
 
 
 def cmd_gps(args, scenario: Scenario) -> int:
-    gps_cfg = scenario.require("gps", "gps")
+    gps_cfg = scenario.require("gps")
     try:
         matrix = evolvers.gps_matrix(gps_cfg["order"], gps_cfg["t"])
     except ValueError as exc:
@@ -961,6 +870,78 @@ def cmd_algebra_check(args, scenario) -> int:
             },
         )
     return EXIT_OK if all_pass else EXIT_RUNTIME
+
+
+# ---------------------------------------------------------------------------
+# the config schema: every key a scenario file may hold
+
+_AXES = _Key("integers", size="dim")  # an integer mode per axis
+_CENTER = _Key("numbers", _ZEROS, "dim")
+_PACKET = {"sigma": _Key("positive", 1.0), "center": _CENTER, "k0": _CENTER}
+
+_CONSTANTS = _Presets(
+    natural=({}, lambda record, sc: decomposition.PhysicalConstants.natural()),
+    physical=({key: _Key("number", 1.0) for key in _UNITS}, _physical),
+)
+_STATES = _Presets(
+    plane_wave=({"mode": _AXES, "amplitude": _Key("number", 1.0)}, _plane_wave),
+    gaussian=(_PACKET, lambda record, sc: fields.ComplexScalarField(
+        sc.grid, _gaussian_envelope(record, sc.grid))),
+    ho_ground=({"omega": _Key("positive", 1.0), "center": _CENTER}, _ho_ground),
+    spinor_up_x=(_PACKET, _spinor_up_x),
+    dirac_plane_wave=(
+        {"mode": _AXES, "branch": _Key(("positive", "negative"), "positive")},
+        _dirac_plane_wave),
+    custom=({"path": _Key("string")}, _custom),
+)
+_POTENTIALS = _Presets(
+    zero=({}, lambda record, sc: np.zeros(sc.grid.shape)),
+    uniform=({"value": _Key("number")},
+             lambda record, sc: np.full(sc.grid.shape, record["value"])),
+    harmonic=({"omega": _Key("number", 1.0), "center": _CENTER}, _harmonic),
+    cosine=({"amplitude": _Key("number", 1.0), "mode": _AXES},
+            lambda record, sc: record["amplitude"] * np.cos(
+                _phase(sc.grid, _wavenumbers(record["mode"], sc.grid)))),
+)
+_VECTOR_POTENTIALS = _Presets(
+    zero=({}, lambda record, sc: fields.VectorField.zero(sc.grid)),
+    uniform=({"value": _Key("numbers", size="dim")}, _uniform_a),
+)
+
+_GRID = {"dim": _Key("integer"), "n": _Key("integers"), "length": _Key("numbers")}
+_CONFIG = {
+    "name": _Key("string", "scenario"),
+    "output": _Key("string", None),
+    "equation": _Key(tuple(_EQUATIONS), None),
+    "grid": _Key(_GRID, None),
+    "constants": _Key({"kind": _Key(_CONSTANTS, "natural")}, {}),
+    "initial_state": _Key({"preset": _Key(_STATES)}, None),
+    "gauge": _Key({
+        "u": _Key({"preset": _Key(_POTENTIALS, "zero")}, {}),
+        "a": _Key({"preset": _Key(_VECTOR_POTENTIALS, "zero")}, {}),
+        "b_external": _Key("numbers", None, 3),
+    }, {}),
+    "evolution": _Key({
+        "dt": _Key("number"),
+        "steps": _Key("integer"),
+        "snapshot_stride": _Key("integer", 1),
+    }, None),
+    "diagnostics": _Key(list(_DIAGNOSTICS), None),
+    "trace": _Key({
+        "method": _Key(("advect", "force", "both"), "advect"),
+        "interpolation": _Key(("spectral", "tricubic"), "spectral"),
+        "dt": _Key("positive", None),
+        "steps": _Key("natural", None),
+        "starts": _Key("points", None),
+        "count": _Key("count", None),
+    }, None),
+    "gps": _Key({
+        "order": _Key("integer"),
+        "t": _Key("number"),
+        "state": _Key("tensor", None),
+    }, None),
+    "fields": _Key({"family": _Key(diagnostics.FAMILIES, "psi")}, {}),
+}
 
 
 # ---------------------------------------------------------------------------

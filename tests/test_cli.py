@@ -18,7 +18,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qvlab import cli
@@ -439,25 +439,22 @@ def test_failed_evolve_leaves_no_manifest_over_new_snapshots(tmp_path, monkeypat
     assert "missing run manifest" in capsys.readouterr().err
 
 
-def test_every_config_key_the_cli_reads_is_documented(tmp_path, monkeypatch):
-    read, take = set(), cli.Section.take
+def _schema_keys(schema):
+    """Every key a config schema declares, the keys of each preset included."""
+    for key, spec in schema.items():
+        yield key
+        if isinstance(spec.kind, cli._Presets):
+            for keys, _ in spec.kind.values():
+                yield from _schema_keys(keys)
+        elif isinstance(spec.kind, dict):
+            yield from _schema_keys(spec.kind)
 
-    def recording(self, key, *default):
-        read.add(key)
-        return take(self, key, *default)
 
-    monkeypatch.setattr(cli.Section, "take", recording)
-    grid = make_grid(1, [16], [8.0])
-    write_snapshot(ComplexScalarField(grid, np.ones(16, dtype=complex)), tmp_path / "seed.qfs")
-    for section, table in _PRESET_TABLES:
-        for preset in table:
-            payload = _traced_config()
-            payload["constants"] = {"kind": "physical"}
-            _put(payload, section, {"preset": preset, **_PRESET_KEYS[(section, preset)]})
-            scenario = cli.Scenario(payload, str(tmp_path))
-            scenario.state, scenario.gauge, scenario.evolution
+def test_every_config_key_the_cli_reads_is_documented():
+    keys = set(_schema_keys(cli._CONFIG))
+    assert {"kind", "preset", "b_external", "snapshot_stride", "eps0", "family"} <= keys
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    missing = sorted(k for k in read if f"`{k}`" not in readme and f'"{k}"' not in readme)
+    missing = sorted(k for k in keys if f"`{k}`" not in readme and f'"{k}"' not in readme)
     assert missing == []
 
 
@@ -543,6 +540,35 @@ def test_mutated_configs_exit_0_or_2_without_a_traceback(payload):
             assert "Traceback" not in err.getvalue()
 
 
+# the fuzz pool's objects, and the sections it leaves at their defaults
+_EXTRA_KEY_OBJECTS = _FUZZ_OBJECTS + ["constants", "gauge", "gauge.u", "gauge.a", "fields"]
+
+
+@pytest.mark.parametrize("section", _EXTRA_KEY_OBJECTS)
+@pytest.mark.parametrize("command", ["evolve", "diagnose", "trace", "fields", "gps"])
+def test_every_command_refuses_an_unknown_key_in_every_section(command, section, tmp_path,
+                                                               capsys):
+    payload = _traced_config()
+    key = f"{section}.extra" if section else "extra"
+    _put(payload, key, 1)
+    cfg = _write_config(tmp_path / "extra.json", payload)
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config error: unknown key config.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_trace_starts_are_checked_against_the_grid_before_evolve_runs(tmp_path, capsys):
+    payload = _traced_config()
+    payload["trace"]["starts"] = [[1.0, 2.0]]
+    cfg = _write_config(tmp_path / "starts.json", payload)
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: config.trace.starts: positions need 1 coordinates" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # diagnose
 
@@ -602,6 +628,85 @@ def test_diagnose_refuses_a_run_evolved_under_other_physics(oscillator_run, tmp_
     err = capsys.readouterr().err
     assert recorded in err and wanted in err
     assert "re-run evolve" in err
+
+
+def _physics_hash(payload):
+    return cli.Scenario(payload, ".").physics_sha256
+
+
+_UNIT_NAMES = ("hbar", "m", "q", "c", "eps0")
+# physics keys _small_config leaves out or spells one way, and other spellings
+# of the same value: defaults written out, and integers for numbers
+_SPELLINGS = {
+    "gauge": [{}],
+    "constants": [{"kind": "natural"}, {"kind": "physical"},
+                  {"kind": "physical", **dict.fromkeys(_UNIT_NAMES, 1)}],
+    "gauge.u": [{"preset": "zero"}],
+    "gauge.a": [{"preset": "zero"}],
+    "gauge.b_external": [None],
+    "grid.length": [[8]],
+    "initial_state.sigma": [1.0, 1],
+    "initial_state.center": [[4]],
+    "initial_state.k0": [[0.0], [0]],
+    "evolution.snapshot_stride": [1],
+}
+
+
+@st.composite
+def _respelled_configs(draw):
+    payload = _small_config()
+    for path, spellings in _SPELLINGS.items():
+        index = draw(st.integers(-1, len(spellings) - 1))  # -1 keeps the base's
+        if index >= 0:
+            _put(payload, path, spellings[index])
+    return payload
+
+
+def _respelled(path, value):
+    payload = _small_config()
+    _put(payload, path, value)
+    return payload
+
+
+@settings(max_examples=80, deadline=None)
+@given(payload=_respelled_configs())
+@example(payload=_respelled("gauge", {}))
+@example(payload=_respelled("constants", {"kind": "natural"}))
+@example(payload=_respelled("constants", {"kind": "physical"}))
+@example(payload=_respelled("evolution.snapshot_stride", 1))
+@example(payload=_respelled("initial_state.sigma", 1.0))
+def test_physics_hash_ignores_how_the_same_physics_is_spelled(payload):
+    assert _physics_hash(payload) == _physics_hash(_small_config())
+
+
+_NUMBERS = st.floats(-50.0, 50.0).filter(bool)
+_POSITIVE = st.floats(0.01, 50.0)
+# one physics value of _small_config changed, by path
+_CHANGES = {
+    "equation": st.sampled_from(["pauli", "dirac"]),
+    "grid.n": st.integers(4, 64).filter(lambda n: n != 16).map(lambda n: [n]),
+    "grid.length": _POSITIVE.filter(lambda v: v != 8.0).map(lambda v: [v]),
+    **{f"constants.{name}": _POSITIVE.filter(lambda v: v != 1.0) for name in _UNIT_NAMES},
+    "initial_state.sigma": _POSITIVE.filter(lambda v: v != 1.0),
+    "initial_state.center": _NUMBERS.filter(lambda v: v != 4.0).map(lambda v: [v]),
+    "initial_state.k0": _NUMBERS.map(lambda v: [v]),
+    "gauge.u": _NUMBERS.map(lambda v: {"preset": "uniform", "value": v}),
+    "gauge.a": _NUMBERS.map(lambda v: {"preset": "uniform", "value": [v]}),
+    "gauge.b_external": st.tuples(_NUMBERS, _NUMBERS, _NUMBERS).map(list),
+    "evolution.dt": _NUMBERS.filter(lambda v: v != 1e-3),
+    "evolution.steps": st.integers(2, 100),
+    "evolution.snapshot_stride": st.integers(2, 100),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(path=st.sampled_from(sorted(_CHANGES)), data=st.data())
+def test_physics_hash_changes_with_any_physics_value(path, data):
+    payload = _small_config()
+    if path.startswith("constants."):
+        payload["constants"] = {"kind": "physical"}
+    _put(payload, path, data.draw(_CHANGES[path]))
+    assert _physics_hash(payload) != _physics_hash(_small_config())
 
 
 def test_diagnose_refuses_a_manifest_without_physics_hash(oscillator_run, tmp_path,

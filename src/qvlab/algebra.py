@@ -56,11 +56,16 @@ def sigma_parts(v) -> tuple:
     return vz, vx - 1j * vy, vx + 1j * vy
 
 
-def sigma_apply(parts, values) -> np.ndarray:
-    """sigma.v, given as sigma_parts(v), applied to a two-component array."""
+def sigma_apply(parts, values, out, scratch) -> None:
+    """Write sigma.v, given as sigma_parts(v), applied to the two-component
+    `values` into the pair `out`, which shares no memory with `values`;
+    `scratch` is workspace the shape of one component."""
     vz, minus, plus = parts
     up, down = values
-    return np.stack([vz * up + minus * down, plus * up - vz * down])
+    np.multiply(vz, up, out=out[0])
+    out[0] += np.multiply(minus, down, out=scratch)
+    np.multiply(plus, up, out=out[1])
+    out[1] -= np.multiply(vz, down, out=scratch)
 
 
 def sigma_dot(x) -> np.ndarray:

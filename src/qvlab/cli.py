@@ -223,6 +223,8 @@ class Scenario:
                 raise ConfigError("config.trace needs exactly one of starts or count")
             if starts is not None and dim is not None and _shape(starts)[-1] != dim:
                 raise ConfigError(f"config.trace.starts: positions need {dim} coordinates")
+        # the step parameters are cheap, so every subcommand checks them
+        self._evolution = _evolution_params(config["evolution"])
         self.config_dir = config_dir
         physics = {key: config[key] for key in _PHYSICS}
         physics["constants"] = {key: getattr(self.consts, key) for key in _UNITS}
@@ -252,12 +254,19 @@ class Scenario:
             b_external=record["b_external"],
         )
 
-    @cached_property
+    @property
     def evolution(self):
-        try:
-            return evolvers.EvolutionParams(**self.require("evolution"))
-        except ValueError as exc:
-            raise ConfigError(f"config.evolution: {exc}") from exc
+        self.require("evolution")
+        return self._evolution
+
+
+def _evolution_params(record):
+    if record is None:
+        return None
+    try:
+        return evolvers.EvolutionParams(**record)
+    except ValueError as exc:
+        raise ConfigError(f"config.evolution: {exc}") from exc
 
 
 def _make_grid(data):

@@ -10,17 +10,27 @@ is folded into it, so the whole step is exact; otherwise it is applied through
 the series of its generator, summed until the terms fall below roundoff.  The
 spinor step wraps that machinery componentwise between exact 2x2 rotations
 for the magnetic moment term, and the bispinor step pairs a closed-form free
-propagator (H_free^2 is scalar in transform space, so it is applied per
-component without a matrix field) with a pointwise closed-form interaction
-exponential.  Each split step is Strang's symmetric composition, the outer
-factors for dt/2 on either side of the inner one, so a step of -dt undoes a
-step of dt.
+propagator (H_free^2 is scalar in transform space, so it is applied entry by
+entry to the transformed components without a matrix field) with a pointwise
+closed-form interaction exponential.  Each split step is Strang's symmetric
+composition, the outer factor for dt/2 on either side of the inner one, so a
+step of -dt undoes a step of dt.
 
 Each equation has one stepper, built once per run: its factory computes every
 factor fixed for the run (for the leapfrog, the CFL check and the source) and
-returns a closure that advances the state one step.  The run_* functions share
-one loop, which builds no stepper for a run of zero steps; a single step is the
-last snapshot of a one-step run.
+returns a function that advances the state a given number of steps.  The
+run_* functions share one loop, which advances one snapshot stride at a time
+and builds no stepper for a run of zero steps; a single step is the last
+snapshot of a one-step run.
+
+Between two snapshots the k split steps run as one block,
+O(dt/2) . I . [O(dt) . I]^(k-1) . O(dt/2), with O the outer factor and I the
+inner one: the outer halves of adjacent steps are pointwise exponentials of
+one generator fixed for the run, so they merge into one outer factor of dt
+(McLachlan & Quispel, Acta Numerica 11, 2002).  Every snapshot is still an
+exact Strang state, so a block of -dt undoes a block of dt; the merged factor
+rounds differently from two halves, so the states differ from step-by-step
+composition by roundoff.
 """
 from __future__ import annotations
 
@@ -68,24 +78,64 @@ class EvolutionTrace:
 
 
 def _run(state, params: EvolutionParams, build, clock=None) -> EvolutionTrace:
-    """Advance `state` with the stepper `build()` returns, built only when
-    there is a step to take; snapshot times are step*dt unless `clock` reads
-    them off the state."""
+    """Advance `state` one snapshot stride at a time with the stepper
+    `build()` returns, advance(state, steps), built only when there is a
+    step to take; snapshot times are step*dt unless `clock` reads them off
+    the state."""
     trace = EvolutionTrace([], [])
+    step = 0
     advance = build() if params.steps else None
-    for step in range(params.steps + 1):
-        if step:
-            state = advance(state)
-        if step % params.snapshot_stride == 0 or step == params.steps:
-            trace.times.append(clock(state) if clock else step * params.dt)
-            trace.snapshots.append(state)
-    return trace
+    while True:
+        trace.times.append(clock(state) if clock else step * params.dt)
+        trace.snapshots.append(state)
+        if step == params.steps:
+            return trace
+        stride = min(params.snapshot_stride, params.steps - step)
+        state = advance(state, stride)
+        step += stride
 
 
-def _on_field(psi, stepper):
+def _on_field(psi, advance):
     """Lift a values -> values stepper to fields of psi's type and grid."""
     cls, grid = type(psi), psi.grid
-    return lambda field: cls(grid, stepper(field.values))
+    return lambda field, steps: cls(grid, advance(field.values, steps))
+
+
+def _strang(half, full, inner):
+    """The block stepper of one Strang scheme.  Each factor writes
+    factor(src) into dst, which shares no memory with src; `half` and `full`
+    are the outer factor for dt/2 and dt and leave src intact, `inner` may
+    overwrite src.  A block writes into one new array and works in one more,
+    kept for the run."""
+    work = None
+
+    def advance(values, steps):
+        nonlocal work
+        if work is None:
+            work = np.empty_like(values)
+        out = np.empty_like(values)
+        half(values, out)
+        for step in range(steps):
+            if step:
+                full(work, out)
+            inner(out, work)
+        half(work, out)
+        return out
+
+    return advance
+
+
+def _phase(phase):
+    """The outer factor that multiplies by a pointwise phase."""
+    return lambda src, dst: np.multiply(src, phase, out=dst)
+
+
+def _pair_factor(diag, parts, near, far, out, scratch):
+    """out = diag*near + (sigma.s) far on two-component arrays, the entries
+    of sigma.s given as sigma_parts(s)."""
+    sigma_apply(parts, far, out, scratch)
+    for comp, src in zip(out, near):
+        comp += np.multiply(diag, src, out=scratch)
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +179,11 @@ def _apply_cross(values, grid, a, coeff):
             return out
 
 
-def _scalar_stepper(grid, gauge, consts, params):
-    """One split step of i*hbar dpsi/dt = [(p - qA)^2/(2m) + U] psi; exact to
-    roundoff when A and U are uniform, unitary to roundoff whenever A is."""
+def _scalar_factors(grid, gauge, consts, params):
+    """The Strang factors of i*hbar dpsi/dt = [(p - qA)^2/(2m) + U] psi: the
+    potential phase for dt/2 and dt, and the kinetic multiplier between the
+    cross halves.  Exact to roundoff when A and U are uniform, unitary to
+    roundoff whenever A is."""
     if grid != gauge.grid:
         raise ValueError("field and gauge configuration live on different grids")
     dt = params.dt
@@ -142,7 +194,8 @@ def _scalar_stepper(grid, gauge, consts, params):
             "potential phase exceeds 0.5 rad per step; splitting accuracy degrades",
             RuntimeWarning,
         )
-    v_phase = np.exp(-1j * tau * v * consts.beta)
+    half = np.exp(-1j * tau * v * consts.beta)
+    full = np.exp(-1j * dt * v * consts.beta)
     k_phase = np.exp(-1j * dt * consts.hbar * k_squared(grid) / (2.0 * consts.m))
     coeff = None
     uniform = _uniform_components(gauge.a_psi)
@@ -154,16 +207,21 @@ def _scalar_stepper(grid, gauge, consts, params):
         shift = sum(a * _kmesh(grid, axis, True) for axis, a in enumerate(uniform))
         k_phase = k_phase * np.exp(1j * dt * (consts.q / consts.m) * shift)
 
-    def step(values):
-        values = values * v_phase
+    def inner(src, dst):
         if coeff is not None:
-            values = _apply_cross(values, grid, gauge.a_psi.components, coeff)
-        values = np.fft.ifftn(k_phase * np.fft.fftn(values))
+            src = _apply_cross(src, grid, gauge.a_psi.components, coeff)
+        np.fft.fftn(src, out=dst)
+        dst *= k_phase
+        np.fft.ifftn(dst, out=dst)
         if coeff is not None:
-            values = _apply_cross(values, grid, gauge.a_psi.components, coeff)
-        return values * v_phase
+            dst[...] = _apply_cross(dst, grid, gauge.a_psi.components, coeff)
 
-    return step
+    return half, full, inner
+
+
+def _scalar_stepper(grid, gauge, consts, params):
+    half, full, inner = _scalar_factors(grid, gauge, consts, params)
+    return _strang(_phase(half), _phase(full), inner)
 
 
 def magnetic_field(gauge: GaugeConfiguration) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -175,40 +233,40 @@ def magnetic_field(gauge: GaugeConfiguration) -> tuple[np.ndarray, np.ndarray, n
     return b
 
 
-def _spin_rotation(b, consts, tau):
-    # exp(i*theta*sigma.n) = cos(theta) + i*sin(theta)*sigma.n with
-    # theta = (q*tau/2m)|B|; the sin(theta)/|B| factor tends to q*tau/2m.
+def _spin_factor(b, consts, tau, phase, scratch):
+    """The pointwise 2x2 factor R.V: the rotation
+    R = exp(i*theta*sigma.n) = cos(theta) + i*sin(theta)*sigma.n with
+    theta = (q*tau/2m)|B| times the potential phase V, which commutes with
+    it; the sin(theta)/|B| factor tends to q*tau/2m."""
     coeff = consts.q * tau / (2.0 * consts.m)
     bmag = np.sqrt(b[0] ** 2 + b[1] ** 2 + b[2] ** 2)
     theta = coeff * bmag
-    cos = np.cos(theta)
+    diag = phase * np.cos(theta)
     safe = np.where(bmag > 0.0, bmag, 1.0)
-    scale = 1j * np.where(bmag > 0.0, np.sin(theta) / safe, coeff)
-    sigma_b = sigma_parts([scale * comp for comp in b])
-    return lambda values: cos * values + sigma_apply(sigma_b, values)
+    scale = 1j * phase * np.where(bmag > 0.0, np.sin(theta) / safe, coeff)
+    parts = sigma_parts([scale * comp for comp in b])
+    return lambda src, dst: _pair_factor(diag, parts, src, src, dst, scratch)
 
 
 def _pauli_stepper(grid, gauge, consts, params):
-    """Componentwise scalar step between exact 2x2 rotations by the moment
-    term -(q*hbar/2m) sigma.B; with B = 0 the rotation is skipped, so each
+    """Componentwise scalar inner factor between pointwise 2x2 factors R.V,
+    R the rotation by the moment term -(q*hbar/2m) sigma.B and V the
+    potential phase; with B = 0 the outer factor is V alone, so each
     component follows the scalar path bit for bit."""
     # Built before B: B first moves where the fixed arrays land, and a 2D
     # Pauli step then took 1248 page faults instead of 496.
-    scalar = _scalar_stepper(grid, gauge, consts, params)
+    half, full, scalar_inner = _scalar_factors(grid, gauge, consts, params)
     b = magnetic_field(gauge)
-    rotate = None
-    if any(np.any(comp) for comp in b):
-        rotate = _spin_rotation(b, consts, 0.5 * params.dt)
 
-    def step(values):
-        if rotate is not None:
-            values = rotate(values)
-        values = np.stack([scalar(comp) for comp in values])
-        if rotate is not None:
-            values = rotate(values)
-        return values
+    def inner(src, dst):
+        for comp, out in zip(src, dst):
+            scalar_inner(comp, out)
 
-    return step
+    if not any(np.any(comp) for comp in b):
+        return _strang(_phase(half), _phase(full), inner)
+    scratch = np.empty(grid.shape, dtype=complex)
+    return _strang(_spin_factor(b, consts, 0.5 * params.dt, half, scratch),
+                   _spin_factor(b, consts, params.dt, full, scratch), inner)
 
 
 # ---------------------------------------------------------------------------
@@ -237,32 +295,44 @@ class FourPotential:
         return cls(grid, z, (z, z, z))
 
 
-def _alpha_dot(parts, values) -> np.ndarray:
-    """alpha.v on a bispinor: sigma.v with the upper and lower pairs swapped."""
-    return np.concatenate([sigma_apply(parts, values[2:]), sigma_apply(parts, values[:2])])
+def _dirac_factor(upper, lower, parts, scratch):
+    """The 4x4 factor [[upper, sigma.s], [sigma.s, lower]] on bispinor
+    arrays, upper and lower multiplying the identity and the entries of
+    sigma.s given as sigma_parts(s)."""
+
+    def apply(src, dst):
+        _pair_factor(upper, parts, src[:2], src[2:], dst[:2], scratch)
+        _pair_factor(lower, parts, src[2:], src[:2], dst[2:], scratch)
+
+    return apply
 
 
-def _dirac_interaction(pot, consts, tau):
+def _dirac_interaction(pot, consts, tau, scratch):
     """Pointwise exp(-(i*tau/hbar)(q*phi - q*c*alpha.A)); (alpha.A)^2 = |A|^2
-    collapses the exponential to a cosine/sine pair."""
+    collapses the exponential to a cosine/sine pair, and with A = 0 it is
+    the scalar phase."""
+    scalar = np.exp(-1j * consts.q * tau * consts.beta * pot.phi)
+    if not any(np.any(c) for c in pot.a):
+        return _phase(scalar)
     a1, a2, a3 = pot.a
     amag = np.sqrt(a1**2 + a2**2 + a3**2)
     w = consts.q * consts.c * tau * consts.beta * amag
     safe = np.where(amag > 0.0, amag, 1.0)
     scale = 1j * np.where(amag > 0.0, np.sin(w) / safe, consts.q * consts.c * tau * consts.beta)
-    scalar = np.exp(-1j * consts.q * tau * consts.beta * pot.phi)
     diag = scalar * np.cos(w)
-    sigma_a = sigma_parts([scalar * scale * comp for comp in pot.a])
-    return lambda values: diag * values + _alpha_dot(sigma_a, values)
+    parts = sigma_parts([scalar * scale * comp for comp in pot.a])
+    return _dirac_factor(diag, diag, parts, scratch)
 
 
 def _dirac_stepper(grid, pot, consts, params):
-    """One split step of i*hbar dpsi/dt = [c*alpha.(p - qA) + m*c^2*gamma^0
-    + q*phi] psi.  The free factor exp(-i*dt*H_free/hbar) per wave vector is
-    cos(E*dt/hbar) - i*sin(E*dt/hbar)*H_free/E, since H_free^2 = E^2."""
+    """Strang steps of i*hbar dpsi/dt = [c*alpha.(p - qA) + m*c^2*gamma^0
+    + q*phi] psi, the free factor inside.  The free factor
+    exp(-i*dt*H_free/hbar) per wave vector is
+    cos(E*dt/hbar) - i*sin(E*dt/hbar)*H_free/E, since H_free^2 = E^2; its
+    entries are cos -+ i*sinc*m*c^2 on the diagonal blocks and
+    -i*sinc*sigma.(c*hbar*k) off them, sinc = sin(E*dt/hbar)/E."""
     if grid != pot.grid:
         raise ValueError("field and potential live on different grids")
-    axes = tuple(range(1, grid.dim + 1))
     dt = params.dt
     kvecs = [_kmesh(grid, axis, True) if axis < grid.dim else 0.0 for axis in range(3)]
     k2 = sum(kv**2 for kv in kvecs[: grid.dim])
@@ -271,23 +341,20 @@ def _dirac_stepper(grid, pot, consts, params):
     phase = dt * energy * consts.beta
     cos = np.cos(phase)
     isinc = -1j * np.sin(phase) / energy
-    sigma_k = sigma_parts([consts.c * consts.hbar * kv for kv in kvecs])
-    mass = np.array([mc2, mc2, -mc2, -mc2]).reshape((4,) + (1,) * grid.dim)
-    interaction = None
-    if np.any(pot.phi) or any(np.any(c) for c in pot.a):
-        interaction = _dirac_interaction(pot, consts, 0.5 * dt)
+    scratch = np.empty(grid.shape, dtype=complex)
+    free = _dirac_factor(
+        cos + isinc * mc2, cos - isinc * mc2,
+        sigma_parts([isinc * consts.c * consts.hbar * kv for kv in kvecs]), scratch)
 
-    def step(values):
-        if interaction is not None:
-            values = interaction(values)
-        hat = np.fft.fftn(values, axes=axes)
-        hat = cos * hat + isinc * (_alpha_dot(sigma_k, hat) + mass * hat)
-        values = np.fft.ifftn(hat, axes=axes)
-        if interaction is not None:
-            values = interaction(values)
-        return values
+    def inner(src, dst):
+        for comp in src:
+            np.fft.fftn(comp, out=comp)
+        free(src, dst)
+        for comp in dst:
+            np.fft.ifftn(comp, out=comp)
 
-    return step
+    return _strang(_dirac_interaction(pot, consts, 0.5 * dt, scratch),
+                   _dirac_interaction(pot, consts, dt, scratch), inner)
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +432,16 @@ def _wave_stepper(grid, j, consts, params):
     source = _current_components(j, grid)
     step2 = (consts.c * params.dt) ** 2
 
-    def step(state):
-        nxt = tuple(
-            2.0 * c - p + step2 * (spectral_laplacian(c, grid) + consts.mu0 * s)
-            for p, c, s in zip(state.prev, state.curr, source)
-        )
-        return WaveState(grid, state.curr, nxt, state.time + params.dt)
+    def advance(state, steps):
+        for _ in range(steps):
+            nxt = tuple(
+                2.0 * c - p + step2 * (spectral_laplacian(c, grid) + consts.mu0 * s)
+                for p, c, s in zip(state.prev, state.curr, source)
+            )
+            state = WaveState(grid, state.curr, nxt, state.time + params.dt)
+        return state
 
-    return step
+    return advance
 
 
 # ---------------------------------------------------------------------------

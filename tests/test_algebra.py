@@ -10,7 +10,9 @@ from qvlab.algebra import (
     pauli,
     phase_matrix,
     quaternion_embed,
+    sigma_apply,
     sigma_dot,
+    sigma_parts,
 )
 from qvlab.lattice import curl, make_grid, spectral_gradient
 from util import linf, random_band_limited
@@ -65,6 +67,16 @@ def test_sigma_dot_broadcasts_over_fields():
     sb = sigma_dot(b)
     assert sb.shape == (2, 2, 4, 4)
     assert np.array_equal(sb[:, :, 2, 1], pauli(3))
+
+
+def test_sigma_apply_writes_the_sigma_dot_product():
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    values = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+    out = np.full((2, 5), np.nan, dtype=complex)
+    sigma_apply(sigma_parts(v), values, out, np.empty(5, dtype=complex))
+    expected = np.einsum("ab...,b...->a...", sigma_dot(v), values)
+    assert linf(out - expected) <= 1e-15
 
 
 def test_quaternion_identity_embeds_to_identity():

@@ -721,6 +721,17 @@ def test_diagnose_refuses_a_manifest_without_physics_hash(oscillator_run, tmp_pa
     assert "re-run evolve" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evolve", "diagnose", "trace", "fields", "gps"])
+def test_every_command_refuses_a_zero_step(command, tmp_path, capsys):
+    payload = _gaussian_config()
+    payload["evolution"] = {"dt": 0, "steps": 1}
+    cfg = _write_config(tmp_path / "still.json", payload)
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config.evolution: dt must be nonzero and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["trace", "fields"])
 def test_zero_charge_fails_before_reading_the_run(command, tmp_path, capsys):
     payload = _gaussian_config()

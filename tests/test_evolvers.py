@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qvlab import evolvers
+from qvlab.algebra import dirac_gamma
 from qvlab.decomposition import FourCurrent, GaugeConfiguration, PhysicalConstants
 from qvlab.evolvers import (
     EvolutionParams,
@@ -329,20 +330,59 @@ def test_dirac_rest_spinors_carry_rest_energy_phase():
     assert linf(out.values[2] - np.exp(+1j * dt) * ones) <= 1e-14
 
 
-def test_dirac_step_unitary_and_reversible_with_potentials():
+@pytest.mark.parametrize("vector", [True, False], ids=["phi-and-a", "phi-only"])
+def test_dirac_step_unitary_and_reversible_with_potentials(vector):
+    # with A = 0 the interaction is the scalar phase of phi alone
     rng = np.random.default_rng(31)
     g = make_grid(1, [64], [2 * np.pi])
     x = g.axis_coordinates(0)
     vals = np.stack(
         [random_band_limited(g, rng, complex_valued=True) for _ in range(4)]
     )
-    pot = FourPotential(g, 0.3 * np.cos(x), (0.2 * np.sin(x), 0.0, 0.1 * np.cos(x)))
+    a = (0.2 * np.sin(x), 0.0, 0.1 * np.cos(x)) if vector else (0.0, 0.0, 0.0)
+    pot = FourPotential(g, 0.3 * np.cos(x), a)
     psi = BispinorField(g, vals)
     n0 = _norm(vals, g)
     out = run_dirac(psi, pot, NAT, EvolutionParams(dt=0.01, steps=100)).snapshots[-1]
     assert abs(_norm(out.values, g) - n0) <= 1e-12
     back = _step(run_dirac, _step(run_dirac, psi, pot, 0.01), pot, -0.01)
     assert linf(back.values - vals) <= 1e-12
+
+
+def test_dirac_free_factor_is_the_exact_exponential():
+    # A one-step free run of e_j at the origin, whose transform is 1 at
+    # every k, transforms to column j of exp(-i*dt*H_free(k)/hbar) at every
+    # k of an even/odd grid; the reference diagonalises the dense 4x4
+    # alpha.(c*hbar*k) + beta*m*c^2.  Each k drops its Nyquist components,
+    # as every first-derivative multiplier does.
+    consts = PhysicalConstants.from_physical(hbar=0.7, m=1.3, q=1.0, c=2.0)
+    g = make_grid(3, [6, 5, 4], [2.0, 3.0, 2.5])
+    dt = 0.3
+    columns = []
+    for j in range(4):
+        vals = np.zeros((4, *g.shape), dtype=complex)
+        vals[j, 0, 0, 0] = 1.0
+        out = run_dirac(BispinorField(g, vals), FourPotential.free(g), consts,
+                        EvolutionParams(dt, 1)).snapshots[-1]
+        columns.append(np.fft.fftn(out.values, axes=(1, 2, 3)))
+    factor = np.stack(columns, axis=1)
+    beta = dirac_gamma(0)
+    alphas = [beta @ dirac_gamma(a) for a in (1, 2, 3)]
+    wavenumbers = []
+    for n, length in zip(g.n, g.length):
+        k = 2 * np.pi * np.fft.fftfreq(n, d=length / n)
+        if n % 2 == 0:
+            k[n // 2] = 0.0
+        wavenumbers.append(k)
+    worst = 0.0
+    for idx in np.ndindex(g.shape):
+        k = [wavenumbers[a][i] for a, i in enumerate(idx)]
+        h = consts.c * consts.hbar * sum(ka * al for ka, al in zip(k, alphas))
+        h = h + consts.m * consts.c**2 * beta
+        energies, vecs = np.linalg.eigh(h)
+        exact = vecs @ np.diag(np.exp(-1j * dt * energies / consts.hbar)) @ vecs.conj().T
+        worst = max(worst, linf(factor[(slice(None), slice(None), *idx)] - exact))
+    assert worst <= 1e-13
 
 
 def test_dirac_uniform_scalar_potential_exact_phase():
@@ -417,11 +457,13 @@ _split_cases = dict(
 
 
 @settings(max_examples=40, deadline=None)
-@given(steps=st.integers(1, 4), **_split_cases)
-def test_run_matches_repeated_steps(equation, shape, uniform, seed, dt, steps):
-    # one stepper built for the whole run against one rebuilt for every step
+@given(steps=st.integers(1, 4), stride=st.sampled_from([1, 2, 3, 5]), **_split_cases)
+def test_run_matches_repeated_steps(equation, shape, uniform, seed, dt, steps, stride):
+    # one stepper built for the whole run, stepping a stride per block with
+    # the outer factors of adjacent steps merged, against one rebuilt for
+    # every step
     state, run = _split_step_case(equation, shape, uniform, seed)
-    params = EvolutionParams(dt, steps, snapshot_stride=3)
+    params = EvolutionParams(dt, steps, snapshot_stride=stride)
     trace = run(state, params)
     one = EvolutionParams(dt, 1)
     for _ in range(steps):
@@ -437,6 +479,18 @@ def test_strang_step_then_reverse_step_is_identity(equation, shape, uniform, see
     state, run = _split_step_case(equation, shape, uniform, seed)
     there = run(state, EvolutionParams(dt, 1)).snapshots[-1]
     back = run(there, EvolutionParams(-dt, 1)).snapshots[-1]
+    assert linf(back.values - state.values) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.integers(1, 6), stride=st.sampled_from([2, 3, 5]), **_split_cases)
+def test_block_run_then_reverse_run_is_identity(equation, shape, uniform, seed, dt, steps,
+                                                stride):
+    # every block is a power of the Strang step, so a run of -dt undoes a
+    # run of dt block by block
+    state, run = _split_step_case(equation, shape, uniform, seed)
+    there = run(state, EvolutionParams(dt, steps, snapshot_stride=stride)).snapshots[-1]
+    back = run(there, EvolutionParams(-dt, steps, snapshot_stride=stride)).snapshots[-1]
     assert linf(back.values - state.values) <= 1e-12
 
 

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fields import ComplexScalarField, SpinorField, BispinorField, VectorField, _component_list, _ratio, _support, density
-from .lattice import Grid, divergence, k_squared, spectral_gradient
+from .lattice import _INV_LAP, Grid, _spectral, divergence, spectral_gradient
 
 _REL_TOL = 1e-12
 
@@ -284,15 +284,10 @@ def helmholtz_split(
         raise ValueError(
             f"non-solvable source: k=0 mode of div v - gamma*chi is {mean:.3e}"
         )
-    # div v = -alpha*Lap(Phi) + gamma*chi  =>  -|k|^2 Phi_hat = -source_hat/alpha
-    k2 = k_squared(grid).copy()
-    k2.flags.writeable = True
-    k2[(0,) * grid.dim] = 1.0  # guard; the k=0 numerator is zeroed below
-    src_hat = np.fft.fftn(source)
-    phi_hat = src_hat / (consts.alpha * k2)
-    phi_hat[(0,) * grid.dim] = 0.0
-    phi = np.fft.ifftn(phi_hat).real
-    grad_phi = spectral_gradient(phi, grid)
+    # div v = -alpha*Lap(Phi) + gamma*chi  =>  Phi = -Lap^-1(source)/alpha,
+    # with the k = 0 mode of Phi pinned to zero
+    outputs = [[(0, _INV_LAP)]] + [[(0, axis, _INV_LAP)] for axis in range(grid.dim)]
+    phi, *grad_phi = (-p / consts.alpha for p in _spectral([source], grid, outputs))
     a = tuple(
         (comp + consts.alpha * g) / consts.gamma
         for comp, g in zip(v.components, grad_phi)

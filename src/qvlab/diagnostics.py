@@ -23,8 +23,8 @@ from .decomposition import (
     current_scalar,
     velocity,
 )
-from .fields import ComplexScalarField, NodeError, VectorField, _ratio, _support, density, node_mask, phase_gradient
-from .lattice import Grid, _curl3, _zero_slot, divergence, spectral_gradient, spectral_laplacian
+from .fields import ComplexScalarField, NodeError, VectorField, _phase_slopes, _ratio, _support, density, node_mask
+from .lattice import _LAP, Grid, _curl3, _spectral, _zero_slot, divergence, spectral_gradient
 
 _JUMP_FRACTION = 0.9  # |angle| above this multiple of pi flags a branch jump
 TIME_RTOL = 1e-9  # relative tolerance on the spacing and span of snapshot times
@@ -169,12 +169,14 @@ def quantum_potential(psi: ComplexScalarField, consts: PhysicalConstants):
     # f and lap stay bound to the end: freeing them early changes which heap
     # blocks the kept Q arrays land in, and raised the peak RSS of diagnose
     # by 3 MB (glibc malloc, 51 snapshots of 128^2)
+    grid = psi.grid
     f = density(psi)
     mask = _support(f, "quantum potential")
-    lap = spectral_laplacian(psi.values, psi.grid)
+    lap, *d1 = _spectral(
+        [psi.values], grid, [[(0, _LAP)]] + [[(0, a)] for a in range(grid.dim)]
+    )
     ratio = _ratio(lap, psi.values, mask)
-    grads, _ = phase_gradient(psi)
-    grad2 = sum(g**2 for g in grads)
+    grad2 = sum(g**2 for g in _phase_slopes(psi.values, d1, f, mask))
     q = (consts.alpha / consts.beta) * (ratio.real + grad2)
     q[mask] = 0.0
     return q, mask
@@ -190,21 +192,28 @@ def quantum_force(psi: ComplexScalarField, consts: PhysicalConstants):
         grad(Lap|psi|/|psi|) = Re(grad(Lap psi)/psi - (Lap psi/psi)(grad psi/psi))
                                + 2 sum_b Im(d_b psi/psi) Im(d_a d_b psi/psi
                                - (d_a psi/psi)(d_b psi/psi)).
+
+    Every derivative comes from one transform of psi.
     """
     grid = psi.grid
+    dim = grid.dim
     mask = _support(density(psi), "quantum force")
     inv = _ratio(1.0, psi.values, mask)
-    d1 = spectral_gradient(psi.values, grid)
-    lap = spectral_laplacian(psi.values, grid)
-    dlap = spectral_gradient(lap, grid)
-    second = [spectral_gradient(d, grid) for d in d1]
+    pairs = [(a, b) for a in range(dim) for b in range(a, dim)]
+    outs = _spectral(
+        [psi.values], grid,
+        [[(0, a)] for a in range(dim)] + [[(0, _LAP)]]
+        + [[(0, a, _LAP)] for a in range(dim)] + [[(0, a, b)] for a, b in pairs],
+    )
+    d1, lap, dlap = outs[:dim], outs[dim], outs[dim + 1: 2 * dim + 1]
+    second = dict(zip(pairs, outs[2 * dim + 1:]))
     r1 = [d * inv for d in d1]
     rlap = lap * inv
     comps = []
-    for a in range(grid.dim):
+    for a in range(dim):
         dg = (dlap[a] * inv - rlap * r1[a]).real
-        for b in range(grid.dim):
-            cross = (second[a][b] * inv - r1[a] * r1[b]).imag
+        for b in range(dim):
+            cross = (second[min(a, b), max(a, b)] * inv - r1[a] * r1[b]).imag
             dg = dg + 2.0 * r1[b].imag * cross
         force = -(consts.alpha / consts.beta) * dg
         force[mask] = 0.0

@@ -195,7 +195,12 @@ def phase_gradient(field: ComplexScalarField):
     f = density(field)
     mask = _support(f, "phase gradient")
     grads = spectral_gradient(field.values, field.grid)
-    return [_ratio((np.conj(field.values) * d).imag, f, mask) for d in grads], mask
+    return _phase_slopes(field.values, grads, f, mask), mask
+
+
+def _phase_slopes(values, grads, f, mask) -> list[np.ndarray]:
+    """Im(conj(psi)*d psi)/f per axis from the derivatives of psi, masked."""
+    return [_ratio((np.conj(values) * d).imag, f, mask) for d in grads]
 
 
 def _field_payload(field) -> tuple[int, int, np.ndarray]:

@@ -3,14 +3,22 @@
 Every field in this package lives on a rectangular box [0, L_j) sampled at
 n_j equally spaced points per axis with periodic boundary conditions.
 Derivatives are evaluated in Fourier space (multiplication by i*k), exact
-for band-limited data.
+for band-limited data.  One helper, _spectral, serves every operator: each
+field is transformed once, the multipliers of all outputs apply to that
+one spectrum, terms that add are summed in k-space, and each output takes
+one inverse transform.
 
 Conventions
     wavenumbers   k_j = 2*pi*m_j/L_j with integer m_j in FFT order
                   (m = 0, 1, ..., n/2-1, -n/2, ..., -1 for even n)
     array layout  C-order, shape (n_1, ..., n_dim), 'ij' indexing
-    Nyquist mode  zeroed inside first-derivative multipliers so gradients
-                  of real fields stay real; the Laplacian keeps it
+    half spectra  a real field is transformed with rfftn: the last axis
+                  keeps its n//2 + 1 modes m >= 0 and every other axis
+                  keeps all n; real in means real (float64) out, and a
+                  complex field takes fftn and gives complex results
+    Nyquist mode  (even n only) zeroed inside every i*k_j factor, so a
+                  gradient, divergence or curl of a real field is real;
+                  the Laplacian and its inverse keep it
 
 Analytic test profiles must be effectively periodic on the box (localized
 envelopes decay below roundoff at the boundary).
@@ -91,29 +99,65 @@ def _wavenumbers_1d(n: int, length: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _kmesh(grid: Grid, axis: int, zero_nyquist: bool) -> np.ndarray:
+def _kmesh(grid: Grid, axis: int, zero_nyquist: bool, half: bool = False) -> np.ndarray:
     k = grid.wavenumbers(axis).copy()
     if zero_nyquist and grid.n[axis] % 2 == 0:
         k[grid.n[axis] // 2] = 0.0
+    if half and axis == grid.dim - 1:
+        k = k[: grid.n[axis] // 2 + 1]
     shape = [1] * grid.dim
-    shape[axis] = grid.n[axis]
+    shape[axis] = k.size
     k = k.reshape(shape)
     k.flags.writeable = False
     return k
 
 
 @lru_cache(maxsize=64)
-def k_squared(grid: Grid) -> np.ndarray:
-    """|k|^2 on the full transform grid (Nyquist included)."""
-    out = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        out = out + _kmesh(grid, axis, False) ** 2
+def _k_squared(grid: Grid, half: bool) -> np.ndarray:
+    out = sum(_kmesh(grid, axis, False, half) ** 2 for axis in range(grid.dim))
     out.flags.writeable = False
     return out
 
 
-def _match_dtype(out: np.ndarray, like: np.ndarray) -> np.ndarray:
-    return out.real if np.isrealobj(like) else out
+def k_squared(grid: Grid) -> np.ndarray:
+    """|k|^2 on the full transform grid (Nyquist included)."""
+    return _k_squared(grid, False)
+
+
+# Multiplier factors besides an axis a, which stands for i*k_a (Nyquist zeroed).
+_LAP = "lap"  # -|k|^2, Nyquist kept
+_INV_LAP = "inv_lap"  # -1/|k|^2, with the k = 0 mode set to 0
+_NEG = "neg"  # -1
+
+
+@lru_cache(maxsize=128)
+def _multiplier(grid: Grid, factors: tuple, half: bool) -> np.ndarray:
+    """The read-only product of k-space factors on the full or the half
+    transform grid; a ("band", fraction) factor keeps the modes with
+    |m_j| < fraction*n_j on every axis.  Products of an even number of
+    i*k_a factors stay real arrays."""
+    out, derivatives = np.ones(()), 0
+    for factor in factors:
+        if factor == _LAP:
+            part = -_k_squared(grid, half)
+        elif factor == _INV_LAP:
+            k2 = _k_squared(grid, half)
+            part = -1.0 / np.where(k2 == 0.0, np.inf, k2)
+        elif factor == _NEG:
+            part = -1.0
+        elif isinstance(factor, tuple):
+            _, fraction = factor
+            part = 1.0
+            for axis in range(grid.dim):
+                m = _kmesh(grid, axis, False, half) * (grid.length[axis] / (2.0 * np.pi))
+                part = part * (np.abs(np.rint(m)) < fraction * grid.n[axis])
+        else:
+            part = _kmesh(grid, factor, True, half)
+            derivatives += 1
+        out = out * part
+    out = np.asarray(out * (1, 1j, -1, -1j)[derivatives % 4])
+    out.flags.writeable = False
+    return out
 
 
 def _check_shape(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -123,36 +167,51 @@ def _check_shape(values: np.ndarray, grid: Grid) -> np.ndarray:
     return values
 
 
+def _spectral(fields: Sequence[np.ndarray], grid: Grid, outputs) -> list[np.ndarray]:
+    """Linear spectral operators of periodic fields: every field referenced
+    is transformed once and every output takes one inverse transform.
+
+    outputs holds one sequence of terms per result; a term (i, *factors)
+    multiplies the spectrum of fields[i] by the product of the factors (see
+    _multiplier), and the terms of one output add in k-space.  Real fields
+    take rfftn and half spectra (the last axis keeps n//2 + 1 modes), and
+    their outputs are real; a complex field makes every transform complex.
+    """
+    fields = [_check_shape(f, grid) for f in fields]
+    half = not any(np.iscomplexobj(f) for f in fields)
+    axes = tuple(range(grid.dim))
+    spectra = {}
+    results = []
+    for terms in outputs:
+        total = None
+        for index, *factors in terms:
+            if index not in spectra:
+                f = fields[index]
+                spectra[index] = np.fft.rfftn(f, axes=axes) if half else np.fft.fftn(f, axes=axes)
+            part = spectra[index] * _multiplier(grid, tuple(factors), half)
+            total = part if total is None else np.add(total, part, out=total)
+        if half:
+            results.append(np.fft.irfftn(total, s=grid.shape, axes=axes))
+        else:
+            results.append(np.fft.ifftn(total, axes=axes))
+    return results
+
+
 def spectral_gradient(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
     """Per-axis derivatives via i*k multipliers (Nyquist zeroed)."""
-    values = _check_shape(values, grid)
-    fhat = np.fft.fftn(values)
-    out = []
-    for axis in range(grid.dim):
-        d = np.fft.ifftn(1j * _kmesh(grid, axis, True) * fhat)
-        out.append(_match_dtype(d, values))
-    return out
+    return _spectral([values], grid, [[(0, axis)] for axis in range(grid.dim)])
 
 
 def spectral_laplacian(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Laplacian via the -|k|^2 multiplier."""
-    values = _check_shape(values, grid)
-    out = np.fft.ifftn(-k_squared(grid) * np.fft.fftn(values))
-    return _match_dtype(out, values)
+    return _spectral([values], grid, [[(0, _LAP)]])[0]
 
 
 def divergence(components: Sequence[np.ndarray], grid: Grid) -> np.ndarray:
     """Spectral divergence of a dim-component field."""
     if len(components) != grid.dim:
         raise ValueError(f"divergence needs {grid.dim} components, got {len(components)}")
-    out = np.zeros(grid.shape, dtype=np.result_type(*components))
-    for axis, comp in enumerate(components):
-        comp = _check_shape(comp, grid)
-        fhat = np.fft.fftn(comp)
-        out = out + _match_dtype(
-            np.fft.ifftn(1j * _kmesh(grid, axis, True) * fhat), comp
-        )
-    return out
+    return _spectral(components, grid, [[(axis, axis) for axis in range(grid.dim)]])[0]
 
 
 def curl(components: Sequence[np.ndarray], grid: Grid) -> list[np.ndarray]:
@@ -183,31 +242,20 @@ def _curl3(components: Sequence[np.ndarray], grid: Grid) -> tuple[np.ndarray, ..
     """
     if len(components) not in (grid.dim, 3):
         raise ValueError(f"curl needs {grid.dim} or 3 components, got {len(components)}")
-    # d[c][a] = d(v_c)/dx_a; None off the grid axes and past the components.
-    # v_x on a 1D grid has no derivative the curl uses.
-    d = [[None] * 3 for _ in range(3)]
-    for c, v in enumerate(components):
-        if grid.dim > 1 or c > 0:
-            d[c][: grid.dim] = spectral_gradient(v, grid)
-    out = []
-    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        plus, minus = d[c][b], d[b][c]
-        if minus is None:
-            out.append(_zero_slot(grid) if plus is None else plus)
-        else:
-            out.append(-minus if plus is None else plus - minus)
-    return tuple(out)
+    # out_a = d(v_c)/dx_b - d(v_b)/dx_c; a term exists only along a grid
+    # axis and for a given component
+    outputs = []
+    for b, c in ((1, 2), (2, 0), (0, 1)):
+        terms = []
+        if b < grid.dim and c < len(components):
+            terms.append((c, b))
+        if c < grid.dim and b < len(components):
+            terms.append((b, c, _NEG))
+        outputs.append(terms)
+    done = iter(_spectral(components, grid, [t for t in outputs if t]))
+    return tuple(next(done) if t else _zero_slot(grid) for t in outputs)
 
 
 def band_limit(values: np.ndarray, grid: Grid, fraction: float = 0.25) -> np.ndarray:
     """Zero all modes with |m_j| >= fraction*n_j on any axis."""
-    values = _check_shape(values, grid)
-    fhat = np.fft.fftn(values)
-    for axis in range(grid.dim):
-        m = np.fft.fftfreq(grid.n[axis], d=1.0 / grid.n[axis])
-        keep = np.abs(m) < fraction * grid.n[axis]
-        shape = [1] * grid.dim
-        shape[axis] = grid.n[axis]
-        fhat = fhat * keep.reshape(shape)
-    out = np.fft.ifftn(fhat)
-    return _match_dtype(out, values)
+    return _spectral([values], grid, [[(0, ("band", fraction))]])[0]

@@ -25,8 +25,9 @@ with ``points`` of shape (N, dim), ``values`` of shape (N, ncomp) and
 one (times, components, *grid) array, evaluates every component of the
 one or two snapshots bracketing t at once, and is linear in time between
 them (clamped at the ends).  Spatial evaluation is either trigonometric
-("spectral", exact for band-limited data; the first axis is one GEMM, the
-others are contracted point by point) or local cubic ("tricubic",
+("spectral", exact for band-limited data; the series is real, so it is
+stored as half spectra, the first axis is one GEMM, and the others are
+contracted point by point) or local cubic ("tricubic",
 Catmull-Rom, O(4^dim) per point).  The cubic converges at third order in
 the spacing; on a unit-amplitude field resolved with 40+ samples per
 wavelength (k <= 3 content at n = 128 on a 2 pi box) the error stays
@@ -79,21 +80,61 @@ def _on_grid(values, grid: Grid, what: str, dtype) -> np.ndarray:
     return arr
 
 
+def _half_wavenumbers(grid: Grid, axis: int) -> np.ndarray:
+    """The wavenumbers of one axis of a _half_spectrum: the first n//2 + 1
+    on the last axis; on an even axis before it, every mode and then +k
+    of the Nyquist mode."""
+    k, n = grid.wavenumbers(axis), grid.n[axis]
+    if axis == grid.dim - 1:
+        return k[: n // 2 + 1]
+    return np.append(k, -k[n // 2]) if n % 2 == 0 else k
+
+
+def _half_spectrum(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """The spectrum of a real field laid out so that the real part of its
+    trigonometric sum over _half_wavenumbers is the interpolant of the full
+    spectrum.
+
+    rfftn keeps the modes m >= 0 of the last axis.  A mode 0 < m < n/2
+    also stands for its conjugate at -m, whose wavenumbers on the axes
+    before the last are the negated ones; they differ only where such an
+    axis sits at its Nyquist mode, so the conjugate term lands on the
+    same mode, doubling it, or on the +Nyquist slot of that axis.
+    """
+    half = np.fft.rfftn(values)
+    n = grid.n[-1]
+    pairs = np.ones(n // 2 + 1)
+    pairs[0] = 0.0
+    if n % 2 == 0:
+        pairs[-1] = 0.0
+    slots = []
+    for size in half.shape[:-1]:
+        index = np.arange(size)
+        if size % 2 == 0:
+            index[size // 2] = size
+        slots.append(index)
+    slots.append(np.arange(n // 2 + 1))
+    out = np.zeros([_half_wavenumbers(grid, a).size for a in range(grid.dim)], dtype=complex)
+    out[tuple(slice(0, size) for size in half.shape)] = half
+    out[np.ix_(*slots)] += pairs * half
+    return out
+
+
 def _spectral_eval(spectra: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarray:
-    """Trigonometric sum of K stacked spectra (K, *shape) at the points: (N, K)."""
-    rows, width = spectra.shape[0], grid.n[0]
+    """Trigonometric sum of K stacked _half_spectrum arrays at the points: (N, K)."""
+    rows, shape = spectra.shape[0], spectra.shape[1:]
     out = np.empty((points.shape[0], rows))
     # blocks of n[0] points: the first contraction is no larger than the spectra
-    for start in range(0, points.shape[0], width):
-        block = points[start:start + width]
+    for start in range(0, points.shape[0], grid.n[0]):
+        block = points[start:start + grid.n[0]]
         factors = [
-            np.exp(1j * block[:, a, None] * grid.wavenumbers(a)[None, :])
+            np.exp(1j * block[:, a, None] * _half_wavenumbers(grid, a)[None, :])
             for a in range(grid.dim)
         ]
-        vals = factors[0] @ spectra.reshape(rows, width, -1)
+        vals = factors[0] @ spectra.reshape(rows, shape[0], -1)
         for a in range(1, grid.dim):
-            vals = factors[a][:, None, :] @ vals.reshape(*vals.shape[:2], grid.n[a], -1)
-        out[start:start + width] = vals.reshape(rows, -1).T.real / grid.size
+            vals = factors[a][:, None, :] @ vals.reshape(*vals.shape[:2], shape[a], -1)
+        out[start:start + grid.n[0]] = vals.reshape(rows, -1).T.real / grid.size
     return out
 
 
@@ -185,13 +226,17 @@ class GridFieldSampler:
             raise ValueError("snapshots disagree on component count")
         # one transform per component, so the peak holds one spare component
         spectral = method == "spectral"
+        shape = (
+            [_half_wavenumbers(grid, a).size for a in range(grid.dim)]
+            if spectral else grid.shape
+        )
         self._data = np.empty(
-            (len(comps), self.ncomp, *grid.shape), dtype=complex if spectral else float
+            (len(comps), self.ncomp, *shape), dtype=complex if spectral else float
         )
         for t, parts in enumerate(comps):
             for c, p in enumerate(parts):
                 p = _on_grid(p, grid, "component", float)
-                self._data[t, c] = np.fft.fftn(p) if spectral else p
+                self._data[t, c] = _half_spectrum(p, grid) if spectral else p
         self.masks = None
         if masks is not None:
             masks = [_on_grid(m, grid, "mask", bool) for m in masks]
@@ -214,7 +259,7 @@ class GridFieldSampler:
         top = hi if w != 0.0 else lo
         evaluate = _spectral_eval if self.method == "spectral" else _tricubic_eval
         vals = evaluate(
-            self._data[lo:top + 1].reshape(-1, *self.grid.shape), self.grid, pts
+            self._data[lo:top + 1].reshape(-1, *self._data.shape[2:]), self.grid, pts
         ).reshape(pts.shape[0], -1, self.ncomp)
         vals = (1.0 - w) * vals[:, 0] + w * vals[:, 1] if top != lo else vals[:, 0]
         if self.masks is None:

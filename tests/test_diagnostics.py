@@ -34,7 +34,7 @@ from qvlab.evolvers import EvolutionParams, FourPotential, run_dirac
 from qvlab.fields import BispinorField, ComplexScalarField, NodeError, VectorField
 from qvlab.lattice import k_squared, make_grid, spectral_gradient
 from oracles import CoherentState, GaussianPacket
-from util import linf, random_band_limited
+from util import count_transforms, linf, random_band_limited
 
 
 NAT = PhysicalConstants.natural()
@@ -208,6 +208,22 @@ def test_quantum_force_matches_gradient_of_smooth_q():
     assert not mask.any()
     for a in range(2):
         assert linf(force[a] + reference[a]) <= 1e-11
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_psi_derivatives_share_one_transform(dim, monkeypatch):
+    # Q needs Lap psi and grad psi: psi once, then 1 + dim inverses.  -grad Q
+    # needs d_a psi, Lap psi, d_a Lap psi and the dim(dim+1)/2 distinct
+    # d_a d_b psi: 1 + (2 dim + 1 + dim(dim+1)/2) transforms, 14 in 3D.
+    g = make_grid(dim, [8, 6, 5][:dim], [2 * np.pi] * dim)
+    psi = ComplexScalarField(g, np.full(g.shape, 1.0 + 0.5j))
+    calls = count_transforms(monkeypatch)
+    quantum_potential(psi, NAT)
+    assert calls == {"fftn": 1, "ifftn": 1 + dim}
+    calls.clear()
+    quantum_force(psi, NAT)
+    assert calls == {"fftn": 1, "ifftn": 2 * dim + 1 + dim * (dim + 1) // 2}
+    assert sum(calls.values()) == {1: 5, 2: 9, 3: 14}[dim]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from qvlab.evolvers import (
 from qvlab.fields import BispinorField, ComplexScalarField, SpinorField, VectorField
 from qvlab.lattice import make_grid
 from oracles import CoherentState, GaussianPacket, dirac_free_eigenstates
-from util import linf, random_band_limited
+from util import count_transforms, linf, random_band_limited
 
 
 NAT = PhysicalConstants.natural()
@@ -162,6 +162,18 @@ def test_cross_series_refuses_overflow():
     a = (1.0 + 0.5 * np.cos(g.axis_coordinates(0)),)
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
         evolvers._apply_cross(np.ones(g.shape, dtype=complex), g, a, 1e300)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cross_generator_transform_count(dim, monkeypatch):
+    # a zero coefficient stops the series after one generator application:
+    # div(A psi) takes dim forward transforms and one inverse, grad psi one
+    # forward and dim inverses
+    g = make_grid(dim, [8, 6, 5][:dim], [2 * np.pi] * dim)
+    a = tuple(np.full(g.shape, 0.5 + axis) for axis in range(dim))
+    calls = count_transforms(monkeypatch)
+    evolvers._apply_cross(np.ones(g.shape, dtype=complex), g, a, 0.0)
+    assert calls == {"fftn": dim + 1, "ifftn": dim + 1}
 
 
 def test_potential_phase_warning():

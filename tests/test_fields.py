@@ -23,7 +23,7 @@ from qvlab.fields import (
     read_snapshot,
     write_snapshot,
 )
-from qvlab.lattice import make_grid, spectral_gradient, spectral_laplacian
+from qvlab.lattice import _LAP, _multiplier, make_grid, spectral_gradient, spectral_laplacian
 from util import linf, random_band_limited
 
 NAT = PhysicalConstants.natural()
@@ -142,11 +142,18 @@ def test_zero_field_has_no_support(grid1d, what):
 
 
 def _plain_ratios(psi):
-    """The node-safe quantities as plain quotients, nodes included."""
+    """The node-safe quantities as plain quotients, nodes included.
+    d_a d_b psi and d_a Lap psi come from one transform of psi, through
+    the multipliers the spectral helper applies."""
     v, g = psi.values, psi.grid
     c = NAT.alpha / NAT.beta
     d1 = spectral_gradient(v, g)
     lap = spectral_laplacian(v, g)
+    vhat = np.fft.fftn(v)
+
+    def derivative(*factors):
+        return np.fft.ifftn(vhat * _multiplier(g, factors, False))
+
     f = density(psi)
     j = current_scalar(psi, GaugeConfiguration.free(g), NAT)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -154,13 +161,12 @@ def _plain_ratios(psi):
         inv = 1.0 / v
         r1 = [d * inv for d in d1]
         rlap = lap * inv
-        dlap = spectral_gradient(lap, g)
         force = []
         for a in range(g.dim):
-            second = spectral_gradient(d1[a], g)
-            dg = (dlap[a] * inv - rlap * r1[a]).real
+            dg = (derivative(a, _LAP) * inv - rlap * r1[a]).real
             for b in range(g.dim):
-                dg = dg + 2.0 * r1[b].imag * (second[b] * inv - r1[a] * r1[b]).imag
+                second = derivative(*sorted((a, b)))
+                dg = dg + 2.0 * r1[b].imag * (second * inv - r1[a] * r1[b]).imag
             force.append(-c * dg)
         return {
             "phase gradient": grads,

@@ -1,6 +1,7 @@
-"""Shared helpers for the test suite: random band-limited fields, norms, and
-finite-difference operators that cross-validate the spectral ones, and a
-per-component reference for the grid samplers."""
+"""Shared helpers for the test suite: random band-limited fields, norms,
+finite-difference operators that cross-validate the spectral ones, a
+per-component reference for the grid samplers, and a counter of FFT calls."""
+import collections
 import itertools
 
 import numpy as np
@@ -110,3 +111,15 @@ def reference_sample(grid: Grid, times, snapshots, points, t: float,
     i = int(np.searchsorted(times, t, side="right")) - 1
     w = (t - times[i]) / (times[i + 1] - times[i])
     return at(i) if w == 0.0 else (1.0 - w) * at(i) + w * at(i + 1)
+
+
+def count_transforms(monkeypatch) -> collections.Counter:
+    """Count numpy.fft transforms by name from now to the end of the test."""
+    calls = collections.Counter()
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+        def counted(*args, _name=name, _transform=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls

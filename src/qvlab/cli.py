@@ -384,16 +384,21 @@ def _uniform_a(record, scenario: Scenario):
 # output helpers
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write text to a temp file beside path and rename it into place, so a
+    failed write leaves the old file whole and no temp file behind."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def _write_json(path: str, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _write_report(out: str, report) -> None:
-    path = os.path.join(out, f"report_{report.name}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _out_dir(args, scenario: Scenario) -> str:
@@ -633,7 +638,7 @@ def cmd_diagnose(args, scenario: Scenario) -> int:
     run = Run(scenario, out).spaced()
     reports = [report for name in names for report in _DIAGNOSTICS[name](run)]
     for report in reports:
-        _write_report(out, report)
+        _write_text(os.path.join(out, f"report_{report.name}.json"), report.to_json())
         print(
             f"{report.name}: l2={report.l2:.3e} linf={report.linf:.3e} "
             f"mask={report.mask_fraction:.3f}"
@@ -741,8 +746,7 @@ def cmd_trace(args, scenario: Scenario) -> int:
         for method, paths in batches.items():
             suffix = f"_{method}" if len(batches) > 1 else ""
             fname = f"trace_{index:03d}{suffix}.csv"
-            with open(os.path.join(out, fname), "w", encoding="utf-8") as fh:
-                fh.write(paths[index].to_csv())
+            _write_text(os.path.join(out, fname), paths[index].to_csv())
             files.append(fname)
     deviations = []
     if len(batches) == 2:
@@ -791,7 +795,7 @@ def cmd_fields(args, scenario: Scenario) -> int:
         )
     )
     for report in reports:
-        _write_report(out, report)
+        _write_text(os.path.join(out, f"report_{report.name}.json"), report.to_json())
         print(f"{report.name}: l2={report.l2:.3e} linf={report.linf:.3e}")
 
     def rms(arr):

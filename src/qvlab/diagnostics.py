@@ -4,9 +4,11 @@ self-consistency, the Maxwell-type system, and four-current conservation.
 
 Every time derivative is a centered second-order difference over stored
 snapshots, so residuals carry an O(dt^2) floor that is discretization, not
-identity failure; report dt alongside the norms.  Norms are taken over the
-unmasked grid points only (l2 is the root mean square), and the masked
-fraction is part of the report.
+identity failure; report dt alongside the norms.  Each time-series residual
+is a per-frame formula that one reducer, _interior, lays out frame-major in
+per_point: (k * frames, *grid), with k = 3 axis rows for Faraday and Ampere.
+Norms are taken over the unmasked grid points only (l2 is the root mean
+square), and the masked fraction is part of the report.
 """
 from __future__ import annotations
 
@@ -93,8 +95,21 @@ def _series_spacing(times: Sequence[float], **series) -> float:
     return float(steps[0])
 
 
-def _centered(series: Sequence[np.ndarray], index: int, dt: float) -> np.ndarray:
-    return (series[index + 1] - series[index - 1]) / (2.0 * dt)
+def _interior(times: Sequence[float], rows, **series) -> dict:
+    """Reports over the interior frames i of checked series: rows(i, rate) maps
+    each report name to its k samples at frame i (rate(at) is the centered time
+    derivative of the samples at(k)), copied into rows k*(i-1) to k*i - 1."""
+    dt = _series_spacing(times, **series)
+    frames, out = len(times) - 2, {}
+    for i in range(1, frames + 1):
+        def rate(at):
+            return (at(i + 1) - at(i - 1)) / (2.0 * dt)
+        for name, parts in rows(i, rate).items():
+            if name not in out:
+                out[name] = np.empty((len(parts) * frames,) + np.shape(parts[0]))
+            for row, values in enumerate(parts, start=len(parts) * (i - 1)):
+                out[name][row] = values
+    return {name: _report(name, samples, dt=dt) for name, samples in out.items()}
 
 
 def _freeze(parts):
@@ -132,14 +147,11 @@ def continuity_residual(
     currents: Sequence[VectorField],
 ) -> ResidualReport:
     """r = df/dt + div J at the interior snapshot times."""
-    dt = _series_spacing(times, densities=densities, currents=currents)
-    rows = []
-    for i in range(1, len(times) - 1):
-        grid = currents[i].grid
-        rows.append(
-            _centered(densities, i, dt) + divergence(currents[i].components, grid)
-        )
-    return _report("continuity", np.stack(rows), dt=dt)
+    def rows(i, rate):
+        div_j = divergence(currents[i].components, currents[i].grid)
+        return {"continuity": (rate(lambda k: densities[k]) + div_j,)}
+
+    return _interior(times, rows, densities=densities, currents=currents)["continuity"]
 
 
 def four_current_divergence(
@@ -148,13 +160,11 @@ def four_current_divergence(
     consts: PhysicalConstants,
 ) -> ResidualReport:
     """r = (1/c) dJ^0/dt + div J at the interior snapshot times."""
-    dt = _series_spacing(times, currents=currents)
-    j0 = [j.j0 for j in currents]
-    rows = [
-        _centered(j0, i, dt) / consts.c + currents[i].spatial_divergence()
-        for i in range(1, len(times) - 1)
-    ]
-    return _report("four_current_divergence", np.stack(rows), dt=dt)
+    def rows(i, rate):
+        j0_rate = rate(lambda k: currents[k].j0) / consts.c
+        return {"four_current_divergence": (j0_rate + currents[i].spatial_divergence(),)}
+
+    return _interior(times, rows, currents=currents)["four_current_divergence"]
 
 
 # ---------------------------------------------------------------------------
@@ -338,30 +348,23 @@ def gauge_residuals(
     and r_psi = r_lorentz + r_quantum up to roundoff by construction.  The
     divergences are taken once per distinct gauge object.
     """
-    dt = _series_spacing(times, gauges=gauges, q_series=q_series)
-    grid = gauges[0].grid
-    zeros = np.zeros(grid.shape)
-    if q_series is None:
-        q_series = [zeros] * len(times)
-    u_series = [g.u for g in gauges]
-    v_series = [u + q for u, q in zip(u_series, q_series)]
+    q = (lambda k: 0.0) if q_series is None else (lambda k: q_series[k])
     coeff = 2.0 * consts.alpha * consts.beta / consts.gamma
     inv_qc2 = 1.0 / (consts.q * consts.c**2)
-    divs = _per_gauge(
-        gauges[1:-1],
-        lambda g: tuple(
-            divergence(a.components, grid)
-            for a in (g.a_psi, g.a_classical, g.a_quantum)
-        ),
-    )
-    rows = {"gauge_psi": [], "gauge_lorentz": [], "gauge_quantum": []}
-    for i, (div_psi, div_cl, div_q) in enumerate(divs, start=1):
-        rows["gauge_psi"].append(
-            div_psi + coeff / consts.c**2 * _centered(v_series, i, dt)
-        )
-        rows["gauge_lorentz"].append(div_cl + inv_qc2 * _centered(u_series, i, dt))
-        rows["gauge_quantum"].append(div_q + inv_qc2 * _centered(q_series, i, dt))
-    return tuple(_report(name, np.stack(r), dt=dt) for name, r in rows.items())
+    divs = _per_gauge(gauges[1:-1], lambda g: tuple(
+        divergence(a.components, g.grid) for a in (g.a_psi, g.a_classical, g.a_quantum)
+    ))
+
+    def rows(i, rate):
+        div_psi, div_cl, div_q = divs[i - 1]
+        v_rate = rate(lambda k: gauges[k].u + q(k))
+        return {
+            "gauge_psi": (div_psi + coeff / consts.c**2 * v_rate,),
+            "gauge_lorentz": (div_cl + inv_qc2 * rate(lambda k: gauges[k].u),),
+            "gauge_quantum": (div_q + inv_qc2 * rate(q),),
+        }
+
+    return tuple(_interior(times, rows, gauges=gauges, q_series=q_series).values())
 
 
 def self_consistency_residual(
@@ -417,25 +420,18 @@ def maxwell_residuals(
     div D - rho, div B, curl E + dB/dt, curl H - dD/dt - J,
     evaluated at the interior snapshot times, on grids of any dimension.
     """
-    dt = _series_spacing(times, frames=frames)
-    grid = frames[0].grid
-    e_series = [fr.e for fr in frames]
-    b_series = [fr.b for fr in frames]
-    gauss_e, gauss_b, faraday, ampere = [], [], [], []
-    for i in range(1, len(times) - 1):
-        fr = frames[i]
-        gauss_e.append(consts.eps0 * divergence(fr.e[: grid.dim], grid) - fr.rho)
-        gauss_b.append(divergence(fr.b[: grid.dim], grid))
-        curl_e = _curl3(fr.e, grid)
-        curl_b = _curl3(fr.b, grid)
-        for ax in range(3):
-            db = _centered([b[ax] for b in b_series], i, dt)
-            de = _centered([e[ax] for e in e_series], i, dt)
-            faraday.append(curl_e[ax] + db)
-            ampere.append(curl_b[ax] / consts.mu0 - consts.eps0 * de - fr.j[ax])
-    return {
-        "gauss_electric": _report("gauss_electric", np.stack(gauss_e), dt=dt),
-        "gauss_magnetic": _report("gauss_magnetic", np.stack(gauss_b), dt=dt),
-        "faraday": _report("faraday", np.stack(faraday), dt=dt),
-        "ampere": _report("ampere", np.stack(ampere), dt=dt),
-    }
+    def rows(i, rate):
+        fr, grid = frames[i], frames[0].grid
+        curl_e, curl_b = _curl3(fr.e, grid), _curl3(fr.b, grid)
+        de = (rate(lambda k: frames[k].e[ax]) for ax in range(3))
+        db = (rate(lambda k: frames[k].b[ax]) for ax in range(3))
+        return {
+            "gauss_electric": (consts.eps0 * divergence(fr.e[: grid.dim], grid) - fr.rho,),
+            "gauss_magnetic": (divergence(fr.b[: grid.dim], grid),),
+            "faraday": tuple(c + d for c, d in zip(curl_e, db)),
+            "ampere": tuple(
+                c / consts.mu0 - consts.eps0 * d - j for c, d, j in zip(curl_b, de, fr.j)
+            ),
+        }
+
+    return _interior(times, rows, frames=frames)

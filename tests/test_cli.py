@@ -7,6 +7,7 @@ Heavy evolution runs are shared through module-scoped fixtures.
 """
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -901,6 +902,62 @@ def test_fields_reports_and_summary(gaussian_run, capsys):
     assert set(frame) == {"time", "e_rms", "b_rms"}
     assert len(frame["e_rms"]) == 1
     assert len(frame["b_rms"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# atomic output
+
+
+class _FullDisk:
+    """A text file whose write stores half the text, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("fault", ["write", "rename"])
+@pytest.mark.parametrize(
+    "command, name",
+    [("diagnose", "report_continuity.json"), ("trace", "trace_000_advect.csv"),
+     ("gps", "gps.json")],
+)
+def test_a_failed_write_keeps_the_old_output(command, name, fault, gaussian_run,
+                                             tmp_path, monkeypatch, capsys):
+    cfg, run = gaussian_run
+    out = tmp_path / "run"
+    shutil.copytree(run, out)
+    target = out / name
+    target.write_text("old\n", encoding="utf-8")
+    if fault == "write":
+        def full_disk(path, mode="r", **kwargs):
+            fh = open(path, mode, **kwargs)
+            return _FullDisk(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(cli, "open", full_disk, raising=False)
+    else:
+        def no_rename(src, dst):
+            raise OSError(errno.EACCES, "Permission denied")
+
+        monkeypatch.setattr(cli.os, "replace", no_rename)
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 1
+    assert "runtime error" in capsys.readouterr().err
+    assert target.read_bytes() == b"old\n"
+    assert not list(out.glob("*.tmp"))
+    monkeypatch.undo()
+    assert main(argv) == 0
+    assert target.read_bytes() != b"old\n"
+    assert not list(out.glob("*.tmp"))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 controls confirming each residual reacts to a corrupted input."""
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from qvlab.diagnostics import (
 )
 from qvlab.evolvers import EvolutionParams, FourPotential, run_dirac
 from qvlab.fields import BispinorField, ComplexScalarField, NodeError, VectorField
-from qvlab.lattice import k_squared, make_grid, spectral_gradient
+from qvlab.lattice import _curl3, divergence, k_squared, make_grid, spectral_gradient
 from oracles import CoherentState, GaussianPacket
 from util import count_transforms, linf, random_band_limited
 
@@ -758,3 +759,130 @@ def test_four_current_dirac_evolution_conserved():
     bad = [FourCurrent(g, 1.1 * c.j0, c.jk) for c in currents]
     rep_bad = four_current_divergence(trace.times, bad, NAT)
     assert rep_bad.l2 >= 10 * rep.l2
+
+
+# ---------------------------------------------------------------------------
+# the report layout: frame-major rows, three axis rows per frame for the
+# Faraday and Ampere laws
+
+def _rate(series, i, dt):
+    return (series[i + 1] - series[i - 1]) / (2.0 * dt)
+
+
+def _reference_reports(times, dens, currents, j4, gauges, q_series, frames, consts):
+    """Every time-series residual, written out as a per-frame loop that
+    stacks one row per frame (three per frame for faraday and ampere)."""
+    dt, grid = times[1] - times[0], frames[0].grid
+    inner = range(1, len(times) - 1)
+    coeff = 2.0 * consts.alpha * consts.beta / consts.gamma
+    inv_qc2 = 1.0 / (consts.q * consts.c**2)
+    u = [g.u for g in gauges]
+    v = [a + b for a, b in zip(u, q_series)]
+    divs = {
+        name: [divergence(getattr(gauges[i], name).components, grid) for i in inner]
+        for name in ("a_psi", "a_classical", "a_quantum")
+    }
+    rows = {
+        "continuity": [_rate(dens, i, dt) + divergence(currents[i].components, grid)
+                       for i in inner],
+        "four_current_divergence": [
+            _rate([j.j0 for j in j4], i, dt) / consts.c + j4[i].spatial_divergence()
+            for i in inner
+        ],
+        "gauge_psi": [d + coeff / consts.c**2 * _rate(v, i, dt)
+                      for i, d in zip(inner, divs["a_psi"])],
+        "gauge_lorentz": [d + inv_qc2 * _rate(u, i, dt)
+                          for i, d in zip(inner, divs["a_classical"])],
+        "gauge_quantum": [d + inv_qc2 * _rate(q_series, i, dt)
+                          for i, d in zip(inner, divs["a_quantum"])],
+        "gauss_electric": [consts.eps0 * divergence(frames[i].e[: grid.dim], grid)
+                           - frames[i].rho for i in inner],
+        "gauss_magnetic": [divergence(frames[i].b[: grid.dim], grid) for i in inner],
+        "faraday": [], "ampere": [],
+    }
+    for i in inner:
+        curl_e, curl_b = _curl3(frames[i].e, grid), _curl3(frames[i].b, grid)
+        for ax in range(3):
+            de = _rate([fr.e[ax] for fr in frames], i, dt)
+            db = _rate([fr.b[ax] for fr in frames], i, dt)
+            rows["faraday"].append(curl_e[ax] + db)
+            rows["ampere"].append(
+                curl_b[ax] / consts.mu0 - consts.eps0 * de - frames[i].j[ax]
+            )
+    return {
+        name: diagnostics._report(name, np.stack(r), dt=dt) for name, r in rows.items()
+    }
+
+
+@pytest.mark.parametrize("shape", [(16,), (8, 12), (6, 8, 4)], ids=["1d", "2d", "3d"])
+def test_time_series_reports_are_frame_major(shape):
+    rng = np.random.default_rng(len(shape))
+    g = make_grid(len(shape), list(shape), [2 * np.pi, 5.0, 3.0][: len(shape)])
+    consts = PhysicalConstants.from_physical(1.3, 0.7, -1.1, 2.5)
+    times = [0.5 + 0.02 * i for i in range(6)]
+
+    def vector(count):
+        return tuple(random_band_limited(g, rng) for _ in range(count))
+
+    dens = [random_band_limited(g, rng) for _ in times]
+    currents = [VectorField(g, vector(g.dim)) for _ in times]
+    j4 = [FourCurrent(g, random_band_limited(g, rng), vector(3)) for _ in times]
+    gauges = [_random_gauge(g, rng, external=True) for _ in times]
+    q_series = [random_band_limited(g, rng) for _ in times]
+    frames = [
+        MaxwellFrame(g, vector(3), vector(g.dim), rho=random_band_limited(g, rng),
+                     j=vector(3))
+        for _ in times
+    ]
+    got = [
+        continuity_residual(times, dens, currents),
+        four_current_divergence(times, j4, consts),
+        *gauge_residuals(times, gauges, consts, q_series),
+        *maxwell_residuals(times, frames, consts).values(),
+    ]
+    want = _reference_reports(times, dens, currents, j4, gauges, q_series, frames, consts)
+    assert [rep.name for rep in got] == list(want)
+    frames_inner = len(times) - 2
+    for rep in got:
+        rows = 3 * frames_inner if rep.name in ("faraday", "ampere") else frames_inner
+        assert rep.per_point.shape == (rows,) + shape
+        assert rep.per_point.dtype == np.float64
+        ref = want[rep.name]
+        assert rep.to_json() == ref.to_json()
+        assert rep.per_point.tobytes() == ref.per_point.tobytes()
+
+
+def _peak_series_units(call, unit_bytes):
+    """Peak traced allocation of call(), in units of unit_bytes; the first call
+    fills the spectral caches, the second is measured."""
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / unit_bytes
+
+
+def test_time_series_residuals_hold_no_frame_lists():
+    # 2D 64^2, 21 times: one unit is one interior series, 19 frames of 64^2
+    # floats.  Measured (numpy 2.4): continuity 2.06, gauge 4.22; the per-frame
+    # lists, their stacked copies and the V = U + Q series read 3.01 and 8.34
+    rng = np.random.default_rng(59)
+    g = make_grid(2, [64, 64], [2 * np.pi, 2 * np.pi])
+    times = [0.01 * i for i in range(21)]
+    unit = (len(times) - 2) * g.shape[0] * g.shape[1] * 8
+    dens = [rng.standard_normal(g.shape) for _ in times]
+    currents = [VectorField(g, tuple(rng.standard_normal(g.shape) for _ in range(2)))
+                for _ in times]
+    gauges = [_random_gauge(g, rng)] * len(times)
+    q_series = [rng.standard_normal(g.shape) for _ in times]
+    # each report's own array, _report's one keep**2 temporary and a few frames
+    continuity = _peak_series_units(
+        lambda: continuity_residual(times, dens, currents), unit
+    )
+    assert continuity <= 2.5
+    gauge = _peak_series_units(lambda: gauge_residuals(times, gauges, NAT, q_series), unit)
+    assert gauge <= 4.5

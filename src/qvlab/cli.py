@@ -280,7 +280,7 @@ def _make_grid(data):
 
 def _physical(record, scenario):
     try:
-        return decomposition.PhysicalConstants.from_physical(
+        return decomposition.PhysicalConstants(
             **{key: record[key] for key in _UNITS})
     except ValueError as exc:
         raise ConfigError(f"config.constants: {exc}") from exc
@@ -659,6 +659,11 @@ def _trace_flow(run: Run, interpolation):
 
 def _trace_em(run: Run, interpolation):
     gauge, consts = run.scenario.gauge, run.scenario.consts
+    if gauge.b_external is not None and any(np.any(b != 0.0) for b in gauge.b_external):
+        raise ConfigError(
+            "config.gauge.b_external: the force method needs a free gauge, and "
+            "the scalar evolution it retraces ignores b_external"
+        )
     if np.any(gauge.u != 0.0) or any(
         np.any(c != 0.0) for c in gauge.a_psi.components
     ):
@@ -674,12 +679,9 @@ def _trace_em(run: Run, interpolation):
     e_sampler = trajectories.GridFieldSampler(
         run.grid, run.times, e_snaps, method=interpolation, masks=masks
     )
-    if gauge.b_external is None:
-        b_const = np.zeros(3)
-    else:
-        b_const = np.array([float(c.flat[0]) for c in gauge.b_external])
+    # a free gauge has no magnetic field
     b_sampler = trajectories.AnalyticSampler(
-        lambda pts, t: np.tile(b_const, (pts.shape[0], 1)), lengths=run.grid.length
+        lambda pts, t: np.zeros((pts.shape[0], 3)), lengths=run.grid.length
     )
     return trajectories.EMSeries(e=e_sampler, b=b_sampler)
 

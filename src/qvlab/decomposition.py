@@ -5,7 +5,7 @@ The mean velocity of a continuity-equation flow is decomposed as
 
     <v> = -alpha*grad(Phi) + gamma*A,      div A = chi,
 
-with the constant triple tied to the physical scales by
+with the constant triple derived from the physical scales:
 
     alpha = -hbar/(2m),   beta = 1/hbar,   gamma = -q/m.
 
@@ -17,8 +17,7 @@ the source div v - gamma*chi to have zero mean.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,24 +25,13 @@ import numpy as np
 from .fields import ComplexScalarField, SpinorField, BispinorField, VectorField, _component_list, _ratio, _support, density
 from .lattice import _INV_LAP, Grid, _spectral, divergence, spectral_gradient
 
-_REL_TOL = 1e-12
-
-
-def _close(a: float, b: float) -> bool:
-    return math.isclose(a, b, rel_tol=_REL_TOL, abs_tol=1e-300)
-
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Decomposition constants (alpha, beta, gamma) locked to (hbar, m, q, c).
+    """The physical scales (hbar, m, q, c, eps0); the decomposition constants
+    alpha = -hbar/(2m), beta = 1/hbar and gamma = -q/m derive from them, so
+    identities like 2*alpha*beta/gamma = 1/q hold by construction."""
 
-    Either triple determines the other; construction verifies consistency so
-    identities like 2*alpha*beta/gamma = 1/q hold exactly downstream.
-    """
-
-    alpha: float
-    beta: float
-    gamma: float
     hbar: float
     m: float
     q: float
@@ -51,61 +39,40 @@ class PhysicalConstants:
     eps0: float = 1.0
 
     def __post_init__(self):
-        if self.beta == 0.0 or self.hbar == 0.0:
-            raise ValueError("beta = 1/hbar must be nonzero")
+        if self.hbar == 0.0:
+            raise ValueError("hbar must be nonzero")
         if self.m <= 0.0:
             raise ValueError(f"mass must be positive, got {self.m}")
         if self.c <= 0.0 or self.eps0 <= 0.0:
             raise ValueError("c and eps0 must be positive")
-        checks = (
-            (self.alpha, -self.hbar / (2.0 * self.m)),
-            (self.beta, 1.0 / self.hbar),
-            (self.gamma, -self.q / self.m),
-        )
-        for got, want in checks:
-            if not _close(got, want):
-                raise ValueError(
-                    f"inconsistent constants: got {got!r}, expected {want!r}"
-                )
 
-    @classmethod
-    def from_physical(
-        cls, hbar: float, m: float, q: float, c: float = 1.0, eps0: float = 1.0
-    ) -> "PhysicalConstants":
-        return cls(
-            alpha=-hbar / (2.0 * m),
-            beta=1.0 / hbar,
-            gamma=-q / m,
-            hbar=hbar,
-            m=m,
-            q=q,
-            c=c,
-            eps0=eps0,
-        )
+    @property
+    def alpha(self) -> float:
+        return -self.hbar / (2.0 * self.m)
+
+    @property
+    def beta(self) -> float:
+        return 1.0 / self.hbar
+
+    @property
+    def gamma(self) -> float:
+        return -self.q / self.m
 
     @classmethod
     def natural(cls) -> "PhysicalConstants":
         """hbar = m = q = c = 1."""
-        return cls.from_physical(1.0, 1.0, 1.0, 1.0)
+        return cls(1.0, 1.0, 1.0, 1.0)
 
     @classmethod
     def from_decomposition(
         cls, alpha: float, beta: float, gamma: float, c: float = 1.0, eps0: float = 1.0
     ) -> "PhysicalConstants":
+        """The scales that realize (alpha, beta, gamma)."""
         if alpha == 0.0 or beta == 0.0:
             raise ValueError("alpha and beta must be nonzero")
         hbar = 1.0 / beta
         m = -hbar / (2.0 * alpha)
-        return cls(
-            alpha=alpha,
-            beta=beta,
-            gamma=gamma,
-            hbar=hbar,
-            m=m,
-            q=-gamma * m,
-            c=c,
-            eps0=eps0,
-        )
+        return cls(hbar=hbar, m=m, q=-gamma * m, c=c, eps0=eps0)
 
     @property
     def mu0(self) -> float:
@@ -116,32 +83,28 @@ class PhysicalConstants:
 class GaugeConfiguration:
     """External scalar potential plus the split vector potential.
 
-    a_psi = a_classical + a_quantum pointwise (checked).  b_external carries a
-    fixed 3-component magnetic field for scenarios whose B has no periodic
-    vector potential (a uniform field on a torus); when absent, spin couplings
-    derive B from curl of a_psi.
+    a_psi is not an argument: it is formed as the exact pointwise float sum
+    a_classical + a_quantum, so the split holds by construction.  b_external
+    carries a fixed 3-component magnetic field for scenarios whose B has no
+    periodic vector potential (a uniform field on a torus); when absent, spin
+    couplings derive B from curl of a_psi.
     """
 
     grid: Grid
-    a_psi: VectorField
     a_classical: VectorField
     a_quantum: VectorField
     u: np.ndarray
     b_external: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+    a_psi: VectorField = field(init=False)
 
     def __post_init__(self):
         self.u = np.broadcast_to(np.asarray(self.u, dtype=float), self.grid.shape)
-        for name in ("a_psi", "a_classical", "a_quantum"):
-            fld = getattr(self, name)
-            if fld.grid != self.grid:
+        for name in ("a_classical", "a_quantum"):
+            if getattr(self, name).grid != self.grid:
                 raise ValueError(f"{name} lives on a different grid")
-        for total, cl, qu in zip(
-            self.a_psi.components,
-            self.a_classical.components,
-            self.a_quantum.components,
-        ):
-            if np.max(np.abs(total - (cl + qu))) > 1e-12:
-                raise ValueError("a_psi must equal a_classical + a_quantum")
+        self.a_psi = VectorField(self.grid, tuple(
+            c + q for c, q in zip(self.a_classical.components, self.a_quantum.components)
+        ))
         if self.b_external is not None:
             self.b_external = tuple(
                 np.broadcast_to(np.asarray(b, dtype=float), self.grid.shape)
@@ -164,19 +127,12 @@ class GaugeConfiguration:
         u: Optional[np.ndarray] = None,
         b_external=None,
     ) -> "GaugeConfiguration":
-        """Build a configuration from whichever parts are present; a_psi is
-        formed as the exact float sum so the split invariant holds."""
-        a_cl = a_classical if a_classical is not None else VectorField.zero(grid)
-        a_qu = a_quantum if a_quantum is not None else VectorField.zero(grid)
-        total = VectorField(
-            grid,
-            tuple(c + q for c, q in zip(a_cl.components, a_qu.components)),
-        )
+        """Build a configuration from whichever parts are present; absent
+        potentials are zero."""
         return cls(
             grid=grid,
-            a_psi=total,
-            a_classical=a_cl,
-            a_quantum=a_qu,
+            a_classical=a_classical if a_classical is not None else VectorField.zero(grid),
+            a_quantum=a_quantum if a_quantum is not None else VectorField.zero(grid),
             u=u if u is not None else np.zeros(grid.shape),
             b_external=b_external,
         )

@@ -122,20 +122,25 @@ def _freeze(parts):
     return parts
 
 
-def _per_gauge(gauges: Sequence[GaugeConfiguration], compute) -> list:
-    """[compute(g) for g in gauges], computed once per distinct gauge object.
+def _per_gauge(compute):
+    """A lookup g -> compute(g) that computes again only when g is not the
+    object of the previous call.
 
     A run with a static gauge repeats one object at every snapshot, so its
     curls, divergences and gradients are taken once and shared between
-    frames; a time-varying series misses the cache every time.  The shared
-    arrays are read-only, so an in-place write fails instead of changing
-    other frames.
+    frames; a time-varying series computes each frame's anew, and only the
+    last result is held.  The shared arrays are read-only, so an in-place
+    write fails instead of changing other frames.
     """
-    cache = {}
-    for g in gauges:
-        if id(g) not in cache:
-            cache[id(g)] = _freeze(compute(g))
-    return [cache[id(g)] for g in gauges]
+    last = [None, None]
+
+    def lookup(g):
+        if last[0] is not g:
+            last[:] = None, None  # release the old result before computing
+            last[:] = g, _freeze(compute(g))
+        return last[1]
+
+    return lookup
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +305,9 @@ def em_fields(
     (A_psi, V = U + Q), the classical family (A, U) and the quantum family
     (A_Q, Q).  Q defaults to zero when no series is given, and b_external
     adds to the B of psi and classical.  B, and grad U for classical, are
-    computed once per distinct gauge object and shared, read-only, by the
-    frames that repeat it.  Returns (interior_times, [MaxwellFrame]).
+    computed once for consecutive frames that repeat one gauge object and
+    shared, read-only, by those frames.  Returns (interior_times,
+    [MaxwellFrame]).
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown field family {family!r}, expected one of {FAMILIES}")
@@ -321,8 +327,9 @@ def em_fields(
         grad_u = tuple(spectral_gradient(g.u, grid)) if family == "classical" else ()
         return b, grad_u
 
-    frames = []
-    for i, (b, grad_u) in enumerate(_per_gauge(gauges[1:-1], static), start=1):
+    per_gauge, frames = _per_gauge(static), []
+    for i in range(1, len(times) - 1):
+        b, grad_u = per_gauge(gauges[i])
         if family == "classical":
             grad = grad_u
         else:
@@ -346,17 +353,18 @@ def gauge_residuals(
     r_lorentz = div A + (1/(q c^2)) dU/dt,
     r_quantum = div A_Q + (1/(q c^2)) dQ/dt,
     and r_psi = r_lorentz + r_quantum up to roundoff by construction.  The
-    divergences are taken once per distinct gauge object.
+    divergences are taken once for consecutive frames that repeat one
+    gauge object.
     """
     q = (lambda k: 0.0) if q_series is None else (lambda k: q_series[k])
     coeff = 2.0 * consts.alpha * consts.beta / consts.gamma
     inv_qc2 = 1.0 / (consts.q * consts.c**2)
-    divs = _per_gauge(gauges[1:-1], lambda g: tuple(
+    divs = _per_gauge(lambda g: tuple(
         divergence(a.components, g.grid) for a in (g.a_psi, g.a_classical, g.a_quantum)
     ))
 
     def rows(i, rate):
-        div_psi, div_cl, div_q = divs[i - 1]
+        div_psi, div_cl, div_q = divs(gauges[i])
         v_rate = rate(lambda k: gauges[k].u + q(k))
         return {
             "gauge_psi": (div_psi + coeff / consts.c**2 * v_rate,),

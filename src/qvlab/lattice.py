@@ -36,12 +36,20 @@ MAX_DIM = 3
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic lattice over [0, length_j) per axis."""
+    """Uniform periodic lattice over [0, length_j) per axis.  It stores the
+    point counts n and the box extents length; dim and spacing derive from
+    them."""
 
-    dim: int
     n: tuple[int, ...]
     length: tuple[float, ...]
-    spacing: tuple[float, ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.n)
+
+    @property
+    def spacing(self) -> tuple[float, ...]:
+        return tuple(L / m for L, m in zip(self.length, self.n))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -87,8 +95,7 @@ def make_grid(dim: int, n: Sequence[int], length: Sequence[float]) -> Grid:
         raise ValueError(f"need at least 4 points per axis, got {n}")
     if any(v <= 0 for v in length):
         raise ValueError(f"box extents must be positive, got {length}")
-    spacing = tuple(L / m for L, m in zip(length, n))
-    return Grid(dim=dim, n=n, length=length, spacing=spacing)
+    return Grid(n=n, length=length)
 
 
 @lru_cache(maxsize=128)

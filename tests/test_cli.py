@@ -181,7 +181,7 @@ _PRESET_KEYS = {
     ("initial_state", "gaussian"): {"sigma": 1.0},
     ("initial_state", "ho_ground"): {"omega": 1.0},
     ("initial_state", "spinor_up_x"): {"sigma": 1.0},
-    ("initial_state", "dirac_plane_wave"): {"mode": [1]},
+    ("initial_state", "dirac_plane_wave"): {"mode": [1], "branch": "negative"},
     ("initial_state", "custom"): {"path": "seed.qfs"},
     ("gauge.u", "zero"): {},
     ("gauge.u", "uniform"): {"value": 0.5},
@@ -195,6 +195,7 @@ _PRESET_TABLES = (
     ("gauge.u", cli._POTENTIALS),
     ("gauge.a", cli._VECTOR_POTENTIALS),
 )
+_PRESETS = [(section, preset) for section, table in _PRESET_TABLES for preset in table]
 
 
 def _put(payload, path, value):
@@ -204,18 +205,17 @@ def _put(payload, path, value):
     payload[last] = value
 
 
-@pytest.mark.parametrize(
-    "section, preset",
-    [(section, preset) for section, table in _PRESET_TABLES for preset in table],
-)
+def _write_seed(directory):
+    """The snapshot the custom preset of _PRESET_KEYS reads."""
+    grid = make_grid(1, [16], [8.0])
+    write_snapshot(ComplexScalarField(grid, np.ones(16, dtype=complex)),
+                   directory / "seed.qfs")
+
+
+@pytest.mark.parametrize("section, preset", _PRESETS)
 def test_every_preset_rejects_extra_keys_and_bad_values(section, preset, tmp_path,
                                                         capsys):
-    from qvlab.fields import ComplexScalarField, write_snapshot
-    from qvlab.lattice import make_grid
-
-    grid = make_grid(1, [16], [8.0])
-    seed = ComplexScalarField(grid, np.ones(16, dtype=complex))
-    write_snapshot(seed, tmp_path / "seed.qfs")
+    _write_seed(tmp_path)
     keys = _PRESET_KEYS[(section, preset)]
     cases = [({**keys, "extra": 1}, f"unknown key config.{section}.extra")]
     for key in keys:
@@ -229,6 +229,23 @@ def test_every_preset_rejects_extra_keys_and_bad_values(section, preset, tmp_pat
         assert message in err
         if "extra" not in values:
             assert err.rstrip().endswith("got true")
+
+
+# the equation a state preset needs, where it is not schrodinger
+_STATE_EQUATIONS = {"spinor_up_x": "pauli", "dirac_plane_wave": "dirac"}
+
+
+@pytest.mark.parametrize("section, preset", _PRESETS)
+def test_every_preset_builds_and_evolves(section, preset, tmp_path):
+    _write_seed(tmp_path)
+    payload = _small_config()
+    _put(payload, section, {"preset": preset, **_PRESET_KEYS[(section, preset)]})
+    if section == "initial_state":
+        payload["equation"] = _STATE_EQUATIONS.get(preset, "schrodinger")
+    cfg = _write_config(tmp_path / "preset.json", payload)
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(list(out.glob("snap_*.qfs"))) == 2
 
 
 # every key read through Section.choice, with the config that reaches it
@@ -767,6 +784,25 @@ def test_trace_methods_agree(gaussian_run, capsys):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[1]) == 21.0
+
+
+@pytest.mark.parametrize("b_external, code", [([0.0, 0.0, 2.0], 2), ([0.0] * 3, 0)],
+                         ids=["nonzero", "zero"])
+def test_force_trace_refuses_a_field_the_evolution_ignored(b_external, code, tmp_path,
+                                                           capsys):
+    # the scalar step ignores b_external: a force path through its B would
+    # feel a Lorentz force the run never had
+    payload = _traced_config()
+    payload["gauge"] = {"b_external": b_external}
+    payload["trace"]["method"] = "both"
+    cfg = _write_config(tmp_path / "magnetic.json", payload)
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["trace", "--config", str(cfg), "--out", str(out)]) == code
+    assert (out / "trace_summary.json").exists() == (code == 0)
+    if code:
+        assert "config error: config.gauge.b_external" in capsys.readouterr().err
 
 
 def test_trace_sampled_starts_are_seed_deterministic(gaussian_run, tmp_path):

@@ -818,7 +818,7 @@ def _reference_reports(times, dens, currents, j4, gauges, q_series, frames, cons
 def test_time_series_reports_are_frame_major(shape):
     rng = np.random.default_rng(len(shape))
     g = make_grid(len(shape), list(shape), [2 * np.pi, 5.0, 3.0][: len(shape)])
-    consts = PhysicalConstants.from_physical(1.3, 0.7, -1.1, 2.5)
+    consts = PhysicalConstants(1.3, 0.7, -1.1, 2.5)
     times = [0.5 + 0.02 * i for i in range(6)]
 
     def vector(count):
@@ -885,4 +885,9 @@ def test_time_series_residuals_hold_no_frame_lists():
     )
     assert continuity <= 2.5
     gauge = _peak_series_units(lambda: gauge_residuals(times, gauges, NAT, q_series), unit)
+    assert gauge <= 4.5
+    # a distinct gauge per time holds only one frame's divergences at once:
+    # 4.22, where the list of every frame's divergences read 7.08
+    varying = [_random_gauge(g, rng) for _ in times]
+    gauge = _peak_series_units(lambda: gauge_residuals(times, varying, NAT, q_series), unit)
     assert gauge <= 4.5

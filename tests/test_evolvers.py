@@ -367,7 +367,7 @@ def test_dirac_free_factor_is_the_exact_exponential():
     # k of an even/odd grid; the reference diagonalises the dense 4x4
     # alpha.(c*hbar*k) + beta*m*c^2.  Each k drops its Nyquist components,
     # as every first-derivative multiplier does.
-    consts = PhysicalConstants.from_physical(hbar=0.7, m=1.3, q=1.0, c=2.0)
+    consts = PhysicalConstants(hbar=0.7, m=1.3, q=1.0, c=2.0)
     g = make_grid(3, [6, 5, 4], [2.0, 3.0, 2.5])
     dt = 0.3
     columns = []

@@ -17,13 +17,17 @@ def random_band_limited(
     zero_mean: bool = False,
 ) -> np.ndarray:
     """Smooth random field with modes strictly below fraction*n per axis,
-    normalized to unit sup norm."""
+    normalized to unit sup norm.  A zero_mean field has its k = 0 mode
+    removed; when the band keeps only k = 0 it is exactly zero, not rescaled
+    roundoff."""
     if complex_valued:
         raw = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     else:
         raw = rng.standard_normal(grid.shape)
     out = band_limit(raw, grid, fraction)
     if zero_mean:
+        if all(fraction * n <= 1 for n in grid.n):
+            return np.zeros_like(out)
         out = out - out.mean()
     peak = np.abs(out).max()
     return out / peak if peak > 0 else out

@@ -509,13 +509,16 @@ class Run:
 
     def __init__(self, scenario: Scenario, out: str):
         manifest_path = os.path.join(out, "manifest.json")
+        corrupt = f"corrupt run manifest {manifest_path}"
         try:
             with open(manifest_path, "r", encoding="utf-8") as fh:
                 manifest = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"missing run manifest {manifest_path}: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"corrupt run manifest {manifest_path}: {exc}") from exc
+            raise ConfigError(f"{corrupt}: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise ConfigError(f"{corrupt}: need an object, got {type(manifest).__name__}")
         recorded = manifest.get("physics_sha256")
         if recorded != scenario.physics_sha256:
             raise ConfigError(
@@ -524,6 +527,9 @@ class Run:
                 "re-run evolve with this config"
             )
         entries = manifest.get("snapshots", [])
+        if not _array_of(lambda e: isinstance(e, dict) and isinstance(e.get("file"), str)
+                         and _is_number(e.get("time")))(entries):
+            raise ConfigError(f"{corrupt}: snapshots need a string file and a numeric time")
         if not entries:
             raise ConfigError(f"{manifest_path} lists no snapshots")
         self.scenario = scenario
@@ -531,7 +537,7 @@ class Run:
         for entry in entries:
             try:
                 self.snaps.append(fields.read_snapshot(os.path.join(out, entry["file"])))
-            except (OSError, fields.SnapshotError, KeyError) as exc:
+            except (OSError, fields.SnapshotError) as exc:
                 raise ConfigError(f"cannot read snapshot {entry!r}: {exc}") from exc
             self.times.append(float(entry["time"]))
         self.grid = self.snaps[0].grid
@@ -566,12 +572,8 @@ class Run:
         consts = self.scenario.consts
         if isinstance(self.snaps[0], fields.BispinorField):
             return [decomposition.current_bispinor(s, consts.c) for s in self.snaps]
-        if isinstance(self.snaps[0], fields.SpinorField):
-            current = decomposition.current_spinor
-        else:
-            current = decomposition.current_scalar
         gauge = self.scenario.gauge
-        return [current(s, gauge, consts) for s in self.snaps]
+        return [decomposition.current_scalar(s, gauge, consts) for s in self.snaps]
 
     @cached_property
     def q_series(self):
@@ -651,26 +653,13 @@ def cmd_diagnose(args, scenario: Scenario) -> int:
 
 
 def _trace_flow(run: Run, interpolation):
-    run.scalar()
     return trajectories.FlowSampler(
         run.grid, run.times, run.densities, run.currents, method=interpolation
     )
 
 
 def _trace_em(run: Run, interpolation):
-    gauge, consts = run.scenario.gauge, run.scenario.consts
-    if gauge.b_external is not None and any(np.any(b != 0.0) for b in gauge.b_external):
-        raise ConfigError(
-            "config.gauge.b_external: the force method needs a free gauge, and "
-            "the scalar evolution it retraces ignores b_external"
-        )
-    if np.any(gauge.u != 0.0) or any(
-        np.any(c != 0.0) for c in gauge.a_psi.components
-    ):
-        raise ConfigError(
-            "trace: the force method supports free-gauge scalar runs "
-            "(u and a both zero)"
-        )
+    consts = run.scenario.consts
     e_snaps, masks = [], []
     for snap in run.snaps:
         force, mask = diagnostics.quantum_force(snap, consts)
@@ -690,13 +679,25 @@ def cmd_trace(args, scenario: Scenario) -> int:
     trace_cfg = scenario.require("trace")
     if scenario.consts.q == 0.0:
         raise ConfigError("config.constants: tracing needs q != 0")
+    methods = (
+        ["advect", "force"] if trace_cfg["method"] == "both" else [trace_cfg["method"]]
+    )
+    if "force" in methods:  # the gauge comes from the config alone: refuse it early
+        gauge = scenario.gauge
+        if gauge.b_external and any(np.any(b) for b in gauge.b_external):
+            raise ConfigError(
+                "config.gauge.b_external: the force method needs a free gauge, and "
+                "the scalar evolution it retraces ignores b_external"
+            )
+        if np.any(gauge.u) or any(np.any(c) for c in gauge.a_psi.components):
+            raise ConfigError(
+                "trace: the force method supports free-gauge scalar runs (u and a both zero)"
+            )
     out = _out_dir(args, scenario)
-    run = Run(scenario, out)
+    run = Run(scenario, out).scalar()
     times, grid = run.times, run.grid
     if times[-1] < times[0]:
         raise ConfigError("trace: paths run forward in time, but config.evolution.dt < 0")
-
-    flow = _trace_flow(run, trace_cfg["interpolation"])
 
     if trace_cfg["dt"] is None and len(times) < 2:
         raise ConfigError("config.trace.dt is required: the run has one snapshot")
@@ -716,6 +717,8 @@ def cmd_trace(args, scenario: Scenario) -> int:
             f"past the run's span {span:g}"
         )
 
+    # every check is done: only now are currents and forces computed
+    flow = _trace_flow(run, trace_cfg["interpolation"])
     if trace_cfg["starts"] is not None:
         starts = np.atleast_2d(np.asarray(trace_cfg["starts"], dtype=float))
     else:
@@ -724,9 +727,6 @@ def cmd_trace(args, scenario: Scenario) -> int:
             grid, run.densities[0], trace_cfg["count"], rng
         )
 
-    methods = (
-        ["advect", "force"] if trace_cfg["method"] == "both" else [trace_cfg["method"]]
-    )
     em = _trace_em(run, trace_cfg["interpolation"]) if "force" in methods else None
 
     batches = {}

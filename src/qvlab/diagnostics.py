@@ -2,6 +2,9 @@
 guarantees: continuity, Hamilton-Jacobi balance, gauge conditions, field
 self-consistency, the Maxwell-type system, and four-current conservation.
 
+J and Q share one differentiation of psi (decomposition._polar), so the
+Hamilton-Jacobi residual, which needs both, transforms psi once.
+
 Every time derivative is a centered second-order difference over stored
 snapshots, so residuals carry an O(dt^2) floor that is discretization, not
 identity failure; report dt alongside the norms.  Each time-series residual
@@ -18,14 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .decomposition import (
-    FourCurrent,
-    GaugeConfiguration,
-    PhysicalConstants,
-    current_scalar,
-    velocity,
-)
-from .fields import ComplexScalarField, NodeError, VectorField, _phase_slopes, _ratio, _support, density, node_mask
+from .decomposition import FourCurrent, GaugeConfiguration, PhysicalConstants, _polar
+from .fields import ComplexScalarField, NodeError, VectorField, _ratio, _support, density, node_mask
 from .lattice import _LAP, Grid, _curl3, _spectral, _zero_slot, divergence, spectral_gradient
 
 _JUMP_FRACTION = 0.9  # |angle| above this multiple of pi flags a branch jump
@@ -181,19 +178,7 @@ def quantum_potential(psi: ComplexScalarField, consts: PhysicalConstants):
     Evaluated through Lap|psi|/|psi| = Re(Lap psi / psi) + |grad phi|^2, which
     stays smooth where |psi| has kinks (sign-changing real states).
     """
-    # f and lap stay bound to the end: freeing them early changes which heap
-    # blocks the kept Q arrays land in, and raised the peak RSS of diagnose
-    # by 3 MB (glibc malloc, 51 snapshots of 128^2)
-    grid = psi.grid
-    f = density(psi)
-    mask = _support(f, "quantum potential")
-    lap, *d1 = _spectral(
-        [psi.values], grid, [[(0, _LAP)]] + [[(0, a)] for a in range(grid.dim)]
-    )
-    ratio = _ratio(lap, psi.values, mask)
-    grad2 = sum(g**2 for g in _phase_slopes(psi.values, d1, f, mask))
-    q = (consts.alpha / consts.beta) * (ratio.real + grad2)
-    q[mask] = 0.0
+    _, _, q, mask = _polar(psi, consts.alpha / consts.beta)
     return q, mask
 
 
@@ -270,13 +255,13 @@ def hamilton_jacobi_residual(
     with the standard constants the balance reads
     -hbar dphi/dt - (m/2)|<v>|^2 - U - Q.
     """
-    f = density(psi)
-    j = current_scalar(psi, gauge, consts)
-    v, mask = velocity(j, f)
-    q, _ = quantum_potential(psi, consts)  # same mask: node_mask(density(psi))
+    f, flux, q, mask = _polar(psi, consts.alpha / consts.beta, "velocity")
+    speed2 = sum(
+        _ratio(-2.0 * consts.alpha * x + consts.gamma * f * a, f, mask) ** 2
+        for x, a in zip(flux, gauge.a_psi.components)
+    )
     if rate_mask is not None:
         mask = mask | rate_mask
-    speed2 = sum(c**2 for c in v.components)
     r = (
         -phase_rate / consts.beta
         + speed2 / (4.0 * consts.alpha * consts.beta)

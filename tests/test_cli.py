@@ -632,6 +632,34 @@ def test_diagnose_missing_manifest_is_a_config_error(tmp_path, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
+def _entries(edit):
+    return lambda manifest: {**manifest, "snapshots": edit(manifest["snapshots"])}
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda manifest: [],
+        _entries(lambda entries: entries[0]["file"]),
+        _entries(lambda entries: [entry["file"] for entry in entries]),
+        _entries(lambda entries: [{"time": e["time"]} for e in entries]),
+        _entries(lambda entries: [{**e, "time": str(e["time"])} for e in entries]),
+        _entries(lambda entries: [{**e, "time": None} for e in entries]),
+    ],
+    ids=["list", "snapshots-string", "string-entries", "no-file", "string-time",
+         "null-time"],
+)
+def test_a_manifest_of_the_wrong_shape_is_corrupt(corrupt, small_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+    (run / "manifest.json").write_text(json.dumps(corrupt(manifest)), encoding="utf-8")
+    cfg = small_run.parent / "scenario.json"
+    assert main(["diagnose", "--config", str(cfg), "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: corrupt run manifest {run / 'manifest.json'}: " in err
+
+
 def test_diagnose_refuses_a_run_evolved_under_other_physics(oscillator_run, tmp_path,
                                                              capsys):
     _, out = oscillator_run
@@ -803,6 +831,37 @@ def test_force_trace_refuses_a_field_the_evolution_ignored(b_external, code, tmp
     assert (out / "trace_summary.json").exists() == (code == 0)
     if code:
         assert "config error: config.gauge.b_external" in capsys.readouterr().err
+
+
+def test_force_trace_refuses_the_gauge_before_reading_the_run(tmp_path, capsys):
+    payload = _traced_config()
+    payload["gauge"] = {"b_external": [0.0, 0.0, 1.0]}
+    payload["trace"]["method"] = "force"
+    cfg = _write_config(tmp_path / "magnetic.json", payload)
+    missing = tmp_path / "no-run"
+    assert main(["trace", "--config", str(cfg), "--out", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: config.gauge.b_external" in err
+    assert "manifest" not in err
+    assert not missing.exists()
+
+
+def test_trace_checks_its_span_before_computing_currents(small_run, tmp_path,
+                                                         monkeypatch, capsys):
+    calls = []
+    real = cli.decomposition.current_scalar
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli.decomposition, "current_scalar", counting)
+    payload = _traced_config()
+    payload["trace"]["steps"] = 50  # 50 steps of 1e-3 overrun the run's 0.002
+    cfg = _write_config(tmp_path / "long.json", payload)
+    assert main(["trace", "--config", str(cfg), "--out", str(small_run)]) == 2
+    assert "config.trace.steps and config.trace.dt carry the paths" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_trace_sampled_starts_are_seed_deterministic(gaussian_run, tmp_path):

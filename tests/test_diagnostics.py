@@ -15,6 +15,7 @@ from qvlab.decomposition import (
     GaugeConfiguration,
     PhysicalConstants,
     current_bispinor,
+    current_spinor,
 )
 from qvlab.diagnostics import (
     FAMILIES,
@@ -32,7 +33,7 @@ from qvlab.diagnostics import (
     self_consistency_residual,
 )
 from qvlab.evolvers import EvolutionParams, FourPotential, run_dirac
-from qvlab.fields import BispinorField, ComplexScalarField, NodeError, VectorField
+from qvlab.fields import BispinorField, ComplexScalarField, NodeError, SpinorField, VectorField
 from qvlab.lattice import _curl3, divergence, k_squared, make_grid, spectral_gradient
 from oracles import CoherentState, GaussianPacket
 from util import count_transforms, linf, random_band_limited
@@ -227,6 +228,25 @@ def test_psi_derivatives_share_one_transform(dim, monkeypatch):
     assert sum(calls.values()) == {1: 5, 2: 9, 3: 14}[dim]
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_current_and_q_share_one_differentiation(dim, monkeypatch):
+    # J and Q come from one transform of each component of psi: the
+    # Hamilton-Jacobi residual, which needs both, transforms psi once and
+    # inverts grad psi and Lap psi; a spinor current transforms each component
+    g = make_grid(dim, [8, 6, 5][:dim], [2 * np.pi] * dim)
+    vals = 2.0 + random_band_limited(g, np.random.default_rng(dim), complex_valued=True)
+    psi, gauge = ComplexScalarField(g, vals), GaugeConfiguration.free(g)
+    calls = count_transforms(monkeypatch)
+    hamilton_jacobi_residual(psi, gauge, NAT, np.zeros(g.shape))
+    assert calls == {"fftn": 1, "ifftn": 1 + dim}
+    calls.clear()
+    quantum_potential(psi, NAT)
+    assert calls["fftn"] == 1
+    calls.clear()
+    current_spinor(SpinorField(g, np.stack([vals, 0.5j * vals])), gauge, NAT)
+    assert calls == {"fftn": 2, "ifftn": 2 * dim}
+
+
 # ---------------------------------------------------------------------------
 # phase rate and Hamilton-Jacobi balance
 
@@ -274,6 +294,13 @@ def test_hamilton_jacobi_flags_wrong_frequency():
     wrong = _plane_wave_hj(omega_scale=1.1)
     assert wrong.l2 == pytest.approx(0.1 * 2.0, rel=1e-6)
     assert wrong.l2 >= 10 * max(clean.l2, 1e-12)
+
+
+def test_hamilton_jacobi_without_support_names_the_velocity():
+    g = make_grid(1, [32], [2 * np.pi])
+    psi = ComplexScalarField(g, np.zeros(g.shape, complex))
+    with pytest.raises(NodeError, match="^velocity undefined"):
+        hamilton_jacobi_residual(psi, GaugeConfiguration.free(g), NAT, np.zeros(g.shape))
 
 
 def test_hamilton_jacobi_oscillator_ground_state():

@@ -1,5 +1,6 @@
 """The package's export list."""
 import ast
+import collections
 import importlib
 import inspect
 import pathlib
@@ -46,3 +47,26 @@ def test_every_public_function_is_exported_or_used():
         and not name.startswith("_") and name not in used
     ]
     assert orphans == []
+
+
+def _references(node) -> collections.Counter:
+    """How often each name is read under node, bare or as an attribute."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_private_helper_is_used_outside_itself():
+    # a module-level _helper that only its own body names is left over
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(pathlib.Path(qvlab.__file__).parent.glob("*.py"))]
+    package = sum((_references(tree) for tree in trees), collections.Counter())
+    leftovers = [
+        node.name
+        for tree in trees for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and package[node.name] <= _references(node)[node.name]
+    ]
+    assert leftovers == []

@@ -599,15 +599,23 @@ def _hamilton_jacobi(run: Run):
     gauge = run.scenario.gauge
     mid = len(snaps) // 2
     spacing = times[mid + 1] - times[mid - 1]
-    rate, rate_mask, _ = diagnostics.phase_rate_from_snapshots(
+    rate, rate_mask, jumps = diagnostics.phase_rate_from_snapshots(
         snaps[mid - 1], snaps[mid + 1], spacing
     )
-    return [
-        diagnostics.hamilton_jacobi_residual(
-            snaps[mid], gauge, run.scenario.consts, rate, rate_mask,
+    # a branch jump (a phase turn of nearly pi or more) leaves the rate ambiguous
+    try:
+        report = diagnostics.hamilton_jacobi_residual(
+            snaps[mid], gauge, run.scenario.consts, rate, rate_mask | jumps,
             dt=times[1] - times[0],
         )
-    ]
+    except fields.NodeError as exc:
+        if not jumps.any():
+            raise
+        raise ConfigError(
+            f"config.evolution.snapshot_stride: {exc}; the phase jumped a branch at "
+            f"{int(jumps.sum())} points between snapshots; take a smaller stride"
+        ) from exc
+    return [report]
 
 
 def _gauge(run: Run):
@@ -790,7 +798,11 @@ def cmd_fields(args, scenario: Scenario) -> int:
     inner, frames = diagnostics.em_fields(run.times, gauges, consts, run.q_series, family)
     reports = list(diagnostics.gauge_residuals(run.times, gauges, consts, run.q_series))
     mid, dim = len(inner) // 2, run.grid.dim
-    e_mid = fields.VectorField(run.grid, frames[mid].e[:dim])
+    # the Gauss law of self_consistency holds for E_psi whatever the family
+    psi_frame = frames[mid] if family == "psi" else diagnostics.em_fields(
+        run.times[mid:mid + 3], gauges[mid:mid + 3], consts, run.q_series[mid:mid + 3]
+    )[1][0]
+    e_mid = fields.VectorField(run.grid, psi_frame.e[:dim])
     reports.append(
         diagnostics.self_consistency_residual(
             e_mid, fields.density(run.snaps[1 + mid]), consts

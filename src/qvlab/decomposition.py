@@ -25,7 +25,9 @@ from typing import Optional
 import numpy as np
 
 from .fields import ComplexScalarField, BispinorField, VectorField, _component_list, _ratio, _support, density
-from .lattice import _INV_LAP, _LAP, Grid, _spectral, divergence, spectral_gradient
+from .lattice import (
+    _INV_LAP, _LAP, Grid, _check_shape, _grid_components, _spectral, divergence, spectral_gradient,
+)
 
 
 @dataclass(frozen=True)
@@ -108,12 +110,8 @@ class GaugeConfiguration:
             c + q for c, q in zip(self.a_classical.components, self.a_quantum.components)
         ))
         if self.b_external is not None:
-            self.b_external = tuple(
-                np.broadcast_to(np.asarray(b, dtype=float), self.grid.shape)
-                for b in self.b_external
-            )
-            if len(self.b_external) != 3:
-                raise ValueError("b_external needs exactly 3 components")
+            self.b_external = _grid_components(
+                self.b_external, self.grid, 3, "GaugeConfiguration.b_external")
 
     @classmethod
     def free(cls, grid: Grid) -> "GaugeConfiguration":
@@ -150,15 +148,8 @@ class FourCurrent:
     jk: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def __post_init__(self):
-        self.j0 = np.asarray(self.j0, dtype=float)
-        if self.j0.shape != self.grid.shape:
-            raise ValueError("J^0 shape does not match the grid")
-        if len(self.jk) != 3:
-            raise ValueError("need exactly 3 spatial components")
-        self.jk = tuple(
-            np.broadcast_to(np.asarray(j, dtype=float), self.grid.shape)
-            for j in self.jk
-        )
+        self.j0 = _check_shape(self.j0, self.grid, "FourCurrent.j0", float)
+        self.jk = _grid_components(self.jk, self.grid, 3, "FourCurrent.jk")
 
     def spatial_divergence(self) -> np.ndarray:
         return divergence([self.jk[a] for a in range(self.grid.dim)], self.grid)

@@ -44,7 +44,11 @@ import numpy as np
 
 from .algebra import sigma_apply, sigma_parts
 from .decomposition import FourCurrent, GaugeConfiguration, PhysicalConstants
-from .lattice import Grid, _curl3, _kmesh, divergence, k_squared, spectral_gradient, spectral_laplacian
+from .fields import _ratio
+from .lattice import (
+    Grid, _curl3, _grid_components, _kmesh, divergence, k_squared, spectral_gradient,
+    spectral_laplacian,
+)
 
 _STABILITY = 0.5  # leapfrog bound: c*|dt| <= _STABILITY * smallest spacing
 
@@ -233,18 +237,23 @@ def magnetic_field(gauge: GaugeConfiguration) -> tuple[np.ndarray, np.ndarray, n
     return b
 
 
+def _sigma_exponential(phase, coeff, v):
+    """phase*exp(i*coeff*sigma.v) = d + sigma.s pointwise, as (d, sigma_parts(s)):
+    with w = coeff*|v|, d = phase*cos(w) and s = i*phase*(sin(w)/|v|)*v,
+    where sin(w)/|v| tends to coeff at v = 0."""
+    vmag = np.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2)
+    w = coeff * vmag
+    zero = vmag == 0.0
+    scale = 1j * phase * np.where(zero, coeff, _ratio(np.sin(w), vmag, zero))
+    return phase * np.cos(w), sigma_parts([scale * comp for comp in v])
+
+
 def _spin_factor(b, consts, tau, phase, scratch):
     """The pointwise 2x2 factor R.V: the rotation
     R = exp(i*theta*sigma.n) = cos(theta) + i*sin(theta)*sigma.n with
     theta = (q*tau/2m)|B| times the potential phase V, which commutes with
-    it; the sin(theta)/|B| factor tends to q*tau/2m."""
-    coeff = consts.q * tau / (2.0 * consts.m)
-    bmag = np.sqrt(b[0] ** 2 + b[1] ** 2 + b[2] ** 2)
-    theta = coeff * bmag
-    diag = phase * np.cos(theta)
-    safe = np.where(bmag > 0.0, bmag, 1.0)
-    scale = 1j * phase * np.where(bmag > 0.0, np.sin(theta) / safe, coeff)
-    parts = sigma_parts([scale * comp for comp in b])
+    it."""
+    diag, parts = _sigma_exponential(phase, consts.q * tau / (2.0 * consts.m), b)
     return lambda src, dst: _pair_factor(diag, parts, src, src, dst, scratch)
 
 
@@ -283,11 +292,7 @@ class FourPotential:
 
     def __post_init__(self):
         self.phi = np.broadcast_to(np.asarray(self.phi, dtype=float), self.grid.shape)
-        if len(self.a) != 3:
-            raise ValueError("the vector potential needs exactly 3 components")
-        self.a = tuple(
-            np.broadcast_to(np.asarray(c, dtype=float), self.grid.shape) for c in self.a
-        )
+        self.a = _grid_components(self.a, self.grid, 3, "FourPotential.a")
 
     @classmethod
     def free(cls, grid: Grid) -> "FourPotential":
@@ -314,13 +319,7 @@ def _dirac_interaction(pot, consts, tau, scratch):
     scalar = np.exp(-1j * consts.q * tau * consts.beta * pot.phi)
     if not any(np.any(c) for c in pot.a):
         return _phase(scalar)
-    a1, a2, a3 = pot.a
-    amag = np.sqrt(a1**2 + a2**2 + a3**2)
-    w = consts.q * consts.c * tau * consts.beta * amag
-    safe = np.where(amag > 0.0, amag, 1.0)
-    scale = 1j * np.where(amag > 0.0, np.sin(w) / safe, consts.q * consts.c * tau * consts.beta)
-    diag = scalar * np.cos(w)
-    parts = sigma_parts([scalar * scale * comp for comp in pot.a])
+    diag, parts = _sigma_exponential(scalar, consts.q * consts.c * tau * consts.beta, pot.a)
     return _dirac_factor(diag, diag, parts, scratch)
 
 
@@ -371,12 +370,8 @@ class WaveState:
     time: float
 
     def __post_init__(self):
-        for name in ("prev", "curr"):
-            comps = getattr(self, name)
-            if len(comps) != 4:
-                raise ValueError("wave state carries exactly 4 potential components")
-            setattr(self, name, tuple(
-                np.broadcast_to(np.asarray(c, dtype=float), self.grid.shape) for c in comps))
+        self.prev = _grid_components(self.prev, self.grid, 4, "WaveState.prev")
+        self.curr = _grid_components(self.curr, self.grid, 4, "WaveState.curr")
 
 
 def _check_cfl(grid: Grid, consts: PhysicalConstants, params: EvolutionParams):
@@ -415,9 +410,9 @@ def wave_initial_state(
     dt, c2 = params.dt, consts.c**2
     mu0 = consts.mu0
     curr, prev = [], []
+    a0 = _grid_components(a0, grid, 4, "a0")
+    adot0 = _grid_components(adot0, grid, 4, "adot0")
     for a, adot, s in zip(a0, adot0, source):
-        a = np.broadcast_to(np.asarray(a, dtype=float), grid.shape)
-        adot = np.broadcast_to(np.asarray(adot, dtype=float), grid.shape)
         accel = c2 * (spectral_laplacian(a, grid) + mu0 * s)
         jerk = c2 * spectral_laplacian(adot, grid)
         prev.append(a - dt * adot + 0.5 * dt**2 * accel - dt**3 / 6.0 * jerk)

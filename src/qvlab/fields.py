@@ -2,7 +2,8 @@
 
 Four sample-array containers share one Grid: complex scalar, 2-component
 spinor, 4-component bispinor, and a real vector field with one component
-per grid axis.  Densities are dimensionless lattice samples sum_i |psi_i|^2;
+per grid axis.  The three complex ones are one amplitude container that
+differs only in its class-level component count.  Densities are dimensionless lattice samples sum_i |psi_i|^2;
 phases are extracted branch-free where possible and unwrapped per axis only
 for reporting.
 
@@ -56,36 +57,36 @@ def _coerce(values, shape, dtype) -> np.ndarray:
 
 
 @dataclass
-class ComplexScalarField:
+class _Amplitude:
+    """Complex amplitudes, ncomp per grid point; with more than one, the
+    leading axis is the spinor index."""
+
+    grid: Grid
+    values: np.ndarray
+    ncomp = 1  # a class constant, not a field
+
+    def __post_init__(self):
+        self.values = _coerce(self.values, self._shape(self.grid), np.complex128)
+
+    @classmethod
+    def _shape(cls, grid: Grid) -> tuple[int, ...]:
+        return grid.shape if cls.ncomp == 1 else (cls.ncomp, *grid.shape)
+
+
+class ComplexScalarField(_Amplitude):
     """Single complex amplitude per grid point."""
 
-    grid: Grid
-    values: np.ndarray
 
-    def __post_init__(self):
-        self.values = _coerce(self.values, self.grid.shape, np.complex128)
-
-
-@dataclass
-class SpinorField:
+class SpinorField(_Amplitude):
     """Two complex components per grid point, leading axis is the spinor index."""
 
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = _coerce(self.values, (2, *self.grid.shape), np.complex128)
+    ncomp = 2
 
 
-@dataclass
-class BispinorField:
+class BispinorField(_Amplitude):
     """Four complex components per grid point, leading axis is the spinor index."""
 
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = _coerce(self.values, (4, *self.grid.shape), np.complex128)
+    ncomp = 4
 
 
 @dataclass
@@ -111,12 +112,12 @@ class VectorField:
 
 
 Field = Union[ComplexScalarField, SpinorField, BispinorField]
+_AMPLITUDES = {cls.ncomp: cls for cls in (ComplexScalarField, SpinorField, BispinorField)}
 
 
-def _component_list(field: Field) -> list[np.ndarray]:
-    if isinstance(field, ComplexScalarField):
-        return [field.values]
-    return list(field.values)
+def _component_list(field: Field) -> np.ndarray:
+    """The components of an amplitude as views of shape (ncomp, *grid)."""
+    return field.values.reshape(-1, *field.grid.shape)
 
 
 def density(field: Field) -> np.ndarray:
@@ -200,12 +201,8 @@ def phase_gradient(field: ComplexScalarField):
 
 def _field_payload(field) -> tuple[int, int, np.ndarray]:
     """(ncomp, scalar width in bytes, samples with trailing component axis)."""
-    if isinstance(field, ComplexScalarField):
-        return 1, 16, field.values[..., np.newaxis]
-    if isinstance(field, SpinorField):
-        return 2, 16, np.moveaxis(field.values, 0, -1)
-    if isinstance(field, BispinorField):
-        return 4, 16, np.moveaxis(field.values, 0, -1)
+    if isinstance(field, _Amplitude):
+        return field.ncomp, 16, np.moveaxis(_component_list(field), 0, -1)
     if isinstance(field, VectorField):
         return field.grid.dim, 8, np.stack(field.components, axis=-1)
     raise TypeError(f"cannot snapshot {type(field).__name__}")
@@ -250,14 +247,10 @@ def read_snapshot(path):
     dtype = "<c16" if width == 16 else "<f8"
     samples = np.frombuffer(data, dtype=dtype).reshape(*grid.shape, ncomp)
     if width == 16:
-        values = np.ascontiguousarray(np.moveaxis(samples, -1, 0))
-        if ncomp == 1:
-            return ComplexScalarField(grid, values[0])
-        if ncomp == 2:
-            return SpinorField(grid, values)
-        if ncomp == 4:
-            return BispinorField(grid, values)
-        raise SnapshotError(f"{path}: complex field with {ncomp} components")
+        if ncomp not in _AMPLITUDES:
+            raise SnapshotError(f"{path}: complex field with {ncomp} components")
+        cls = _AMPLITUDES[ncomp]
+        return cls(grid, np.moveaxis(samples, -1, 0).reshape(cls._shape(grid)))
     if ncomp != grid.dim:
         raise SnapshotError(
             f"{path}: vector field with {ncomp} components on a {grid.dim}D grid"

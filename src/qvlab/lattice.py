@@ -20,6 +20,10 @@ Conventions
                   gradient, divergence or curl of a real field is real;
                   the Laplacian and its inverse keep it
 
+Arrays handed to the package meet one of two rules: _check_shape takes
+exactly the grid's shape, and _grid_components takes exactly k components,
+each broadcast to the grid as a read-only view (a scalar allocates nothing).
+
 Analytic test profiles must be effectively periodic on the box (localized
 envelopes decay below roundoff at the boundary).
 """
@@ -167,11 +171,20 @@ def _multiplier(grid: Grid, factors: tuple, half: bool) -> np.ndarray:
     return out
 
 
-def _check_shape(values: np.ndarray, grid: Grid) -> np.ndarray:
-    values = np.asarray(values)
+def _check_shape(values, grid: Grid, what: str = "field", dtype=None) -> np.ndarray:
+    """values as an array (of dtype, when given) of exactly the grid's shape."""
+    values = np.asarray(values, dtype=dtype)
     if values.shape != grid.shape:
-        raise ValueError(f"samples have shape {values.shape}, grid is {grid.shape}")
+        raise ValueError(f"{what} has shape {values.shape}, expected {grid.shape}")
     return values
+
+
+def _grid_components(parts, grid: Grid, count: int, what: str) -> tuple[np.ndarray, ...]:
+    """Exactly count float components, each broadcast to the grid as a
+    read-only view, so a scalar component allocates nothing."""
+    if len(parts) != count:
+        raise ValueError(f"{what} needs exactly {count} components, got {len(parts)}")
+    return tuple(np.broadcast_to(np.asarray(c, dtype=float), grid.shape) for c in parts)
 
 
 def _spectral(fields: Sequence[np.ndarray], grid: Grid, outputs) -> list[np.ndarray]:

@@ -57,7 +57,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .fields import NODE_EPSILON, NodeError, VectorField, _ratio
-from .lattice import Grid
+from .lattice import Grid, _check_shape
 
 _MASK_REASON = "entered masked node region"
 
@@ -71,13 +71,6 @@ def _point_array(points, dim: int) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise ValueError(f"points must have shape (N, {dim}), got {pts.shape}")
     return pts
-
-
-def _on_grid(values, grid: Grid, what: str, dtype) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)
-    if arr.shape != grid.shape:
-        raise ValueError(f"{what} has shape {arr.shape}, expected {grid.shape}")
-    return arr
 
 
 def _half_wavenumbers(grid: Grid, axis: int) -> np.ndarray:
@@ -235,11 +228,11 @@ class GridFieldSampler:
         )
         for t, parts in enumerate(comps):
             for c, p in enumerate(parts):
-                p = _on_grid(p, grid, "component", float)
+                p = _check_shape(p, grid, "component", float)
                 self._data[t, c] = _half_spectrum(p, grid) if spectral else p
         self.masks = None
         if masks is not None:
-            masks = [_on_grid(m, grid, "mask", bool) for m in masks]
+            masks = [_check_shape(m, grid, "mask", bool) for m in masks]
             if len(masks) != self.times.size:
                 raise ValueError("need one mask per snapshot")
             self.masks = np.stack(masks)
@@ -539,7 +532,7 @@ def sample_density(grid: Grid, density, count: int,
     cell centered on each node, which keeps the discrete mean unbiased.
     Deterministic for a given generator state.
     """
-    f = _on_grid(density, grid, "density", float)
+    f = _check_shape(density, grid, "density", float)
     if np.any(f < 0.0) or f.max() <= 0.0:
         raise ValueError("density must be nonnegative with positive mass")
     cdf = np.cumsum(f)

@@ -606,6 +606,38 @@ def test_diagnose_oscillator_meets_residual_bounds(oscillator_run, capsys):
     assert hj["l2"] <= 1e-6
 
 
+def _plane_wave_config(stride):
+    # psi = exp(10ix) on [0, 2pi): the phase turns by 50 rad per unit time,
+    # so by stride rad between the snapshots that bracket the middle one;
+    # 3 rad is past the 0.9*pi branch-jump threshold at every point
+    return {
+        "equation": "schrodinger",
+        "grid": {"dim": 1, "n": [64], "length": [2.0 * np.pi]},
+        "initial_state": {"preset": "plane_wave", "mode": [10]},
+        "evolution": {"dt": 0.01, "steps": 4 * stride, "snapshot_stride": stride},
+        "diagnostics": ["hamilton_jacobi"],
+    }
+
+
+def test_hamilton_jacobi_masks_branch_jumps(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "fine.json", _plane_wave_config(1))
+    out = str(tmp_path / "fine")
+    assert main(["evolve", "--config", str(cfg), "--out", out]) == 0
+    assert main(["diagnose", "--config", str(cfg), "--out", out]) == 0
+    report = json.loads(pathlib.Path(out, "report_hamilton_jacobi.json").read_text())
+    assert report["mask_fraction"] == 0.0 and report["l2"] < 1e-9
+
+    cfg = _write_config(tmp_path / "coarse.json", _plane_wave_config(3))
+    out = str(tmp_path / "coarse")
+    assert main(["evolve", "--config", str(cfg), "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["diagnose", "--config", str(cfg), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "config error: config.evolution.snapshot_stride" in err
+    assert "64 points" in err
+    assert not pathlib.Path(out, "report_hamilton_jacobi.json").exists()
+
+
 def test_diagnose_grid_mismatch_is_rejected(gaussian_run, tmp_path, capsys):
     _, out = gaussian_run
     payload = _gaussian_config()
@@ -997,6 +1029,27 @@ def test_fields_reports_and_summary(gaussian_run, capsys):
     assert set(frame) == {"time", "e_rms", "b_rms"}
     assert len(frame["e_rms"]) == 1
     assert len(frame["b_rms"]) == 3
+
+
+def test_self_consistency_measures_e_psi_whatever_the_family(tmp_path):
+    # the report is eps0 div E_psi - q f; the family only picks the frames
+    # of fields_summary.json
+    payload = {
+        "equation": "schrodinger",
+        "grid": {"dim": 2, "n": [32, 32], "length": [16.0, 16.0]},
+        "initial_state": {"preset": "ho_ground", "omega": 1.0, "center": [8.0, 8.0]},
+        "gauge": {"u": {"preset": "harmonic", "omega": 1.0, "center": [8.0, 8.0]}},
+        "evolution": {"dt": 0.005, "steps": 8, "snapshot_stride": 2},
+    }
+    cfg, out = _write_config(tmp_path / "scenario.json", payload), str(tmp_path / "run")
+    assert main(["evolve", "--config", str(cfg), "--out", out]) == 0
+    reports = {}
+    for family in ("psi", "classical", "quantum"):
+        payload["fields"] = {"family": family}  # not physics: the run stays valid
+        _write_config(cfg, payload)
+        assert main(["fields", "--config", str(cfg), "--out", out]) == 0
+        reports[family] = pathlib.Path(out, "report_self_consistency.json").read_bytes()
+    assert reports["classical"] == reports["psi"] == reports["quantum"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Field containers, density/phase extraction, node masking, snapshot I/O."""
+import dataclasses
 import os
 import tempfile
 
@@ -315,6 +316,20 @@ def test_snapshot_wrong_component_count(tmp_path):
     p.write_bytes(header + payload)
     with pytest.raises(SnapshotError, match="components"):
         read_snapshot(p)
+
+
+@pytest.mark.parametrize("cls, ncomp", [(ComplexScalarField, 1), (SpinorField, 2),
+                                         (BispinorField, 4)])
+def test_amplitudes_are_one_container_of_grid_and_values(cls, ncomp, grid1d):
+    lead = () if ncomp == 1 else (ncomp,)
+    values = np.arange(ncomp * grid1d.size, dtype=complex).reshape(*lead, *grid1d.shape)
+    field = cls(grid1d, values)
+    assert [f.name for f in dataclasses.fields(cls)] == ["grid", "values"]
+    assert repr(field).startswith(f"{cls.__name__}(grid=Grid(")
+    assert field.values.shape == values.shape
+    assert np.array_equal(density(field), (np.abs(values) ** 2).reshape(-1, grid1d.size).sum(axis=0))
+    with pytest.raises(ValueError, match=r"samples have shape \(5, 64\)"):
+        cls(grid1d, np.ones((5, *grid1d.shape)))
 
 
 def test_vector_field_component_count_enforced():

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qvlab.decomposition import FourCurrent, GaugeConfiguration, PhysicalConstants
+from qvlab.evolvers import EvolutionParams, FourPotential, WaveState, wave_initial_state
 from qvlab.lattice import (
     _curl3,
     band_limit,
@@ -282,3 +284,42 @@ def test_transform_counts_follow_one_transform_per_field(dim, monkeypatch):
         calls.clear()
         _curl3(v, g)
         assert calls == {"rfftn": 3, "irfftn": 3}
+
+
+_G = make_grid(2, [8, 4], [1.0, 1.0])
+_Z = np.zeros(_G.shape)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GaugeConfiguration.assemble(_G, b_external=(0.0, 1.0)),
+         "GaugeConfiguration.b_external needs exactly 3 components, got 2"),
+        (lambda: FourCurrent(_G, _Z, (_Z, _Z)), "FourCurrent.jk needs exactly 3 components, got 2"),
+        (lambda: FourPotential(_G, _Z, (_Z, _Z)),
+         "FourPotential.a needs exactly 3 components, got 2"),
+        (lambda: WaveState(_G, (_Z,) * 3, (_Z,) * 4, 0.0),
+         "WaveState.prev needs exactly 4 components, got 3"),
+        (lambda: WaveState(_G, (_Z,) * 4, (_Z,) * 3, 0.0),
+         "WaveState.curr needs exactly 4 components, got 3"),
+        (lambda: wave_initial_state(_G, (_Z,) * 4, (_Z,) * 3, PhysicalConstants.natural(),
+                                    EvolutionParams(0.01, 1)),
+         "adot0 needs exactly 4 components, got 3"),
+        (lambda: FourCurrent(_G, np.zeros((8, 8)), (_Z,) * 3),
+         r"FourCurrent.j0 has shape \(8, 8\), expected \(8, 4\)"),
+    ],
+    ids=["b_external", "jk", "a", "prev", "curr", "adot0", "j0"],
+)
+def test_records_name_the_array_they_reject_and_what_it_got(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_record_components_are_read_only_views_on_the_grid():
+    # scalars broadcast: a uniform field costs no memory
+    gauge = GaugeConfiguration.assemble(_G, b_external=(0, 0, 2.5))
+    j = FourCurrent(_G, _Z, (_Z, 1.0, _Z))
+    for comp in (*gauge.b_external, *j.jk):
+        assert comp.shape == _G.shape and comp.dtype == float
+        assert not comp.flags.writeable
+    assert gauge.b_external[2].strides == (0, 0) and float(gauge.b_external[2][3, 1]) == 2.5

@@ -504,8 +504,10 @@ def cmd_evolve(args, scenario: Scenario) -> int:
 
 class Run:
     """The snapshot series a manifest lists, if the manifest's physics hash is
-    the scenario's.  Densities, currents and the quantum potential are each
-    computed on first use, at most once."""
+    the scenario's.  A pass reads each snapshot when it reaches it; the first
+    is read up front, for the run's grid and kind, and held for the pass.
+    After load, window holds the middle snapshot and its two neighbours (for
+    h only), and middle the middle snapshot's (f, flux, Q, mask) if it has Q."""
 
     def __init__(self, scenario: Scenario, out: str):
         manifest_path = os.path.join(out, "manifest.json")
@@ -532,19 +534,30 @@ class Run:
             raise ConfigError(f"{corrupt}: snapshots need a string file and a numeric time")
         if not entries:
             raise ConfigError(f"{manifest_path} lists no snapshots")
-        self.scenario = scenario
-        self.times, self.snaps = [], []
-        for entry in entries:
-            try:
-                self.snaps.append(fields.read_snapshot(os.path.join(out, entry["file"])))
-            except (OSError, fields.SnapshotError) as exc:
-                raise ConfigError(f"cannot read snapshot {entry!r}: {exc}") from exc
-            self.times.append(float(entry["time"]))
-        self.grid = self.snaps[0].grid
+        self.scenario, self.out, self.entries = scenario, out, entries
+        self.times = [float(entry["time"]) for entry in entries]
+        self._first = self._read(entries[0])
+        self.grid, self.kind = self._first.grid, type(self._first)
         if scenario.grid is not None and self.grid != scenario.grid:
             raise ConfigError(
                 f"snapshot grid {self.grid.n} does not match config grid {scenario.grid.n}"
             )
+
+    def _read(self, entry):
+        try:
+            return fields.read_snapshot(os.path.join(self.out, entry["file"]))
+        except (OSError, fields.SnapshotError) as exc:
+            raise ConfigError(f"cannot read snapshot {entry!r}: {exc}") from exc
+
+    def snapshots(self):
+        """Each snapshot in turn, read when the iteration reaches it."""
+        first, self._first = self._first, None
+        yield first if first is not None else self._read(self.entries[0])
+        for entry in self.entries[1:]:
+            snap = self._read(entry)
+            if (type(snap), snap.grid) != (self.kind, self.grid):
+                raise ConfigError(f"snapshot {entry!r} differs in kind or grid from the first")
+            yield snap
 
     def spaced(self) -> "Run":
         """Self, if its snapshots can feed centred time differences."""
@@ -558,55 +571,59 @@ class Run:
         return self
 
     def scalar(self) -> "Run":
-        if not all(isinstance(s, fields.ComplexScalarField) for s in self.snaps):
+        if self.kind is not fields.ComplexScalarField:
             raise ConfigError("this command needs a scalar (schrodinger) run")
         return self
 
-    @cached_property
-    def densities(self):
-        return [fields.density(s) for s in self.snaps]
-
-    @cached_property
-    def currents(self):
-        """J per snapshot; the four-current for a bispinor run."""
-        consts = self.scenario.consts
-        if isinstance(self.snaps[0], fields.BispinorField):
-            return [decomposition.current_bispinor(s, consts.c) for s in self.snaps]
-        gauge = self.scenario.gauge
-        return [decomposition.current_scalar(s, gauge, consts) for s in self.snaps]
-
-    @cached_property
-    def q_series(self):
-        consts = self.scenario.consts
-        return [diagnostics.quantum_potential(s, consts)[0] for s in self.snaps]
+    def load(self, keep: str) -> "Run":
+        """One _polar call per snapshot, keeping the series keep names, j (f and J, or
+        a bispinor's four-current) and q (Q), and for h the middle Q and the window."""
+        consts, mid = self.scenario.consts, len(self.times) // 2
+        self.f, self.j, self.q, self.window, self.middle = [], [], [], [], None
+        for i, psi in enumerate(self.snapshots()):
+            self.window += [psi] if "h" in keep and abs(i - mid) <= 1 else []
+            if self.kind is fields.BispinorField:
+                self.j.append(decomposition.current_bispinor(psi, consts.c))
+                continue
+            q = "q" in keep or ("h" in keep and i == mid)
+            polar = decomposition._polar(psi, consts.alpha / consts.beta if q else None)
+            f, flux, self.middle = polar[0], polar[1], polar if q and i == mid else self.middle
+            self.f += [f] if "j" in keep else []
+            self.j += [fields.VectorField(self.grid, decomposition._current(
+                f, flux, self.scenario.gauge, consts))] if "j" in keep else []
+            self.q += [polar[2]] if "q" in keep else []
+        return self
 
 
 # ---------------------------------------------------------------------------
 # diagnose
 
 
-def _continuity(run: Run):
-    if isinstance(run.snaps[0], fields.BispinorField):
+def _not_dirac(run: Run):
+    if run.kind is fields.BispinorField:
         raise ConfigError(
             "diagnostics: continuity covers scalar and spinor runs; "
             "use four_current for dirac"
         )
-    return [diagnostics.continuity_residual(run.times, run.densities, run.currents)]
+
+
+def _dirac(run: Run):
+    if run.kind is not fields.BispinorField:
+        raise ConfigError("diagnostics: four_current needs a dirac run")
 
 
 def _hamilton_jacobi(run: Run):
-    snaps, times = run.scalar().snaps, run.times
-    gauge = run.scenario.gauge
-    mid = len(snaps) // 2
+    (earlier, psi, later), times = run.window, run.times
+    mid = len(times) // 2
     spacing = times[mid + 1] - times[mid - 1]
     rate, rate_mask, jumps = diagnostics.phase_rate_from_snapshots(
-        snaps[mid - 1], snaps[mid + 1], spacing
+        earlier, later, spacing, psi
     )
     # a branch jump (a phase turn of nearly pi or more) leaves the rate ambiguous
     try:
         report = diagnostics.hamilton_jacobi_residual(
-            snaps[mid], gauge, run.scenario.consts, rate, rate_mask | jumps,
-            dt=times[1] - times[0],
+            psi, run.scenario.gauge, run.scenario.consts, rate, rate_mask | jumps,
+            dt=times[1] - times[0], polar=run.middle,
         )
     except fields.NodeError as exc:
         if not jumps.any():
@@ -618,24 +635,15 @@ def _hamilton_jacobi(run: Run):
     return [report]
 
 
-def _gauge(run: Run):
-    gauges = [run.scalar().scenario.gauge] * len(run.snaps)
-    return diagnostics.gauge_residuals(run.times, gauges, run.scenario.consts, run.q_series)
-
-
-def _four_current(run: Run):
-    if not isinstance(run.snaps[0], fields.BispinorField):
-        raise ConfigError("diagnostics: four_current needs a dirac run")
-    consts = run.scenario.consts
-    return [diagnostics.four_current_divergence(run.times, run.currents, consts)]
-
-
-# diagnostic name -> reports(run)
+# diagnostic name -> (check(run), the series Run.load keeps for it, reports(run))
 _DIAGNOSTICS = {
-    "continuity": _continuity,
-    "hamilton_jacobi": _hamilton_jacobi,
-    "gauge": _gauge,
-    "four_current": _four_current,
+    "continuity": (_not_dirac, "j", lambda run: [
+        diagnostics.continuity_residual(run.times, run.f, run.j)]),
+    "hamilton_jacobi": (Run.scalar, "h", _hamilton_jacobi),
+    "gauge": (Run.scalar, "q", lambda run: diagnostics.gauge_residuals(
+        run.times, [run.scenario.gauge] * len(run.times), run.scenario.consts, run.q)),
+    "four_current": (_dirac, "j", lambda run: [
+        diagnostics.four_current_divergence(run.times, run.j, run.scenario.consts)]),
 }
 
 
@@ -645,8 +653,11 @@ def cmd_diagnose(args, scenario: Scenario) -> int:
     if not names:
         print("no diagnostics requested")
         return EXIT_OK
-    run = Run(scenario, out).spaced()
-    reports = [report for name in names for report in _DIAGNOSTICS[name](run)]
+    run, wanted = Run(scenario, out).spaced(), [_DIAGNOSTICS[name] for name in names]
+    for check, _, _ in wanted:  # every check is done before the pass reads the series
+        check(run)
+    run.load("".join(keep for _, keep, _ in wanted))
+    reports = [report for _, _, reports_of in wanted for report in reports_of(run)]
     for report in reports:
         _write_text(os.path.join(out, f"report_{report.name}.json"), report.to_json())
         print(
@@ -661,15 +672,14 @@ def cmd_diagnose(args, scenario: Scenario) -> int:
 
 
 def _trace_flow(run: Run, interpolation):
-    return trajectories.FlowSampler(
-        run.grid, run.times, run.densities, run.currents, method=interpolation
-    )
+    run.load("j")
+    return trajectories.FlowSampler(run.grid, run.times, run.f, run.j, method=interpolation)
 
 
 def _trace_em(run: Run, interpolation):
     consts = run.scenario.consts
     e_snaps, masks = [], []
-    for snap in run.snaps:
+    for snap in run.snapshots():
         force, mask = diagnostics.quantum_force(snap, consts)
         e_snaps.append(tuple(c / consts.q for c in force))
         masks.append(mask)
@@ -732,7 +742,7 @@ def cmd_trace(args, scenario: Scenario) -> int:
     else:
         rng = np.random.default_rng(args.seed if args.seed is not None else 0)
         starts = trajectories.sample_density(
-            grid, run.densities[0], trace_cfg["count"], rng
+            grid, run.f[0], trace_cfg["count"], rng
         )
 
     em = _trace_em(run, trace_cfg["interpolation"]) if "force" in methods else None
@@ -792,22 +802,19 @@ def cmd_fields(args, scenario: Scenario) -> int:
     if consts.q == 0.0:
         raise ConfigError("config.constants: field reports need q != 0")
     out = _out_dir(args, scenario)
-    run = Run(scenario, out).spaced().scalar()
-    gauges = [scenario.gauge] * len(run.snaps)
+    run = Run(scenario, out).spaced().scalar().load("q")
+    gauges = [scenario.gauge] * len(run.times)
 
-    inner, frames = diagnostics.em_fields(run.times, gauges, consts, run.q_series, family)
-    reports = list(diagnostics.gauge_residuals(run.times, gauges, consts, run.q_series))
+    inner, frames = diagnostics.em_fields(run.times, gauges, consts, run.q, family)
+    reports = list(diagnostics.gauge_residuals(run.times, gauges, consts, run.q))
     mid, dim = len(inner) // 2, run.grid.dim
     # the Gauss law of self_consistency holds for E_psi whatever the family
     psi_frame = frames[mid] if family == "psi" else diagnostics.em_fields(
-        run.times[mid:mid + 3], gauges[mid:mid + 3], consts, run.q_series[mid:mid + 3]
+        run.times[mid:mid + 3], gauges[mid:mid + 3], consts, run.q[mid:mid + 3]
     )[1][0]
     e_mid = fields.VectorField(run.grid, psi_frame.e[:dim])
-    reports.append(
-        diagnostics.self_consistency_residual(
-            e_mid, fields.density(run.snaps[1 + mid]), consts
-        )
-    )
+    # the middle record is of snapshot len(times) // 2, the frame of E_psi
+    reports.append(diagnostics.self_consistency_residual(e_mid, run.middle[0], consts))
     for report in reports:
         _write_text(os.path.join(out, f"report_{report.name}.json"), report.to_json())
         print(f"{report.name}: l2={report.l2:.3e} linf={report.linf:.3e}")

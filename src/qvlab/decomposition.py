@@ -181,6 +181,15 @@ def _polar(psi, q_scale: Optional[float] = None, what: str = "quantum potential"
     return f, flux, q, mask
 
 
+def _current(f, flux, gauge: GaugeConfiguration, consts: PhysicalConstants) -> tuple:
+    """The components -2*alpha*flux + gamma*f*A_psi of J, from the f and flux
+    of _polar."""
+    return tuple(
+        -2.0 * consts.alpha * x + consts.gamma * f * a
+        for x, a in zip(flux, gauge.a_psi.components)
+    )
+
+
 def current_scalar(
     psi: ComplexScalarField, gauge: GaugeConfiguration, consts: PhysicalConstants
 ) -> VectorField:
@@ -189,10 +198,7 @@ def current_scalar(
     over its components, so it reduces exactly to the scalar current when
     one component vanishes."""
     f, flux, _, _ = _polar(psi)
-    return VectorField(psi.grid, tuple(
-        -2.0 * consts.alpha * x + consts.gamma * f * a
-        for x, a in zip(flux, gauge.a_psi.components)
-    ))
+    return VectorField(psi.grid, _current(f, flux, gauge, consts))
 
 
 current_spinor = current_scalar  # one formula serves SpinorField too

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .decomposition import FourCurrent, GaugeConfiguration, PhysicalConstants, _polar
+from .decomposition import FourCurrent, GaugeConfiguration, PhysicalConstants, _current, _polar
 from .fields import ComplexScalarField, NodeError, VectorField, _ratio, _support, density, node_mask
 from .lattice import _LAP, Grid, _curl3, _spectral, _zero_slot, divergence, spectral_gradient
 
@@ -222,21 +222,30 @@ def quantum_force(psi: ComplexScalarField, consts: PhysicalConstants):
 
 
 def phase_rate_from_snapshots(
-    earlier: ComplexScalarField, later: ComplexScalarField, spacing: float
+    earlier: ComplexScalarField,
+    later: ComplexScalarField,
+    spacing: float,
+    middle: Optional[ComplexScalarField] = None,
 ):
     """Phase change rate angle(psi_later * conj(psi_earlier)) / spacing.
 
     Returns (rate, mask, jumps); jumps marks points whose phase advanced by
     nearly pi or more in one spacing, where the branch is ambiguous.  They are
-    reported, never corrected.
+    reported, never corrected.  Given the snapshot between the two, jumps also
+    marks points where the two half turns do not add up to the whole one (by
+    2 pi): there the whole turn passed pi and wrapped below the threshold.
     """
     if spacing == 0.0:
         raise ValueError("snapshot spacing must be nonzero")
-    if earlier.grid != later.grid:
+    if any(s.grid != earlier.grid for s in (later, middle) if s is not None):
         raise ValueError("snapshots live on different grids")
     mask = node_mask(density(earlier)) | node_mask(density(later))
     angle = np.angle(later.values * np.conj(earlier.values))
     jumps = (np.abs(angle) > _JUMP_FRACTION * np.pi) & ~mask
+    if middle is not None:
+        halves = (np.angle(middle.values * np.conj(earlier.values))
+                  + np.angle(later.values * np.conj(middle.values)))
+        jumps |= (np.abs(halves - angle) > np.pi) & ~mask
     rate = np.where(mask, 0.0, angle / spacing)
     return rate, mask, jumps
 
@@ -248,18 +257,20 @@ def hamilton_jacobi_residual(
     phase_rate: np.ndarray,
     rate_mask: Optional[np.ndarray] = None,
     dt: Optional[float] = None,
+    polar: Optional[tuple] = None,
 ) -> ResidualReport:
     """r = -(1/beta) dphi/dt + |<v>|^2/(4 alpha beta) - U - Q.
 
     phase_rate is the centered phase derivative (see phase_rate_from_snapshots);
     with the standard constants the balance reads
-    -hbar dphi/dt - (m/2)|<v>|^2 - U - Q.
+    -hbar dphi/dt - (m/2)|<v>|^2 - U - Q.  polar is psi's (f, flux, Q, mask)
+    from decomposition._polar with q_scale alpha/beta, for a caller that has
+    it; without it psi is differentiated here.
     """
-    f, flux, q, mask = _polar(psi, consts.alpha / consts.beta, "velocity")
-    speed2 = sum(
-        _ratio(-2.0 * consts.alpha * x + consts.gamma * f * a, f, mask) ** 2
-        for x, a in zip(flux, gauge.a_psi.components)
-    )
+    if polar is None:
+        polar = _polar(psi, consts.alpha / consts.beta, "velocity")
+    f, flux, q, mask = polar
+    speed2 = sum(_ratio(j, f, mask) ** 2 for j in _current(f, flux, gauge, consts))
     if rate_mask is not None:
         mask = mask | rate_mask
     r = (

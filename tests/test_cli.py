@@ -6,6 +6,7 @@ applied before numpy loads, and the ``python -m`` entry point at the bottom.
 Heavy evolution runs are shared through module-scoped fixtures.
 """
 
+import collections
 import contextlib
 import errno
 import io
@@ -638,6 +639,127 @@ def test_hamilton_jacobi_masks_branch_jumps(tmp_path, capsys):
     assert not pathlib.Path(out, "report_hamilton_jacobi.json").exists()
 
 
+@pytest.mark.parametrize("stride, code", [(2, 0), (4, 2), (8, 2)])
+def test_hamilton_jacobi_masks_a_turn_that_wraps_below_the_threshold(stride, code,
+                                                                    tmp_path, capsys):
+    # at stride 4 the bracketing snapshots are 4 rad apart: past pi, the turn
+    # wraps to -2.28 rad, inside the 0.9 pi threshold, and only the middle
+    # snapshot, 2 rad from each, shows it; stride 2 turns by 2 rad
+    cfg = _write_config(tmp_path / "wave.json", _plane_wave_config(stride))
+    out = str(tmp_path / "wave")
+    assert main(["evolve", "--config", str(cfg), "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["diagnose", "--config", str(cfg), "--out", out]) == code
+    report = pathlib.Path(out, "report_hamilton_jacobi.json")
+    if code == 0:
+        assert json.loads(report.read_text())["l2"] < 1e-9
+    else:
+        err = capsys.readouterr().err
+        assert "config error: config.evolution.snapshot_stride" in err
+        assert "64 points" in err
+        assert not report.exists()
+
+
+def _all_diagnostics(tmp_path):
+    payload = _oscillator_config()
+    payload["diagnostics"] = ["continuity", "hamilton_jacobi", "gauge"]
+    return _write_config(tmp_path / "all.json", payload)
+
+
+def _snapshot_files(out):
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    return [entry["file"] for entry in manifest["snapshots"]]
+
+
+def test_diagnose_transforms_and_reads_each_snapshot_once(oscillator_run, tmp_path,
+                                                          monkeypatch):
+    # one pass serves continuity, hamilton_jacobi and gauge: one fftn of psi
+    # per snapshot gives f, J and Q, and the middle record feeds the HJ residual
+    from util import count_transforms
+
+    _, out = oscillator_run
+    cfg = _all_diagnostics(tmp_path)
+    reads = collections.Counter()
+    real = cli.fields.read_snapshot
+
+    def counting(path):
+        reads[os.path.basename(path)] += 1
+        return real(path)
+
+    monkeypatch.setattr(cli.fields, "read_snapshot", counting)
+    calls = count_transforms(monkeypatch)
+    assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 0
+    files = _snapshot_files(out)
+    assert calls["fftn"] == len(files) == 11
+    assert reads == collections.Counter(files)
+
+
+@pytest.mark.parametrize("kind", ["oscillator", "pauli"])
+def test_diagnose_reports_equal_the_library_on_separate_series(kind, oscillator_run,
+                                                               tmp_path):
+    from qvlab import diagnostics
+    from qvlab.decomposition import current_scalar
+    from qvlab.fields import density, read_snapshot
+
+    if kind == "oscillator":
+        _, out = oscillator_run
+        cfg = _all_diagnostics(tmp_path)
+    else:
+        cfg = _write_config(tmp_path / "pauli.json", _pauli_config())
+        out = tmp_path / "run"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 0
+
+    scenario = cli.Scenario(cli._load_config(str(cfg)), str(tmp_path))
+    gauge, consts = scenario.gauge, scenario.consts
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    times = [entry["time"] for entry in manifest["snapshots"]]
+    snaps = [read_snapshot(out / name) for name in _snapshot_files(out)]
+    reports = [diagnostics.continuity_residual(
+        times, [density(s) for s in snaps],
+        [current_scalar(s, gauge, consts) for s in snaps])]
+    if kind == "oscillator":
+        mid = len(snaps) // 2
+        rate, mask, jumps = diagnostics.phase_rate_from_snapshots(
+            snaps[mid - 1], snaps[mid + 1], times[mid + 1] - times[mid - 1], snaps[mid])
+        reports.append(diagnostics.hamilton_jacobi_residual(
+            snaps[mid], gauge, consts, rate, mask | jumps, dt=times[1] - times[0]))
+        reports += diagnostics.gauge_residuals(
+            times, [gauge] * len(snaps), consts,
+            [diagnostics.quantum_potential(s, consts)[0] for s in snaps])
+    for report in reports:
+        written = (out / f"report_{report.name}.json").read_bytes()
+        assert written == report.to_json().encode("utf-8")
+
+
+@pytest.mark.parametrize("fault, prefix, reason", [
+    ("truncated", "cannot read snapshot", "payload is"),
+    ("regridded", "snapshot", "differs in kind or grid from the first"),
+], ids=["truncated", "regridded"])
+@pytest.mark.parametrize("command", ["diagnose", "fields", "trace"])
+def test_a_bad_snapshot_mid_series_writes_nothing(command, fault, prefix, reason,
+                                                  gaussian_run, tmp_path, capsys):
+    # snapshots are read as the pass reaches them, after the first has been
+    # used: a bad one in the middle still fails before any output is written
+    cfg, run = gaussian_run
+    out = tmp_path / "run"
+    out.mkdir()
+    files = _snapshot_files(run)
+    for name in ["manifest.json"] + files:
+        shutil.copy(run / name, out / name)
+    middle = out / files[len(files) // 2]
+    if fault == "truncated":
+        middle.write_bytes(middle.read_bytes()[:-8])
+    else:
+        grid = make_grid(1, [128], [40.0])
+        write_snapshot(ComplexScalarField(grid, np.ones(128, complex)), middle)
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {prefix} {{'file': '{middle.name}'" in err
+    assert reason in err
+    assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json"] + files)
+
+
 def test_diagnose_grid_mismatch_is_rejected(gaussian_run, tmp_path, capsys):
     _, out = gaussian_run
     payload = _gaussian_config()
@@ -881,13 +1003,13 @@ def test_force_trace_refuses_the_gauge_before_reading_the_run(tmp_path, capsys):
 def test_trace_checks_its_span_before_computing_currents(small_run, tmp_path,
                                                          monkeypatch, capsys):
     calls = []
-    real = cli.decomposition.current_scalar
+    real = cli.decomposition._polar
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli.decomposition, "current_scalar", counting)
+    monkeypatch.setattr(cli.decomposition, "_polar", counting)
     payload = _traced_config()
     payload["trace"]["steps"] = 50  # 50 steps of 1e-3 overrun the run's 0.002
     cfg = _write_config(tmp_path / "long.json", payload)
@@ -983,16 +1105,15 @@ def test_trace_count_samples_the_joint_density(tmp_path):
 
 def test_trace_and_continuity_skip_the_quantum_potential(gaussian_run, tmp_path,
                                                          monkeypatch):
-    import qvlab.diagnostics
-
     calls = []
-    real = qvlab.diagnostics.quantum_potential
+    real = cli.decomposition._polar
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(psi, q_scale=None, *args, **kwargs):
+        if q_scale is not None:  # Q is formed only when a scale is given
+            calls.append(1)
+        return real(psi, q_scale, *args, **kwargs)
 
-    monkeypatch.setattr(qvlab.diagnostics, "quantum_potential", counting)
+    monkeypatch.setattr(cli.decomposition, "_polar", counting)
     cfg, out = gaussian_run
     assert main(["trace", "--config", str(cfg), "--out", str(out)]) == 0
     payload = _gaussian_config()
@@ -1209,8 +1330,8 @@ def test_thread_cap_is_set_before_numpy_loads(cap, expected):
 # other equations through the full pipeline
 
 
-def test_spinor_run_satisfies_continuity(tmp_path, capsys):
-    payload = {
+def _pauli_config():
+    return {
         "name": "spinor-larmor",
         "equation": "pauli",
         "grid": {"dim": 1, "n": [128], "length": [32.0]},
@@ -1225,7 +1346,10 @@ def test_spinor_run_satisfies_continuity(tmp_path, capsys):
         "evolution": {"dt": 1e-3, "steps": 20, "snapshot_stride": 5},
         "diagnostics": ["continuity"],
     }
-    cfg = _write_config(tmp_path / "scenario.json", payload)
+
+
+def test_spinor_run_satisfies_continuity(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "scenario.json", _pauli_config())
     out = tmp_path / "run"
     assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
     assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 0

@@ -272,6 +272,24 @@ def test_phase_rate_flags_branch_ambiguity():
         phase_rate_from_snapshots(early, late, 0.0)
 
 
+def test_phase_rate_flags_a_whole_turn_that_wraps_below_the_threshold():
+    # two half turns of 2 rad make a whole turn of 4 rad, which wraps to
+    # 4 - 2 pi = -2.28 rad, inside the 0.9 pi threshold: only the middle
+    # snapshot shows it; half turns of 1 rad add up and flag nothing
+    g = make_grid(1, [32], [2 * np.pi])
+    base = np.exp(1j * g.axis_coordinates(0))
+    for half, flagged in ((2.0, True), (1.0, False)):
+        early, middle, late = (ComplexScalarField(g, base * np.exp(1j * k * half))
+                               for k in range(3))
+        _, _, jumps = phase_rate_from_snapshots(early, late, 1.0)
+        assert not jumps.any()
+        _, _, jumps = phase_rate_from_snapshots(early, late, 1.0, middle)
+        assert jumps.all() if flagged else not jumps.any()
+    with pytest.raises(ValueError, match="different grids"):
+        other = ComplexScalarField(make_grid(1, [16], [2 * np.pi]), np.ones(16, complex))
+        phase_rate_from_snapshots(early, late, 1.0, other)
+
+
 def _plane_wave_hj(omega_scale=1.0):
     g = make_grid(1, [64], [2 * np.pi])
     x = g.axis_coordinates(0)

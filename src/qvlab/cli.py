@@ -576,22 +576,27 @@ class Run:
         return self
 
     def load(self, keep: str) -> "Run":
-        """One _polar call per snapshot, keeping the series keep names, j (f and J, or
-        a bispinor's four-current) and q (Q), and for h the middle Q and the window."""
+        """One _polar call per snapshot, keeping the series keep names: j (f and J, or a
+        bispinor's four-current), q (Q), e (-grad Q / q and its node mask), and for h
+        the middle record and the window."""
         consts, mid = self.scenario.consts, len(self.times) // 2
-        self.f, self.j, self.q, self.window, self.middle = [], [], [], [], None
+        scale = consts.alpha / consts.beta
+        self.f, self.j, self.q, self.e, self.window, self.middle = [], [], [], [], [], None
         for i, psi in enumerate(self.snapshots()):
             self.window += [psi] if "h" in keep and abs(i - mid) <= 1 else []
             if self.kind is fields.BispinorField:
                 self.j.append(decomposition.current_bispinor(psi, consts.c))
                 continue
             q = "q" in keep or ("h" in keep and i == mid)
-            polar = decomposition._polar(psi, consts.alpha / consts.beta if q else None)
-            f, flux, self.middle = polar[0], polar[1], polar if q and i == mid else self.middle
-            self.f += [f] if "j" in keep else []
+            polar = decomposition._polar(psi, scale if q else None,
+                                         force_scale=scale if "e" in keep else None)
+            self.middle = polar if q and i == mid else self.middle
+            self.f += [polar.f] if "j" in keep else []
             self.j += [fields.VectorField(self.grid, decomposition._current(
-                f, flux, self.scenario.gauge, consts))] if "j" in keep else []
-            self.q += [polar[2]] if "q" in keep else []
+                polar.f, polar.flux, self.scenario.gauge, consts))] if "j" in keep else []
+            self.q += [polar.q] if "q" in keep else []
+            if "e" in keep:
+                self.e.append((tuple(c / consts.q for c in polar.force), polar.mask))
         return self
 
 
@@ -671,26 +676,19 @@ def cmd_diagnose(args, scenario: Scenario) -> int:
 # trace
 
 
-def _trace_flow(run: Run, interpolation):
-    run.load("j")
-    return trajectories.FlowSampler(run.grid, run.times, run.f, run.j, method=interpolation)
-
-
-def _trace_em(run: Run, interpolation):
-    consts = run.scenario.consts
-    e_snaps, masks = [], []
-    for snap in run.snapshots():
-        force, mask = diagnostics.quantum_force(snap, consts)
-        e_snaps.append(tuple(c / consts.q for c in force))
-        masks.append(mask)
-    e_sampler = trajectories.GridFieldSampler(
-        run.grid, run.times, e_snaps, method=interpolation, masks=masks
+def _trace_samplers(run: Run, interpolation, force: bool):
+    """The flow sampler and, for the force method, E = -grad Q / q with B = 0 (the
+    gauge is free), all from one pass over the snapshots."""
+    run.load("je" if force else "j")
+    flow = trajectories.FlowSampler(run.grid, run.times, run.f, run.j, method=interpolation)
+    if not force:
+        return flow, None
+    e, masks = zip(*run.e)
+    return flow, trajectories.EMSeries(
+        e=trajectories.GridFieldSampler(run.grid, run.times, e, method=interpolation, masks=masks),
+        b=trajectories.AnalyticSampler(lambda pts, t: np.zeros((pts.shape[0], 3)),
+                                       lengths=run.grid.length),
     )
-    # a free gauge has no magnetic field
-    b_sampler = trajectories.AnalyticSampler(
-        lambda pts, t: np.zeros((pts.shape[0], 3)), lengths=run.grid.length
-    )
-    return trajectories.EMSeries(e=e_sampler, b=b_sampler)
 
 
 def cmd_trace(args, scenario: Scenario) -> int:
@@ -736,7 +734,7 @@ def cmd_trace(args, scenario: Scenario) -> int:
         )
 
     # every check is done: only now are currents and forces computed
-    flow = _trace_flow(run, trace_cfg["interpolation"])
+    flow, em = _trace_samplers(run, trace_cfg["interpolation"], "force" in methods)
     if trace_cfg["starts"] is not None:
         starts = np.atleast_2d(np.asarray(trace_cfg["starts"], dtype=float))
     else:
@@ -745,17 +743,16 @@ def cmd_trace(args, scenario: Scenario) -> int:
             grid, run.f[0], trace_cfg["count"], rng
         )
 
-    em = _trace_em(run, trace_cfg["interpolation"]) if "force" in methods else None
-
     batches = {}
     if "advect" in methods:
         batches["advect"] = trajectories.advect(starts, flow, dt, steps)
-    if "force" in methods:
+    if "force" in methods:  # a force path starts with the flow velocity there
         v0, v_mask = flow(starts, times[0])
         if bool(v_mask.any()):
-            start = starts[int(np.argmax(v_mask))]
-            raise RuntimeError(
-                f"trace start {start.tolist()} sits in a masked node region"
+            key = "starts" if trace_cfg["starts"] is not None else "count"
+            raise ConfigError(
+                f"config.trace.{key}: trace start {starts[int(np.argmax(v_mask))].tolist()} "
+                "sits in a masked node region, where the force method has no velocity"
             )
         batches["force"] = trajectories.force_path(
             starts, v0, em, scenario.consts.gamma, dt, steps
@@ -814,7 +811,7 @@ def cmd_fields(args, scenario: Scenario) -> int:
     )[1][0]
     e_mid = fields.VectorField(run.grid, psi_frame.e[:dim])
     # the middle record is of snapshot len(times) // 2, the frame of E_psi
-    reports.append(diagnostics.self_consistency_residual(e_mid, run.middle[0], consts))
+    reports.append(diagnostics.self_consistency_residual(e_mid, run.middle.f, consts))
     for report in reports:
         _write_text(os.path.join(out, f"report_{report.name}.json"), report.to_json())
         print(f"{report.name}: l2={report.l2:.3e} linf={report.linf:.3e}")

@@ -11,14 +11,15 @@ with the constant triple derived from the physical scales:
 
 Currents follow J = i*alpha*(psi* grad psi - psi grad psi*) + gamma*f*A for
 scalars (componentwise sums for spinors) and the bilinear-covariant formulas
-for bispinors; J and the quantum potential Q of diagnostics share one
-differentiation of psi, _polar, which transforms each component once.  All
-splits are spectral: the scalar part solves a Poisson problem with the k = 0
-mode pinned to zero, which on a periodic box requires the source
-div v - gamma*chi to have zero mean.
+for bispinors; J, the quantum potential Q and the quantum force -grad Q of
+diagnostics share one differentiation of psi, _polar, which transforms each
+component once.  All splits are spectral: the scalar part solves a Poisson
+problem with the k = 0 mode pinned to zero, which on a periodic box requires
+the source div v - gamma*chi to have zero mean.
 """
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -155,30 +156,53 @@ class FourCurrent:
         return divergence([self.jk[a] for a in range(self.grid.dim)], self.grid)
 
 
-def _polar(psi, q_scale: Optional[float] = None, what: str = "quantum potential"):
-    """(f, flux, Q, mask) from one transform of each component of psi: the
-    flux Im(psi^dag grad psi) per axis and, given q_scale = alpha/beta, the
-    quantum potential of a scalar psi, q_scale*(Re(Lap psi/psi) +
-    sum_a (flux_a/f)^2), 0 on the nodes.  Only Q checks for support, raising
-    NodeError naming `what`; without q_scale, Q and the mask are None."""
+# what _polar yields; q, mask and force are None unless asked for
+_Polar = collections.namedtuple("_Polar", "f flux q mask force")
+
+
+def _polar(psi, q_scale: Optional[float] = None, what: Optional[str] = None,
+           force_scale: Optional[float] = None) -> _Polar:
+    """f and the flux Im(psi^dag grad psi) per axis from one transform of each
+    component of psi and, for a scalar psi, from the same transform: given q_scale
+    = alpha/beta, Q = q_scale*(Re(Lap psi/psi) + sum_a (flux_a/f)^2), and given
+    force_scale = alpha/beta, -grad Q (see diagnostics.quantum_force), both 0 on
+    the nodes.  Only they check for support, raising NodeError naming `what` (by
+    default the quantity asked for)."""
     # f and the Laplacian stay bound to the end: freeing them early changes
     # which heap blocks the kept Q arrays land in, and raised the peak RSS of
     # diagnose by 3 MB (glibc malloc, 51 snapshots of 128^2)
-    grid, axes = psi.grid, range(psi.grid.dim)
-    f = density(psi)
-    mask = None if q_scale is None else _support(f, what)
-    outputs = [[(0, a)] for a in axes] + ([] if q_scale is None else [[(0, _LAP)]])
+    grid, dim, axes = psi.grid, psi.grid.dim, range(psi.grid.dim)
+    f, asked = density(psi), "quantum potential" if force_scale is None else "quantum force"
+    mask = None if q_scale is None and force_scale is None else _support(f, what or asked)
+    if mask is not None and psi.ncomp != 1:
+        raise TypeError(f"{asked} needs a ComplexScalarField, got a {type(psi).__name__}")
+    pairs = [(a, b) for a in axes for b in axes if a <= b]
+    outputs = [[(0, a)] for a in axes] + ([] if mask is None else [[(0, _LAP)]])
+    if force_scale is not None:
+        outputs += [[(0, a, _LAP)] for a in axes] + [[(0, a, b)] for a, b in pairs]
     flux = [np.zeros(grid.shape) for _ in axes]
     for comp in _component_list(psi):
         derivatives = _spectral([comp], grid, outputs)
         for total, d in zip(flux, derivatives):
             total += (np.conj(comp) * d).imag
-    if q_scale is None:
-        return f, flux, None, None
-    ratio = _ratio(derivatives[-1], psi.values, mask)
-    q = q_scale * (ratio.real + sum(_ratio(x, f, mask) ** 2 for x in flux))
-    q[mask] = 0.0
-    return f, flux, q, mask
+    q = force = None
+    if q_scale is not None:
+        ratio = _ratio(derivatives[dim], psi.values, mask)
+        q = q_scale * (ratio.real + sum(_ratio(x, f, mask) ** 2 for x in flux))
+        q[mask] = 0.0
+    if force_scale is not None:
+        inv = _ratio(1.0, psi.values, mask)
+        r1, rlap = [d * inv for d in derivatives[:dim]], derivatives[dim] * inv
+        dlap, second = derivatives[dim + 1:], dict(zip(pairs, derivatives[2 * dim + 1:]))
+        force = []
+        for a in axes:
+            dg = (dlap[a] * inv - rlap * r1[a]).real
+            for b in axes:
+                cross = (second[min(a, b), max(a, b)] * inv - r1[a] * r1[b]).imag
+                dg = dg + 2.0 * r1[b].imag * cross
+            force.append(-force_scale * dg)
+            force[-1][mask] = 0.0
+    return _Polar(f, flux, q, mask, force)
 
 
 def _current(f, flux, gauge: GaugeConfiguration, consts: PhysicalConstants) -> tuple:
@@ -197,8 +221,8 @@ def current_scalar(
     -2*alpha*Im(psi* grad psi) + gamma*f*A_psi.  A spinor's current sums Im
     over its components, so it reduces exactly to the scalar current when
     one component vanishes."""
-    f, flux, _, _ = _polar(psi)
-    return VectorField(psi.grid, _current(f, flux, gauge, consts))
+    polar = _polar(psi)
+    return VectorField(psi.grid, _current(polar.f, polar.flux, gauge, consts))
 
 
 current_spinor = current_scalar  # one formula serves SpinorField too

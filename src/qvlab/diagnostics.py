@@ -2,8 +2,9 @@
 guarantees: continuity, Hamilton-Jacobi balance, gauge conditions, field
 self-consistency, the Maxwell-type system, and four-current conservation.
 
-J and Q share one differentiation of psi (decomposition._polar), so the
-Hamilton-Jacobi residual, which needs both, transforms psi once.
+J, Q and the quantum force -grad Q share one differentiation of psi
+(decomposition._polar), so the Hamilton-Jacobi residual, which needs J and
+Q, transforms psi once, and so does the force.
 
 Every time derivative is a centered second-order difference over stored
 snapshots, so residuals carry an O(dt^2) floor that is discretization, not
@@ -22,8 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .decomposition import FourCurrent, GaugeConfiguration, PhysicalConstants, _current, _polar
-from .fields import ComplexScalarField, NodeError, VectorField, _ratio, _support, density, node_mask
-from .lattice import _LAP, Grid, _curl3, _spectral, _zero_slot, divergence, spectral_gradient
+from .fields import ComplexScalarField, NodeError, VectorField, _ratio, density, node_mask
+from .lattice import Grid, _curl3, _zero_slot, divergence, spectral_gradient
 
 _JUMP_FRACTION = 0.9  # |angle| above this multiple of pi flags a branch jump
 TIME_RTOL = 1e-9  # relative tolerance on the spacing and span of snapshot times
@@ -178,8 +179,8 @@ def quantum_potential(psi: ComplexScalarField, consts: PhysicalConstants):
     Evaluated through Lap|psi|/|psi| = Re(Lap psi / psi) + |grad phi|^2, which
     stays smooth where |psi| has kinks (sign-changing real states).
     """
-    _, _, q, mask = _polar(psi, consts.alpha / consts.beta)
-    return q, mask
+    polar = _polar(psi, consts.alpha / consts.beta)
+    return polar.q, polar.mask
 
 
 def quantum_force(psi: ComplexScalarField, consts: PhysicalConstants):
@@ -193,32 +194,10 @@ def quantum_force(psi: ComplexScalarField, consts: PhysicalConstants):
                                + 2 sum_b Im(d_b psi/psi) Im(d_a d_b psi/psi
                                - (d_a psi/psi)(d_b psi/psi)).
 
-    Every derivative comes from one transform of psi.
+    Every derivative comes from the one transform of psi that J and Q share.
     """
-    grid = psi.grid
-    dim = grid.dim
-    mask = _support(density(psi), "quantum force")
-    inv = _ratio(1.0, psi.values, mask)
-    pairs = [(a, b) for a in range(dim) for b in range(a, dim)]
-    outs = _spectral(
-        [psi.values], grid,
-        [[(0, a)] for a in range(dim)] + [[(0, _LAP)]]
-        + [[(0, a, _LAP)] for a in range(dim)] + [[(0, a, b)] for a, b in pairs],
-    )
-    d1, lap, dlap = outs[:dim], outs[dim], outs[dim + 1: 2 * dim + 1]
-    second = dict(zip(pairs, outs[2 * dim + 1:]))
-    r1 = [d * inv for d in d1]
-    rlap = lap * inv
-    comps = []
-    for a in range(dim):
-        dg = (dlap[a] * inv - rlap * r1[a]).real
-        for b in range(dim):
-            cross = (second[min(a, b), max(a, b)] * inv - r1[a] * r1[b]).imag
-            dg = dg + 2.0 * r1[b].imag * cross
-        force = -(consts.alpha / consts.beta) * dg
-        force[mask] = 0.0
-        comps.append(force)
-    return tuple(comps), mask
+    polar = _polar(psi, force_scale=consts.alpha / consts.beta)
+    return tuple(polar.force), polar.mask
 
 
 def phase_rate_from_snapshots(
@@ -263,13 +242,13 @@ def hamilton_jacobi_residual(
 
     phase_rate is the centered phase derivative (see phase_rate_from_snapshots);
     with the standard constants the balance reads
-    -hbar dphi/dt - (m/2)|<v>|^2 - U - Q.  polar is psi's (f, flux, Q, mask)
-    from decomposition._polar with q_scale alpha/beta, for a caller that has
-    it; without it psi is differentiated here.
+    -hbar dphi/dt - (m/2)|<v>|^2 - U - Q.  polar is psi's record from
+    decomposition._polar with q_scale alpha/beta, for a caller that has it;
+    without it psi is differentiated here.
     """
     if polar is None:
         polar = _polar(psi, consts.alpha / consts.beta, "velocity")
-    f, flux, q, mask = polar
+    f, flux, q, mask, _ = polar
     speed2 = sum(_ratio(j, f, mask) ** 2 for j in _current(f, flux, gauge, consts))
     if rate_mask is not None:
         mask = mask | rate_mask

@@ -1000,6 +1000,39 @@ def test_force_trace_refuses_the_gauge_before_reading_the_run(tmp_path, capsys):
     assert not missing.exists()
 
 
+def _far_from_the_packet_config():
+    """A narrow packet at x = 10 on a 40-long line: x = 30 is a node region."""
+    return {
+        "name": "narrow-gaussian",
+        "equation": "schrodinger",
+        "grid": {"dim": 1, "n": [64], "length": [40.0]},
+        "constants": {"kind": "natural"},
+        "initial_state": {"preset": "gaussian", "sigma": 0.5, "center": [10.0]},
+        "evolution": {"dt": 0.01, "steps": 4, "snapshot_stride": 2},
+        "trace": {"method": "both", "interpolation": "spectral", "starts": [[30.0]]},
+    }
+
+
+def test_force_trace_from_a_node_region_is_a_config_error(tmp_path, capsys):
+    # the start comes from the config, so the refusal names the key and the point;
+    # an advected path from there is frozen, not refused
+    payload = _far_from_the_packet_config()
+    cfg = _write_config(tmp_path / "far.json", payload)
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["trace", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.trace.starts: trace start [30.0] ")
+    assert "masked node region" in err
+    assert not list(out.glob("trace_*"))
+    payload["trace"]["method"] = "advect"
+    advect = _write_config(tmp_path / "advect.json", payload)
+    assert main(["trace", "--config", str(advect), "--out", str(out)]) == 0
+    table = np.loadtxt(out / "trace_000.csv", delimiter=",", skiprows=1)
+    assert np.all(table[:, 1] == 30.0) and np.all(table[:, 3] == 1.0)
+
+
 def test_trace_checks_its_span_before_computing_currents(small_run, tmp_path,
                                                          monkeypatch, capsys):
     calls = []
@@ -1018,6 +1051,28 @@ def test_trace_checks_its_span_before_computing_currents(small_run, tmp_path,
     assert calls == []
 
 
+def test_trace_transforms_and_reads_each_snapshot_once(gaussian_run, monkeypatch):
+    # both methods ride one pass: one fftn of psi per snapshot gives f, J and
+    # -grad Q, and no snapshot is read a second time for the force
+    from util import count_transforms
+
+    cfg, out = gaussian_run
+    assert _gaussian_config()["trace"]["method"] == "both"
+    reads = collections.Counter()
+    real = cli.fields.read_snapshot
+
+    def counting(path):
+        reads[os.path.basename(path)] += 1
+        return real(path)
+
+    monkeypatch.setattr(cli.fields, "read_snapshot", counting)
+    calls = count_transforms(monkeypatch)
+    assert main(["trace", "--config", str(cfg), "--out", str(out)]) == 0
+    files = _snapshot_files(out)
+    assert calls["fftn"] == len(files) == 11
+    assert reads == collections.Counter(files)
+
+
 def test_trace_sampled_starts_are_seed_deterministic(gaussian_run, tmp_path):
     cfg_run, out = gaussian_run
     payload = _gaussian_config()
@@ -1034,7 +1089,7 @@ def test_trace_sampled_starts_are_seed_deterministic(gaussian_run, tmp_path):
 
 
 def test_trace_batch_matches_single_start_paths(gaussian_run, tmp_path):
-    from qvlab.cli import Run, Scenario, _load_config, _trace_em, _trace_flow
+    from qvlab.cli import Run, Scenario, _load_config, _trace_samplers
     from qvlab.trajectories import advect, force_path
 
     _, out = gaussian_run
@@ -1050,8 +1105,7 @@ def test_trace_batch_matches_single_start_paths(gaussian_run, tmp_path):
     ]
     scenario = Scenario(_load_config(str(cfg)), str(tmp_path))
     run = Run(scenario, str(out))
-    flow = _trace_flow(run, "spectral")
-    em = _trace_em(run, "spectral")
+    flow, em = _trace_samplers(run, "spectral", force=True)
     dt, steps = summary["dt"], summary["steps"]
     for index, start in enumerate(starts):
         v0, _ = flow(np.array([start]), run.times[0])
@@ -1105,13 +1159,16 @@ def test_trace_count_samples_the_joint_density(tmp_path):
 
 def test_trace_and_continuity_skip_the_quantum_potential(gaussian_run, tmp_path,
                                                          monkeypatch):
+    # trace's force method asks _polar for -grad Q, not for Q: count the
+    # records that carry a Q
     calls = []
     real = cli.decomposition._polar
 
-    def counting(psi, q_scale=None, *args, **kwargs):
-        if q_scale is not None:  # Q is formed only when a scale is given
+    def counting(*args, **kwargs):
+        polar = real(*args, **kwargs)
+        if polar.q is not None:
             calls.append(1)
-        return real(psi, q_scale, *args, **kwargs)
+        return polar
 
     monkeypatch.setattr(cli.decomposition, "_polar", counting)
     cfg, out = gaussian_run

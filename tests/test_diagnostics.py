@@ -228,6 +228,25 @@ def test_psi_derivatives_share_one_transform(dim, monkeypatch):
     assert sum(calls.values()) == {1: 5, 2: 9, 3: 14}[dim]
 
 
+@pytest.mark.parametrize("kind", [SpinorField, BispinorField])
+def test_q_and_its_force_refuse_a_non_scalar_field(kind):
+    # Q and -grad Q are defined for a scalar psi only; a spinor is refused by
+    # name instead of failing deep inside the arithmetic
+    g = make_grid(1, [64], [2 * np.pi])
+    vals = 2.0 + random_band_limited(g, np.random.default_rng(3), complex_valued=True)
+    psi = kind(g, np.stack([vals] * kind.ncomp))
+    calls = [
+        ("quantum potential", lambda: quantum_potential(psi, NAT)),
+        ("quantum force", lambda: quantum_force(psi, NAT)),
+        ("quantum potential", lambda: hamilton_jacobi_residual(
+            psi, GaugeConfiguration.free(g), NAT, np.zeros(g.shape))),
+    ]
+    for what, call in calls:
+        with pytest.raises(TypeError, match=f"^{what} needs a ComplexScalarField, "
+                                            f"got a {kind.__name__}$"):
+            call()
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_current_and_q_share_one_differentiation(dim, monkeypatch):
     # J and Q come from one transform of each component of psi: the

@@ -70,3 +70,38 @@ def test_every_private_helper_is_used_outside_itself():
         and package[node.name] <= _references(node)[node.name]
     ]
     assert leftovers == []
+
+
+# the functions that may call a numpy.fft transform: the one spectral-derivative
+# helper, the two steppers' kinetic halves and the samplers' half spectrum
+_FFT_SITES = {"lattice._spectral", "evolvers._scalar_factors.inner",
+              "evolvers._dirac_stepper.inner", "trajectories._half_spectrum"}
+
+
+def _fft_sites() -> set:
+    """module.function (nested functions dotted) of every numpy.fft transform the
+    package names, called or not; fftfreq and fftshift are not transforms."""
+    sites = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            if (isinstance(child, ast.Attribute) and isinstance(child.value, ast.Attribute)
+                    and child.value.attr == "fft"
+                    and not child.attr.endswith(("freq", "shift"))):
+                sites.add(inner)
+            if isinstance(child, (ast.Import, ast.ImportFrom)) and "fft" in " ".join(
+                    [getattr(child, "module", None) or ""] + [a.name for a in child.names]):
+                sites.add(f"{inner} imports numpy.fft")
+            visit(child, inner)
+
+    for path in pathlib.Path(qvlab.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return sites
+
+
+def test_numpy_transforms_are_called_only_at_the_known_sites():
+    # a transform outside these functions would be a spectral path beside them
+    assert _fft_sites() == _FFT_SITES

@@ -218,7 +218,7 @@ def write_snapshot(field, path) -> None:
     dtype = "<c16" if width == 16 else "<f8"
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(payload, dtype=dtype).tobytes())
+        fh.write(np.ascontiguousarray(payload, dtype=dtype))
 
 
 def read_snapshot(path):

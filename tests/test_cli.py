@@ -491,6 +491,37 @@ def test_evolve_refuses_a_state_with_no_support(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("equation, state, built", [
+    ("pauli", {"preset": "gaussian"}, "ComplexScalarField"),
+    ("schrodinger", {"preset": "spinor_up_x"}, "SpinorField"),
+    ("dirac", {"preset": "spinor_up_x"}, "SpinorField"),
+])
+def test_evolve_refuses_a_preset_of_another_field_class(equation, state, built, tmp_path,
+                                                        capsys):
+    payload = _small_config()
+    payload["equation"] = equation
+    payload["initial_state"] = {**state, "center": [4.0]}
+    cfg = _write_config(tmp_path / "mismatch.json", payload)
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: config.initial_state: preset builds a {built}, " in err
+    assert f"but equation {equation!r} needs a " in err
+    assert not out.exists()
+
+
+def test_dirac_evolve_refuses_zero_charge(tmp_path, capsys):
+    payload = _small_config()
+    payload["equation"] = "dirac"
+    payload["constants"] = {"kind": "physical", "q": 0.0}
+    payload["initial_state"] = {"preset": "dirac_plane_wave", "mode": [1]}
+    cfg = _write_config(tmp_path / "neutral.json", payload)
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error: config.constants: dirac runs need q != 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key, token, command",
     [("gps.t", "NaN", "gps"), ("grid.length", "[Infinity]", "evolve"),
@@ -814,6 +845,51 @@ def test_a_manifest_of_the_wrong_shape_is_corrupt(corrupt, small_run, tmp_path, 
     assert f"config error: corrupt run manifest {run / 'manifest.json'}: " in err
 
 
+def test_four_current_refuses_a_scalar_run(small_run, tmp_path, capsys):
+    payload = _traced_config()
+    payload["diagnostics"] = ["four_current"]
+    cfg = _write_config(tmp_path / "four.json", payload)
+    assert main(["diagnose", "--config", str(cfg), "--out", str(small_run)]) == 2
+    assert "config error: diagnostics: four_current needs a dirac run" in capsys.readouterr().err
+    assert not (small_run / "report_four_current_divergence.json").exists()
+
+
+def _edited_run(small_run, tmp_path, edit):
+    """A copy of small_run whose manifest edit(run, manifest) may change."""
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+    edit(run, manifest)
+    (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    return run
+
+
+def _empty(run, manifest):
+    manifest["snapshots"] = []
+
+
+def _regrid_first(run, manifest):
+    grid = make_grid(1, [8], [8.0])
+    write_snapshot(ComplexScalarField(grid, np.ones(8, complex)),
+                   run / manifest["snapshots"][0]["file"])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_empty, "manifest.json lists no snapshots"),
+    (_regrid_first, "snapshot grid (8,) does not match config grid (16,)"),
+], ids=["no-snapshots", "first-off-grid"])
+@pytest.mark.parametrize("command", ["diagnose", "fields", "trace"])
+def test_a_run_without_snapshots_on_the_config_grid_is_refused(edit, message, command,
+                                                               small_run, tmp_path, capsys):
+    run = _edited_run(small_run, tmp_path, edit)
+    cfg = small_run.parent / "scenario.json"
+    before = sorted(p.name for p in run.iterdir())
+    assert main([command, "--config", str(cfg), "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert sorted(p.name for p in run.iterdir()) == before
+
+
 def test_diagnose_refuses_a_run_evolved_under_other_physics(oscillator_run, tmp_path,
                                                              capsys):
     _, out = oscillator_run
@@ -997,6 +1073,21 @@ def test_force_trace_refuses_the_gauge_before_reading_the_run(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: config.gauge.b_external" in err
     assert "manifest" not in err
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("gauge", [{"u": {"preset": "uniform", "value": 0.5}},
+                                   {"a": {"preset": "uniform", "value": [0.1]}}],
+                         ids=["u", "a"])
+def test_force_trace_refuses_a_potential_before_reading_the_run(gauge, tmp_path, capsys):
+    payload = _traced_config()
+    payload["gauge"] = gauge
+    payload["trace"]["method"] = "force"
+    cfg = _write_config(tmp_path / "potential.json", payload)
+    missing = tmp_path / "no-run"
+    assert main(["trace", "--config", str(cfg), "--out", str(missing)]) == 2
+    assert ("config error: trace: the force method supports free-gauge scalar runs "
+            "(u and a both zero)") in capsys.readouterr().err
     assert not missing.exists()
 
 
@@ -1413,6 +1504,21 @@ def test_spinor_run_satisfies_continuity(tmp_path, capsys):
     capsys.readouterr()
     report = json.loads((out / "report_continuity.json").read_text(encoding="utf-8"))
     assert report["l2"] <= 1e-7
+
+
+@pytest.mark.parametrize("command", ["trace", "fields"])
+def test_trace_and_fields_refuse_a_pauli_run(command, tmp_path, capsys):
+    payload = _pauli_config()
+    payload["trace"] = {"method": "advect", "starts": [[16.0]]}
+    cfg = _write_config(tmp_path / "scenario.json", payload)
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    before = sorted(p.name for p in out.iterdir())
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert ("config error: this command needs a scalar (schrodinger) run"
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in out.iterdir()) == before
 
 
 def test_bispinor_run_conserves_four_current(tmp_path, capsys):

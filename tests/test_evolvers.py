@@ -215,20 +215,48 @@ def test_run_driver_records_stride_and_final():
 # spinor step
 
 def test_pauli_reduces_to_scalar_when_b_vanishes():
+    # a uniform A folds into the kinetic phase, 0.3 sin x takes the cross
+    # series on each component; a 1D grid has no curl, so B = 0 in both
     rng = np.random.default_rng(21)
     g = make_grid(1, [64], [2 * np.pi])
+    x = g.axis_coordinates(0)
     vals = random_band_limited(g, rng, complex_valued=True)
-    gauge = GaugeConfiguration.assemble(
-        g,
-        a_classical=VectorField(g, (np.full(g.shape, 0.4),)),
-        u=np.cos(g.axis_coordinates(0)),
-    )
-    scalar = _step(run_schrodinger, ComplexScalarField(g, vals), gauge, 0.01)
-    spinor = _step(
-        run_pauli, SpinorField(g, np.stack([vals, np.zeros_like(vals)])), gauge, 0.01
-    )
-    assert np.array_equal(spinor.values[0], scalar.values)
-    assert np.all(spinor.values[1] == 0.0)
+    for a in (np.full(g.shape, 0.4), 0.3 * np.sin(x)):
+        gauge = GaugeConfiguration.assemble(g, a_classical=VectorField(g, (a,)), u=np.cos(x))
+        scalar = _step(run_schrodinger, ComplexScalarField(g, vals), gauge, 0.01)
+        spinor = _step(
+            run_pauli, SpinorField(g, np.stack([vals, np.zeros_like(vals)])), gauge, 0.01
+        )
+        assert np.array_equal(spinor.values[0], scalar.values)
+        assert np.all(spinor.values[1] == 0.0)
+
+
+def _plane_wave(cls, dim):
+    """Mode 1 along x on a 16^dim grid of side 6, in every component."""
+    g = make_grid(dim, [16] * dim, [6.0] * dim)
+    x = g.axis_coordinates(0).reshape(-1, *[1] * (dim - 1))
+    return cls(g, np.broadcast_to(np.exp(2j * np.pi * x / 6.0), cls._shape(g)))
+
+
+# a zero-step run builds no stepper, and is refused all the same
+@pytest.mark.parametrize("run, needs, cls, dim, b_external, steps", [
+    (run_pauli, "SpinorField", ComplexScalarField, 1, None, 2),
+    (run_pauli, "SpinorField", ComplexScalarField, 1, None, 0),
+    (run_pauli, "SpinorField", ComplexScalarField, 2, None, 2),
+    (run_pauli, "SpinorField", ComplexScalarField, 2, (0.0, 0.0, 1.0), 2),
+    (run_pauli, "SpinorField", BispinorField, 1, None, 2),
+    (run_schrodinger, "ComplexScalarField", SpinorField, 1, None, 2),
+    (run_dirac, "BispinorField", ComplexScalarField, 1, None, 2),
+    (run_dirac, "BispinorField", SpinorField, 2, None, 2),
+])
+def test_each_run_function_refuses_a_field_of_another_class(run, needs, cls, dim,
+                                                            b_external, steps):
+    psi = _plane_wave(cls, dim)
+    source = (FourPotential.free(psi.grid) if run is run_dirac
+              else GaugeConfiguration.assemble(psi.grid, b_external=b_external))
+    with pytest.raises(TypeError) as err:
+        run(psi, source, NAT, EvolutionParams(0.01, steps))
+    assert str(err.value) == f"{run.__name__} needs a {needs}, got a {cls.__name__}"
 
 
 @pytest.mark.parametrize("steps, calls", [(0, 0), (6, 1)])

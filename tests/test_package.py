@@ -74,7 +74,7 @@ def test_every_private_helper_is_used_outside_itself():
 
 # the functions that may call a numpy.fft transform: the one spectral-derivative
 # helper, the two steppers' kinetic halves and the samplers' half spectrum
-_FFT_SITES = {"lattice._spectral", "evolvers._scalar_factors.inner",
+_FFT_SITES = {"lattice._spectral", "evolvers._split_stepper.inner",
               "evolvers._dirac_stepper.inner", "trajectories._half_spectrum"}
 
 

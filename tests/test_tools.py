@@ -1,0 +1,43 @@
+"""The scripts under tools/."""
+import json
+import pathlib
+import runpy
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+COMPARE_RUNS = runpy.run_path(str(ROOT / "tools" / "compare_runs.py"))
+
+
+def test_compare_runs_finds_this_checkout_equal_to_itself(capsys):
+    code = COMPARE_RUNS["main"]([str(ROOT), str(ROOT), "--workload", "flow-trace",
+                                 "--seed", "1", "--size", "tiny"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[-1] == "all outputs equal"
+    files = [line.split(": ")[0].rsplit("/", 1)[1] for line in lines[:-1]]
+    assert {"manifest.json", "snap_000016.qfs", "trace_001_force.csv",
+            "report_hamilton_jacobi.json", "fields_summary.json"} <= set(files)
+    assert "timings.json" not in files
+    assert all(line.endswith(": equal") for line in lines[:-1])
+
+
+def test_compare_runs_reports_how_the_numbers_differ(tmp_path):
+    def written(name, payload):
+        path = tmp_path / name
+        path.write_text(payload, encoding="utf-8")
+        return str(path)
+
+    report = {"name": "continuity", "l2": 2.0, "linf": [1.0, 4.0]}
+    old = written("old.json", json.dumps(report))
+    assert COMPARE_RUNS["compare_files"](old, old) == "equal"
+    cases = [
+        ("new.json", json.dumps({**report, "linf": [1.0, 3.0]}),
+         "differs: max abs 1.000e+00, max rel 2.500e-01"),
+        ("spaced.json", json.dumps(report, indent=1), "differs in bytes only"),
+        ("renamed.json", json.dumps({**report, "name": "gauge"}), "differs in layout"),
+    ]
+    for name, payload, verdict in cases:
+        assert COMPARE_RUNS["compare_files"](old, written(name, payload)) == verdict
+    old = written("old.csv", "t,x\n0.0,1.0\n0.5,2.0\n")
+    new = written("new.csv", "t,x\n0.0,1.0\n0.5,2.5\n")
+    assert COMPARE_RUNS["compare_files"](old, new) == (
+        "differs: max abs 5.000e-01, max rel 2.000e-01")

@@ -1,0 +1,177 @@
+"""Run every subcommand of every benchmark scenario on two source trees and
+compare what they write, file by file.
+
+    python3 tools/compare_runs.py OLD NEW [--workload W] [--seed N] [--size tiny|full]
+
+OLD and NEW are source checkouts, each with src/qvlab.  The scenarios come
+from OLD's perfbench/workloads.py, which is read and not changed, and both
+trees run the same config files.  --workload, --seed and --size may be
+repeated; by default every workload runs at seeds 1 and 2, tiny and full.
+Each subcommand runs as `python -m qvlab.cli` in a fresh interpreter with the
+tree's src on PYTHONPATH, one BLAS thread, and no bytecode written.
+
+For each file either tree wrote, one line says `equal` (the same bytes) or
+gives the largest absolute and relative difference of the file's numbers:
+JSON reports and summaries, trace CSVs and snapshot samples (.qfs).
+timings.json is skipped, since wall time differs between runs.  The exit
+status is 1 on any difference, missing file or failed subcommand, else 0.
+"""
+from __future__ import annotations
+
+import argparse
+import csv
+import itertools
+import json
+import math
+import os
+import runpy
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+SIZES = ("tiny", "full")
+SKIPPED = ("timings.json",)
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+QFS_HEADER = 64  # bytes before the float64 samples of a .qfs snapshot
+
+
+def _env(tree):
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
+    env.update({var: "1" for var in THREAD_VARS})
+    env.pop("QVLAB_THREADS", None)
+    return env
+
+
+def _run_scenario(tree, spec, config, out, seed):
+    """Run the scenario's subcommands in order; a list of failure lines."""
+    os.makedirs(out)
+    failures = []
+    for command in spec["commands"]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qvlab.cli", command, "--config", config,
+             "--out", out, "--seed", str(seed)],
+            env=_env(tree), capture_output=True, text=True)
+        if proc.returncode:
+            tail = proc.stderr.strip().splitlines()[-1:] or [""]
+            failures.append(f"{spec['name']} {command} exited {proc.returncode} "
+                            f"in {tree}: {tail[0]}")
+    return failures
+
+
+def _numbers(path):
+    """(the file with its numbers taken out, its numbers as float64), or None
+    for a file whose numbers are not read."""
+    if path.endswith(".qfs"):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return data[:QFS_HEADER], np.frombuffer(data[QFS_HEADER:], "<f8")
+    numbers = []
+
+    def strip(value):
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            numbers.append(float(value))
+            return None
+        if isinstance(value, dict):
+            return {key: strip(item) for key, item in value.items()}
+        if isinstance(value, list):
+            return [strip(item) for item in value]
+        return value
+
+    with open(path, encoding="utf-8", newline="") as fh:
+        if path.endswith(".json"):
+            skeleton = strip(json.load(fh))
+        elif path.endswith(".csv"):
+            skeleton = [[strip(_number(cell)) for cell in row] for row in csv.reader(fh)]
+        else:
+            return None
+    return skeleton, np.array(numbers)
+
+
+def _number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def compare_files(old, new):
+    """'equal', or how the numbers of two output files differ."""
+    with open(old, "rb") as a, open(new, "rb") as b:
+        if a.read() == b.read():
+            return "equal"
+    try:
+        parsed = _numbers(old), _numbers(new)
+    except (ValueError, UnicodeDecodeError) as exc:
+        return f"differs, unreadable: {exc}"
+    if None in parsed:
+        return "differs"
+    (shape_a, a), (shape_b, b) = parsed
+    if shape_a != shape_b or a.shape != b.shape:
+        return "differs in layout"
+    both_nan = np.isnan(a) & np.isnan(b)
+    diff = np.where(both_nan, 0.0, np.abs(a - b))
+    scale = np.maximum(np.abs(a), np.abs(b))
+    rel = np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)
+    worst = float(np.max(diff, initial=0.0))
+    if math.isnan(worst):
+        return "differs: NaN in one tree"
+    if worst == 0.0:
+        return "differs in bytes only"
+    return f"differs: max abs {worst:.3e}, max rel {float(np.max(rel)):.3e}"
+
+
+def _compare_dirs(old, new, label):
+    """One line per file of either directory; True if all are equal."""
+    same = True
+    names = sorted(set(os.listdir(old)) | set(os.listdir(new)))
+    for name in names:
+        if name in SKIPPED:
+            continue
+        paths = os.path.join(old, name), os.path.join(new, name)
+        missing = [tree for tree, path in zip(("old", "new"), paths) if not os.path.exists(path)]
+        verdict = f"missing in {missing[0]}" if missing else compare_files(*paths)
+        same = same and verdict == "equal"
+        print(f"{label}/{name}: {verdict}")
+    return same
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old")
+    parser.add_argument("new")
+    parser.add_argument("--workload", action="append")
+    parser.add_argument("--seed", action="append", type=int)
+    parser.add_argument("--size", action="append", choices=SIZES)
+    args = parser.parse_args(argv)
+    trees = [os.path.abspath(tree) for tree in (args.old, args.new)]
+    workloads = runpy.run_path(os.path.join(trees[0], "perfbench", "workloads.py"))
+    unknown = set(args.workload or ()) - set(workloads["WORKLOADS"])
+    if unknown:
+        parser.error(f"unknown workload {sorted(unknown)[0]!r}; "
+                     f"choose from {', '.join(workloads['WORKLOADS'])}")
+    same = True
+    cases = itertools.product(args.workload or workloads["WORKLOADS"], args.size or SIZES,
+                              args.seed or (1, 2))
+    with tempfile.TemporaryDirectory(prefix="compare-runs-") as work:
+        for workload, size, seed in cases:
+            case = f"{workload}-{size}-{seed}"
+            for spec in workloads["build"](workload, seed, size == "tiny"):
+                config = os.path.join(work, case, f"{spec['name']}.json")
+                os.makedirs(os.path.dirname(config), exist_ok=True)
+                with open(config, "w", encoding="utf-8") as fh:
+                    json.dump(spec["config"], fh, indent=1)
+                outs = [os.path.join(work, case, side, spec["name"]) for side in ("old", "new")]
+                for tree, out in zip(trees, outs):
+                    for failure in _run_scenario(tree, spec, config, out, seed):
+                        print(failure)
+                        same = False
+                same = _compare_dirs(*outs, f"{case}/{spec['name']}") and same
+    print("all outputs equal" if same else "outputs differ")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -146,12 +146,9 @@ class IdentityResult:
         return self.max_error <= tol
 
 
-def _check_anticommutators(fault: bool) -> IdentityResult:
+def _check_anticommutators() -> IdentityResult:
     worst, witness = 0.0, np.zeros((4, 4))
     gammas = [dirac_gamma(mu) for mu in range(4)]
-    if fault:
-        gammas[1] = gammas[1].copy()
-        gammas[1][0, 3] += 1e-3  # deliberate corruption for failure-path tests
     for mu in range(4):
         for nu in range(mu, 4):
             anti = gammas[mu] @ gammas[nu] + gammas[nu] @ gammas[mu]
@@ -209,15 +206,14 @@ IDENTITY_NAMES = (
 )
 
 
-def identity_suite(seed: int = 0, samples: int = 100, fault: bool = False):
+def identity_suite(seed: int = 0, samples: int = 100):
     """Run the full matrix-identity suite; all entries must sit at roundoff.
 
-    Entries come back in IDENTITY_NAMES order.  fault=True corrupts one gamma
-    entry so the failure path can be exercised.
+    Entries come back in IDENTITY_NAMES order.
     """
     rng = np.random.default_rng(seed)
     return [
-        _check_anticommutators(fault),
+        _check_anticommutators(),
         _check_quaternions(),
         _check_sigma_products(rng, samples),
         _check_spin_cancellation(rng, samples),

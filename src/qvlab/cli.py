@@ -174,7 +174,10 @@ def _parse(data, schema: dict, path: str, dim) -> dict:
     return record
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str) -> tuple[dict, str]:
+    """The JSON object in the config file at path, and the sha256 of the bytes
+    it was parsed from."""
+
     def reject(token):
         raise ConfigError(f"config {path} is not valid JSON: {token} is not a number")
 
@@ -189,12 +192,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    return cfg
-
-
-def _config_sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    return cfg, hashlib.sha256(raw).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +206,10 @@ _UNITS = ("hbar", "m", "q", "c", "eps0")
 class Scenario:
     """A scenario file, parsed whole for every subcommand into one canonical
     record, `config`.  The state, gauge and evolution need the grid and are
-    built from their records on first use."""
+    built from their records on first use.  config_sha256 is the hash of the
+    file's bytes that evolve records."""
 
-    def __init__(self, raw: dict, config_dir: str):
+    def __init__(self, raw: dict, config_dir: str, config_sha256: str | None = None):
         # the grid sizes the per-axis keys, so it is read first
         self.grid = _make_grid(raw.get("grid"))
         dim = None if self.grid is None else self.grid.dim
@@ -225,7 +224,7 @@ class Scenario:
                 raise ConfigError(f"config.trace.starts: positions need {dim} coordinates")
         # the step parameters are cheap, so every subcommand checks them
         self._evolution = _evolution_params(config["evolution"])
-        self.config_dir = config_dir
+        self.config_dir, self.config_sha256 = config_dir, config_sha256
         physics = {key: config[key] for key in _PHYSICS}
         physics["constants"] = {key: getattr(self.consts, key) for key in _UNITS}
         text = json.dumps(physics, sort_keys=True)
@@ -353,18 +352,25 @@ def _dirac_plane_wave(record, scenario: Scenario):
     return fields.BispinorField(grid, tuple(component * plane for component in spinor))
 
 
-def _custom(record, scenario: Scenario):
-    label = "config.initial_state.path"
+def _snapshot(path: str, label: str, grid, kind=None):
+    """The .qfs snapshot at path, refused unless it lies on grid and, when kind
+    is given, holds that field class; label names it in the refusal."""
     try:
-        state = fields.read_snapshot(os.path.join(scenario.config_dir, record["path"]))
-    except (OSError, fields.SnapshotError) as exc:
-        raise ConfigError(f"{label}: {exc}") from exc
-    if state.grid != scenario.grid:
-        raise ConfigError(
-            f"{label}: snapshot grid {state.grid.n} does not match config grid "
-            f"{scenario.grid.n}"
-        )
-    return state
+        snap = fields.read_snapshot(path)
+    except OSError as exc:  # a SnapshotError is an OSError
+        raise ConfigError(f"cannot read snapshot {label}: {exc}") from exc
+    if snap.grid != grid:
+        raise ConfigError(f"snapshot {label}: snapshot grid {snap.grid.n} does not "
+                          f"match config grid {grid.n}")
+    if kind is not None and type(snap) is not kind:
+        raise ConfigError(f"snapshot {label} holds a {type(snap).__name__}, not a "
+                          f"{kind.__name__}")
+    return snap
+
+
+def _custom(record, scenario: Scenario):
+    path = os.path.join(scenario.config_dir, record["path"])
+    return _snapshot(path, f"{record['path']!r} (config.initial_state.path)", scenario.grid)
 
 
 def _harmonic(record, scenario: Scenario):
@@ -480,7 +486,7 @@ def cmd_evolve(args, scenario: Scenario) -> int:
         "name": scenario.config["name"],
         "command": "evolve",
         "equation": equation,
-        "config_sha256": _config_sha256(args.config),
+        "config_sha256": scenario.config_sha256,
         "physics_sha256": scenario.physics_sha256,
         "seed": args.seed,
         "grid": grid,
@@ -504,12 +510,17 @@ def cmd_evolve(args, scenario: Scenario) -> int:
 
 class Run:
     """The snapshot series a manifest lists, if the manifest's physics hash is
-    the scenario's.  A pass reads each snapshot when it reaches it; the first
-    is read up front, for the run's grid and kind, and held for the pass.
-    After load, window holds the middle snapshot and its two neighbours (for
-    h only), and middle the middle snapshot's (f, flux, Q, mask) if it has Q."""
+    the scenario's.  That hash pins the config's equation and grid, so they are
+    the run's, with the field class the equation evolves.  A pass reads each
+    snapshot when it reaches it and refuses one off that grid or of another
+    class.  After load, window holds the middle snapshot and its two
+    neighbours (for h only), and middle the middle snapshot's (f, flux, Q,
+    mask) if it has Q."""
 
     def __init__(self, scenario: Scenario, out: str):
+        self.equation = scenario.require("equation")
+        scenario.require("grid")
+        self.grid, self.kind = scenario.grid, _EQUATIONS[self.equation][0]
         manifest_path = os.path.join(out, "manifest.json")
         corrupt = f"corrupt run manifest {manifest_path}"
         try:
@@ -536,28 +547,13 @@ class Run:
             raise ConfigError(f"{manifest_path} lists no snapshots")
         self.scenario, self.out, self.entries = scenario, out, entries
         self.times = [float(entry["time"]) for entry in entries]
-        self._first = self._read(entries[0])
-        self.grid, self.kind = self._first.grid, type(self._first)
-        if scenario.grid is not None and self.grid != scenario.grid:
-            raise ConfigError(
-                f"snapshot grid {self.grid.n} does not match config grid {scenario.grid.n}"
-            )
 
-    def _read(self, entry):
-        try:
-            return fields.read_snapshot(os.path.join(self.out, entry["file"]))
-        except (OSError, fields.SnapshotError) as exc:
-            raise ConfigError(f"cannot read snapshot {entry!r}: {exc}") from exc
-
-    def snapshots(self):
-        """Each snapshot in turn, read when the iteration reaches it."""
-        first, self._first = self._first, None
-        yield first if first is not None else self._read(self.entries[0])
-        for entry in self.entries[1:]:
-            snap = self._read(entry)
-            if (type(snap), snap.grid) != (self.kind, self.grid):
-                raise ConfigError(f"snapshot {entry!r} differs in kind or grid from the first")
-            yield snap
+    def serving(self, command: str, equations, hint: str = "") -> "Run":
+        """Self, if command serves runs of this run's equation."""
+        if self.equation not in equations:
+            raise ConfigError(f"{command} needs a {' or '.join(equations)} run, but this "
+                              f"run is {self.equation}{hint}")
+        return self
 
     def spaced(self) -> "Run":
         """Self, if its snapshots can feed centred time differences."""
@@ -570,11 +566,6 @@ class Run:
             ) from exc
         return self
 
-    def scalar(self) -> "Run":
-        if self.kind is not fields.ComplexScalarField:
-            raise ConfigError("this command needs a scalar (schrodinger) run")
-        return self
-
     def load(self, keep: str) -> "Run":
         """One _polar call per snapshot, keeping the series keep names: j (f and J, or a
         bispinor's four-current), q (Q), e (-grad Q / q and its node mask), and for h
@@ -582,7 +573,9 @@ class Run:
         consts, mid = self.scenario.consts, len(self.times) // 2
         scale = consts.alpha / consts.beta
         self.f, self.j, self.q, self.e, self.window, self.middle = [], [], [], [], [], None
-        for i, psi in enumerate(self.snapshots()):
+        for i, entry in enumerate(self.entries):
+            psi = _snapshot(os.path.join(self.out, entry["file"]), repr(entry), self.grid,
+                            self.kind)
             self.window += [psi] if "h" in keep and abs(i - mid) <= 1 else []
             if self.kind is fields.BispinorField:
                 self.j.append(decomposition.current_bispinor(psi, consts.c))
@@ -602,19 +595,6 @@ class Run:
 
 # ---------------------------------------------------------------------------
 # diagnose
-
-
-def _not_dirac(run: Run):
-    if run.kind is fields.BispinorField:
-        raise ConfigError(
-            "diagnostics: continuity covers scalar and spinor runs; "
-            "use four_current for dirac"
-        )
-
-
-def _dirac(run: Run):
-    if run.kind is not fields.BispinorField:
-        raise ConfigError("diagnostics: four_current needs a dirac run")
 
 
 def _hamilton_jacobi(run: Run):
@@ -640,14 +620,15 @@ def _hamilton_jacobi(run: Run):
     return [report]
 
 
-# diagnostic name -> (check(run), the series Run.load keeps for it, reports(run))
+# diagnostic name -> (the equations whose runs it serves, the series Run.load keeps
+# for it, reports(run))
 _DIAGNOSTICS = {
-    "continuity": (_not_dirac, "j", lambda run: [
+    "continuity": (("schrodinger", "pauli"), "j", lambda run: [
         diagnostics.continuity_residual(run.times, run.f, run.j)]),
-    "hamilton_jacobi": (Run.scalar, "h", _hamilton_jacobi),
-    "gauge": (Run.scalar, "q", lambda run: diagnostics.gauge_residuals(
+    "hamilton_jacobi": (("schrodinger",), "h", _hamilton_jacobi),
+    "gauge": (("schrodinger",), "q", lambda run: diagnostics.gauge_residuals(
         run.times, [run.scenario.gauge] * len(run.times), run.scenario.consts, run.q)),
-    "four_current": (_dirac, "j", lambda run: [
+    "four_current": (("dirac",), "j", lambda run: [
         diagnostics.four_current_divergence(run.times, run.j, run.scenario.consts)]),
 }
 
@@ -659,8 +640,11 @@ def cmd_diagnose(args, scenario: Scenario) -> int:
         print("no diagnostics requested")
         return EXIT_OK
     run, wanted = Run(scenario, out).spaced(), [_DIAGNOSTICS[name] for name in names]
-    for check, _, _ in wanted:  # every check is done before the pass reads the series
-        check(run)
+    served = [name for name, (equations, _, _) in _DIAGNOSTICS.items()
+              if run.equation in equations]
+    for name, (equations, _, _) in zip(names, wanted):  # all before the pass
+        run.serving(f"diagnostics: {name}", equations,
+                    f"; use {', '.join(served)} for {run.equation}")
     run.load("".join(keep for _, keep, _ in wanted))
     reports = [report for _, _, reports_of in wanted for report in reports_of(run)]
     for report in reports:
@@ -693,12 +677,12 @@ def _trace_samplers(run: Run, interpolation, force: bool):
 
 def cmd_trace(args, scenario: Scenario) -> int:
     trace_cfg = scenario.require("trace")
-    if scenario.consts.q == 0.0:
-        raise ConfigError("config.constants: tracing needs q != 0")
     methods = (
         ["advect", "force"] if trace_cfg["method"] == "both" else [trace_cfg["method"]]
     )
-    if "force" in methods:  # the gauge comes from the config alone: refuse it early
+    if "force" in methods:  # q and the gauge come from the config alone: refuse early
+        if scenario.consts.q == 0.0:
+            raise ConfigError("config.constants: the force method needs q != 0")
         gauge = scenario.gauge
         if gauge.b_external and any(np.any(b) for b in gauge.b_external):
             raise ConfigError(
@@ -710,7 +694,7 @@ def cmd_trace(args, scenario: Scenario) -> int:
                 "trace: the force method supports free-gauge scalar runs (u and a both zero)"
             )
     out = _out_dir(args, scenario)
-    run = Run(scenario, out).scalar()
+    run = Run(scenario, out).serving("trace", ["schrodinger"])
     times, grid = run.times, run.grid
     if times[-1] < times[0]:
         raise ConfigError("trace: paths run forward in time, but config.evolution.dt < 0")
@@ -799,16 +783,15 @@ def cmd_fields(args, scenario: Scenario) -> int:
     if consts.q == 0.0:
         raise ConfigError("config.constants: field reports need q != 0")
     out = _out_dir(args, scenario)
-    run = Run(scenario, out).spaced().scalar().load("q")
+    run = Run(scenario, out).spaced().serving("fields", ["schrodinger"]).load("q")
     gauges = [scenario.gauge] * len(run.times)
 
     inner, frames = diagnostics.em_fields(run.times, gauges, consts, run.q, family)
     reports = list(diagnostics.gauge_residuals(run.times, gauges, consts, run.q))
     mid, dim = len(inner) // 2, run.grid.dim
     # the Gauss law of self_consistency holds for E_psi whatever the family
-    psi_frame = frames[mid] if family == "psi" else diagnostics.em_fields(
-        run.times[mid:mid + 3], gauges[mid:mid + 3], consts, run.q[mid:mid + 3]
-    )[1][0]
+    psi_frame = diagnostics.em_fields(
+        run.times[mid:mid + 3], gauges[mid:mid + 3], consts, run.q[mid:mid + 3])[1][0]
     e_mid = fields.VectorField(run.grid, psi_frame.e[:dim])
     # the middle record is of snapshot len(times) // 2, the frame of E_psi
     reports.append(diagnostics.self_consistency_residual(e_mid, run.middle.f, consts))
@@ -873,9 +856,8 @@ def cmd_algebra_check(args, scenario) -> int:
         for name in algebra.IDENTITY_NAMES:
             print(name)
         return EXIT_OK
-    fault = os.environ.get("QVLAB_ALGEBRA_FAULT", "") == "1"
     seed = args.seed if args.seed is not None else 0
-    results = algebra.identity_suite(seed=seed, samples=100, fault=fault)
+    results = algebra.identity_suite(seed=seed, samples=100)
     tol = 1e-12
     all_pass = True
     width = max(len(r.name) for r in results)
@@ -893,7 +875,6 @@ def cmd_algebra_check(args, scenario) -> int:
             {
                 "tolerance": tol,
                 "seed": seed,
-                "fault_injected": fault,
                 "results": [
                     {"name": r.name, "max_error": r.max_error, "passed": r.passed(tol)}
                     for r in results
@@ -1016,9 +997,8 @@ def main(argv=None) -> int:
             raise ConfigError(str(exc)) from exc
         scenario = None
         if args.needs_config:
-            scenario = Scenario(
-                _load_config(args.config), os.path.dirname(args.config) or "."
-            )
+            cfg, sha256 = _load_config(args.config)
+            scenario = Scenario(cfg, os.path.dirname(args.config) or ".", sha256)
         return args.handler(args, scenario)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

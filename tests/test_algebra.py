@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from qvlab import algebra
 from qvlab.algebra import (
     METRIC,
     Quaternion,
@@ -157,7 +158,7 @@ def test_spin_cancellation_random():
         assert abs(val) <= 1e-13
 
 
-def test_identity_suite_all_pass_and_fault_fails():
+def test_identity_suite_all_pass_and_fault_fails(monkeypatch):
     results = identity_suite(seed=1)
     assert {r.name for r in results} == {
         "gamma_anticommutators",
@@ -166,7 +167,10 @@ def test_identity_suite_all_pass_and_fault_fails():
         "spin_term_cancellation",
     }
     assert all(r.passed(1e-12) for r in results)
-    faulted = identity_suite(seed=1, fault=True)
+    gammas = list(algebra._GAMMA)
+    gammas[1] = gammas[1] + np.eye(4, k=3) * 1e-3  # one corrupted entry, gamma^1[0, 3]
+    monkeypatch.setattr(algebra, "_GAMMA", tuple(gammas))
+    faulted = identity_suite(seed=1)
     bad = [r for r in faulted if not r.passed(1e-12)]
     assert len(bad) == 1 and bad[0].name == "gamma_anticommutators"
 

@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 
 from qvlab import cli
 from qvlab.cli import main
-from qvlab.fields import ComplexScalarField, write_snapshot
+from qvlab.fields import (ComplexScalarField, SpinorField, VectorField, read_snapshot,
+                          write_snapshot)
 from qvlab.lattice import make_grid
 
 
@@ -741,7 +742,7 @@ def test_diagnose_reports_equal_the_library_on_separate_series(kind, oscillator_
         assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
     assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 0
 
-    scenario = cli.Scenario(cli._load_config(str(cfg)), str(tmp_path))
+    scenario = cli.Scenario(cli._load_config(str(cfg))[0], str(tmp_path))
     gauge, consts = scenario.gauge, scenario.consts
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     times = [entry["time"] for entry in manifest["snapshots"]]
@@ -765,7 +766,7 @@ def test_diagnose_reports_equal_the_library_on_separate_series(kind, oscillator_
 
 @pytest.mark.parametrize("fault, prefix, reason", [
     ("truncated", "cannot read snapshot", "payload is"),
-    ("regridded", "snapshot", "differs in kind or grid from the first"),
+    ("regridded", "snapshot", "snapshot grid (128,) does not match config grid (256,)"),
 ], ids=["truncated", "regridded"])
 @pytest.mark.parametrize("command", ["diagnose", "fields", "trace"])
 def test_a_bad_snapshot_mid_series_writes_nothing(command, fault, prefix, reason,
@@ -792,12 +793,14 @@ def test_a_bad_snapshot_mid_series_writes_nothing(command, fault, prefix, reason
 
 
 def test_diagnose_grid_mismatch_is_rejected(gaussian_run, tmp_path, capsys):
+    # the grid is physics: the manifest's hash refuses the run before any
+    # snapshot is read, and the snapshot-grid check is tested below
     _, out = gaussian_run
     payload = _gaussian_config()
     payload["grid"]["n"] = [128]
     cfg = _write_config(tmp_path / "shrunk.json", payload)
     assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "does not match" in capsys.readouterr().err
+    assert "was evolved under other physics" in capsys.readouterr().err
 
 
 def test_diagnose_without_requests_is_a_noop(gaussian_run, tmp_path, capsys):
@@ -887,6 +890,36 @@ def test_a_run_without_snapshots_on_the_config_grid_is_refused(edit, message, co
     assert main([command, "--config", str(cfg), "--out", str(run)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+    assert sorted(p.name for p in run.iterdir()) == before
+
+
+def _respun(make):
+    """An edit that rewrites every snapshot of a run as make(field)."""
+    def edit(run, manifest):
+        for entry in manifest["snapshots"]:
+            path = run / entry["file"]
+            write_snapshot(make(read_snapshot(path)), path)
+    return edit
+
+
+_AS_SPINORS = _respun(lambda psi: SpinorField(psi.grid, np.stack([psi.values] * 2) / np.sqrt(2)))
+_AS_VECTORS = _respun(lambda psi: VectorField(psi.grid, (np.abs(psi.values),)))
+
+
+@pytest.mark.parametrize("edit, held", [(_AS_SPINORS, "SpinorField"),
+                                        (_AS_VECTORS, "VectorField")],
+                         ids=["spinors", "vectors"])
+@pytest.mark.parametrize("command", ["diagnose", "fields", "trace"])
+def test_a_run_holding_another_field_class_is_refused(edit, held, command, small_run,
+                                                       tmp_path, capsys):
+    # the config's equation decides the class: a schrodinger run evolves scalars
+    run = _edited_run(small_run, tmp_path, edit)
+    cfg = small_run.parent / "scenario.json"
+    before = sorted(p.name for p in run.iterdir())
+    assert main([command, "--config", str(cfg), "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: snapshot {'file': 'snap_000000.qfs'")
+    assert f"holds a {held}, not a ComplexScalarField" in err
     assert sorted(p.name for p in run.iterdir()) == before
 
 
@@ -1019,6 +1052,26 @@ def test_zero_charge_fails_before_reading_the_run(command, tmp_path, capsys):
     assert "q != 0" in err
     assert "manifest" not in err
     assert not missing.exists()
+
+
+def test_advect_trace_is_blind_to_the_charge_in_a_free_gauge(tmp_path):
+    # J = -2 alpha flux + gamma f A never divides by q, and A = 0 here
+    written = {}
+    for q in (0.0, 1.0):
+        payload = _small_config()
+        payload["grid"] = {"dim": 2, "n": [16, 16], "length": [8.0, 8.0]}
+        payload["initial_state"]["center"] = [4.0, 4.0]
+        payload["constants"] = {"kind": "physical", "q": q}
+        payload["evolution"] = {"dt": 1e-3, "steps": 4, "snapshot_stride": 2}
+        payload["trace"] = {"method": "advect", "starts": [[4.5, 4.0], [3.5, 4.5]]}
+        cfg = _write_config(tmp_path / f"q{q}.json", payload)
+        out = tmp_path / f"run-q{q}"
+        for command in ("evolve", "trace"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        written[q] = {p.name: p.read_bytes() for p in out.iterdir()
+                      if p.suffix in (".qfs", ".csv") or p.name == "trace_summary.json"}
+    assert len(written[0.0]) == 3 + 2 + 1
+    assert written[0.0] == written[1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -1194,7 +1247,7 @@ def test_trace_batch_matches_single_start_paths(gaussian_run, tmp_path):
     assert summary["files"] == [
         f"trace_{i:03d}_{m}.csv" for i in range(3) for m in ("advect", "force")
     ]
-    scenario = Scenario(_load_config(str(cfg)), str(tmp_path))
+    scenario = Scenario(_load_config(str(cfg))[0], str(tmp_path))
     run = Run(scenario, str(out))
     flow, em = _trace_samplers(run, "spectral", force=True)
     dt, steps = summary["dt"], summary["steps"]
@@ -1409,13 +1462,14 @@ def test_algebra_check_passes_and_writes_report(tmp_path, capsys):
 
     payload = json.loads((tmp_path / "algebra_check.json").read_text(encoding="utf-8"))
     assert payload["tolerance"] == 1e-12
-    assert payload["fault_injected"] is False
     assert len(payload["results"]) == 4
     assert all(entry["max_error"] <= 1e-12 for entry in payload["results"])
 
 
 def test_algebra_check_detects_injected_fault(monkeypatch, capsys):
-    monkeypatch.setenv("QVLAB_ALGEBRA_FAULT", "1")
+    gammas = list(cli.algebra._GAMMA)
+    gammas[1] = gammas[1] + np.eye(4, k=3) * 1e-3  # one corrupted entry, gamma^1[0, 3]
+    monkeypatch.setattr(cli.algebra, "_GAMMA", tuple(gammas))
     assert main(["algebra-check"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
@@ -1516,7 +1570,7 @@ def test_trace_and_fields_refuse_a_pauli_run(command, tmp_path, capsys):
     capsys.readouterr()
     before = sorted(p.name for p in out.iterdir())
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-    assert ("config error: this command needs a scalar (schrodinger) run"
+    assert (f"config error: {command} needs a schrodinger run, but this run is pauli"
             in capsys.readouterr().err)
     assert sorted(p.name for p in out.iterdir()) == before
 

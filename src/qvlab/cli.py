@@ -569,27 +569,45 @@ class Run:
     def load(self, keep: str) -> "Run":
         """One _polar call per snapshot, keeping the series keep names: j (f and J, or a
         bispinor's four-current), q (Q), e (-grad Q / q and its node mask), and for h
-        the middle record and the window."""
-        consts, mid = self.scenario.consts, len(self.times) // 2
-        scale = consts.alpha / consts.beta
-        self.f, self.j, self.q, self.e, self.window, self.middle = [], [], [], [], [], None
+        the middle record and the window.  Each kept series is one array sized once per
+        pass, (N, *grid) or (N, k, *grid), and filled snapshot by snapshot: f and q are
+        such arrays, e is the pair (-grad Q / q, masks), and j holds one VectorField
+        (or FourCurrent) of views per snapshot.  A series not kept is None."""
+        consts, mid, dim = self.scenario.consts, len(self.times) // 2, self.grid.dim
+        scale, dirac = consts.alpha / consts.beta, self.kind is fields.BispinorField
+
+        def series(kept, *per_snapshot, dtype=float):
+            shape = (len(self.times), *per_snapshot, *self.grid.shape)
+            return np.empty(shape, dtype) if kept else None
+
+        f, j = series("j" in keep), series("j" in keep, 3 if dirac else dim)  # f is J^0 for dirac
+        q, e, masks = series("q" in keep), series("e" in keep, dim), series("e" in keep, dtype=bool)
+        self.window, self.middle = [], None
         for i, entry in enumerate(self.entries):
             psi = _snapshot(os.path.join(self.out, entry["file"]), repr(entry), self.grid,
                             self.kind)
             self.window += [psi] if "h" in keep and abs(i - mid) <= 1 else []
-            if self.kind is fields.BispinorField:
-                self.j.append(decomposition.current_bispinor(psi, consts.c))
+            if dirac:
+                decomposition.current_bispinor(psi, consts.c, (f[i], *j[i]))
                 continue
-            q = "q" in keep or ("h" in keep and i == mid)
-            polar = decomposition._polar(psi, scale if q else None,
-                                         force_scale=scale if "e" in keep else None)
-            self.middle = polar if q and i == mid else self.middle
-            self.f += [polar.f] if "j" in keep else []
-            self.j += [fields.VectorField(self.grid, decomposition._current(
-                polar.f, polar.flux, self.scenario.gauge, consts))] if "j" in keep else []
-            self.q += [polar.q] if "q" in keep else []
-            if "e" in keep:
-                self.e.append((tuple(c / consts.q for c in polar.force), polar.mask))
+            with_q = "q" in keep or ("h" in keep and i == mid)
+            polar = decomposition._polar(psi, scale if with_q else None,
+                                         force_scale=scale if "e" in keep else None,
+                                         f_out=None if f is None else f[i])
+            self.middle = polar if with_q and i == mid else self.middle
+            if j is not None:
+                decomposition._current(polar.f, polar.flux, self.scenario.gauge, consts, j[i])
+            if q is not None:
+                q[i] = polar.q
+            if e is not None:
+                for row, part in zip(e[i], polar.force):
+                    np.divide(part, consts.q, out=row)
+                masks[i] = polar.mask
+        self.f, self.q = None if dirac else f, q
+        self.j = None if j is None else [
+            decomposition.FourCurrent(self.grid, j0, tuple(parts)) if dirac
+            else fields.VectorField(self.grid, tuple(parts)) for j0, parts in zip(f, j)]
+        self.e = None if e is None else (e, masks)
         return self
 
 
@@ -667,7 +685,7 @@ def _trace_samplers(run: Run, interpolation, force: bool):
     flow = trajectories.FlowSampler(run.grid, run.times, run.f, run.j, method=interpolation)
     if not force:
         return flow, None
-    e, masks = zip(*run.e)
+    e, masks = run.e
     return flow, trajectories.EMSeries(
         e=trajectories.GridFieldSampler(run.grid, run.times, e, method=interpolation, masks=masks),
         b=trajectories.AnalyticSampler(lambda pts, t: np.zeros((pts.shape[0], 3)),
@@ -789,8 +807,9 @@ def cmd_fields(args, scenario: Scenario) -> int:
     inner, frames = diagnostics.em_fields(run.times, gauges, consts, run.q, family)
     reports = list(diagnostics.gauge_residuals(run.times, gauges, consts, run.q))
     mid, dim = len(inner) // 2, run.grid.dim
-    # the Gauss law of self_consistency holds for E_psi whatever the family
-    psi_frame = diagnostics.em_fields(
+    # the Gauss law of self_consistency holds for E_psi whatever the family; the
+    # psi family has it already, as the frame of snapshot mid + 1
+    psi_frame = frames[mid] if family == "psi" else diagnostics.em_fields(
         run.times[mid:mid + 3], gauges[mid:mid + 3], consts, run.q[mid:mid + 3])[1][0]
     e_mid = fields.VectorField(run.grid, psi_frame.e[:dim])
     # the middle record is of snapshot len(times) // 2, the frame of E_psi

@@ -161,18 +161,15 @@ _Polar = collections.namedtuple("_Polar", "f flux q mask force")
 
 
 def _polar(psi, q_scale: Optional[float] = None, what: Optional[str] = None,
-           force_scale: Optional[float] = None) -> _Polar:
+           force_scale: Optional[float] = None, f_out=None) -> _Polar:
     """f and the flux Im(psi^dag grad psi) per axis from one transform of each
     component of psi and, for a scalar psi, from the same transform: given q_scale
     = alpha/beta, Q = q_scale*(Re(Lap psi/psi) + sum_a (flux_a/f)^2), and given
     force_scale = alpha/beta, -grad Q (see diagnostics.quantum_force), both 0 on
     the nodes.  Only they check for support, raising NodeError naming `what` (by
-    default the quantity asked for)."""
-    # f and the Laplacian stay bound to the end: freeing them early changes
-    # which heap blocks the kept Q arrays land in, and raised the peak RSS of
-    # diagnose by 3 MB (glibc malloc, 51 snapshots of 128^2)
+    default the quantity asked for).  f is written into f_out when it is given."""
     grid, dim, axes = psi.grid, psi.grid.dim, range(psi.grid.dim)
-    f, asked = density(psi), "quantum potential" if force_scale is None else "quantum force"
+    f, asked = density(psi, f_out), "quantum potential" if force_scale is None else "quantum force"
     mask = None if q_scale is None and force_scale is None else _support(f, what or asked)
     if mask is not None and psi.ncomp != 1:
         raise TypeError(f"{asked} needs a ComplexScalarField, got a {type(psi).__name__}")
@@ -205,12 +202,14 @@ def _polar(psi, q_scale: Optional[float] = None, what: Optional[str] = None,
     return _Polar(f, flux, q, mask, force)
 
 
-def _current(f, flux, gauge: GaugeConfiguration, consts: PhysicalConstants) -> tuple:
+def _current(f, flux, gauge: GaugeConfiguration, consts: PhysicalConstants,
+             out=None) -> tuple:
     """The components -2*alpha*flux + gamma*f*A_psi of J, from the f and flux
-    of _polar."""
+    of _polar, written into the rows of out when it is given."""
+    rows = [None] * len(flux) if out is None else out
     return tuple(
-        -2.0 * consts.alpha * x + consts.gamma * f * a
-        for x, a in zip(flux, gauge.a_psi.components)
+        np.add(-2.0 * consts.alpha * x, consts.gamma * f * a, out=row)
+        for x, a, row in zip(flux, gauge.a_psi.components, rows)
     )
 
 
@@ -228,18 +227,20 @@ def current_scalar(
 current_spinor = current_scalar  # one formula serves SpinorField too
 
 
-def current_bispinor(psi: BispinorField, c: float) -> FourCurrent:
+def current_bispinor(psi: BispinorField, c: float, out=None) -> FourCurrent:
     """Bilinear-covariant four-current of a bispinor.
 
     J^0 = c*sum|psi_i|^2, J^1 = 2c*Re(psi1* psi4 + psi2* psi3),
     J^2 = -2c*Im(psi2* psi3 - psi1* psi4), J^3 = 2c*Re(psi1* psi3 - psi4* psi2);
-    timelike (|J| <= J^0) pointwise.
+    timelike (|J| <= J^0) pointwise.  Given out, four arrays of the grid's
+    shape, the components are written into them.
     """
     p1, p2, p3, p4 = psi.values
-    j0 = c * density(psi)
-    j1 = 2.0 * c * (np.conj(p1) * p4 + np.conj(p2) * p3).real
-    j2 = -2.0 * c * (np.conj(p2) * p3 - np.conj(p1) * p4).imag
-    j3 = 2.0 * c * (np.conj(p1) * p3 - np.conj(p4) * p2).real
+    j0, j1, j2, j3 = [None] * 4 if out is None else out
+    j0 = np.multiply(c, density(psi), out=j0)
+    j1 = np.multiply(2.0 * c, (np.conj(p1) * p4 + np.conj(p2) * p3).real, out=j1)
+    j2 = np.multiply(-2.0 * c, (np.conj(p2) * p3 - np.conj(p1) * p4).imag, out=j2)
+    j3 = np.multiply(2.0 * c, (np.conj(p1) * p3 - np.conj(p4) * p2).real, out=j3)
     return FourCurrent(psi.grid, j0, (j1, j2, j3))
 
 

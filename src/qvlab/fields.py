@@ -120,10 +120,14 @@ def _component_list(field: Field) -> np.ndarray:
     return field.values.reshape(-1, *field.grid.shape)
 
 
-def density(field: Field) -> np.ndarray:
-    """f = sum_i |psi_i|^2, real and nonnegative by construction."""
+def density(field: Field, out=None) -> np.ndarray:
+    """f = sum_i |psi_i|^2, real and nonnegative by construction; written into
+    out when it is given."""
     comps = _component_list(field)
-    out = np.zeros(field.grid.shape)
+    if out is None:
+        out = np.zeros(field.grid.shape)
+    else:
+        out[...] = 0.0
     for c in comps:
         out += c.real**2 + c.imag**2
     return out

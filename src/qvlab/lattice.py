@@ -6,7 +6,11 @@ Derivatives are evaluated in Fourier space (multiplication by i*k), exact
 for band-limited data.  One helper, _spectral, serves every operator: each
 field is transformed once, the multipliers of all outputs apply to that
 one spectrum, terms that add are summed in k-space, and each output takes
-one inverse transform.
+one inverse transform.  The transforms write into storage the helper
+already owns: each forward transform into its field's one spectrum array
+(numpy.fft allocates a fresh array per axis otherwise), and each complex
+inverse in place on its output's k-space sum.  A real inverse stays one
+irfftn call that allocates its real result.
 
 Conventions
     wavenumbers   k_j = 2*pi*m_j/L_j with integer m_j in FFT order
@@ -200,20 +204,23 @@ def _spectral(fields: Sequence[np.ndarray], grid: Grid, outputs) -> list[np.ndar
     fields = [_check_shape(f, grid) for f in fields]
     half = not any(np.iscomplexobj(f) for f in fields)
     axes = tuple(range(grid.dim))
+    shape = (*grid.shape[:-1], grid.shape[-1] // 2 + 1) if half else grid.shape
     spectra = {}
     results = []
     for terms in outputs:
         total = None
         for index, *factors in terms:
             if index not in spectra:
-                f = fields[index]
-                spectra[index] = np.fft.rfftn(f, axes=axes) if half else np.fft.fftn(f, axes=axes)
+                # every axis pass writes into the one spectrum array
+                spectrum = np.empty(shape, dtype=complex)
+                transform = np.fft.rfftn if half else np.fft.fftn
+                spectra[index] = transform(fields[index], axes=axes, out=spectrum)
             part = spectra[index] * _multiplier(grid, tuple(factors), half)
             total = part if total is None else np.add(total, part, out=total)
         if half:
             results.append(np.fft.irfftn(total, s=grid.shape, axes=axes))
         else:
-            results.append(np.fft.ifftn(total, axes=axes))
+            results.append(np.fft.ifftn(total, axes=axes, out=total))
     return results
 
 

@@ -83,34 +83,34 @@ def _half_wavenumbers(grid: Grid, axis: int) -> np.ndarray:
     return np.append(k, -k[n // 2]) if n % 2 == 0 else k
 
 
-def _half_spectrum(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """The spectrum of a real field laid out so that the real part of its
-    trigonometric sum over _half_wavenumbers is the interpolant of the full
-    spectrum.
+def _half_spectrum(values: np.ndarray, grid: Grid, out: np.ndarray) -> None:
+    """Write into out the spectrum of a real field, laid out so that the real
+    part of its trigonometric sum over _half_wavenumbers is the interpolant
+    of the full spectrum.
 
-    rfftn keeps the modes m >= 0 of the last axis.  A mode 0 < m < n/2
-    also stands for its conjugate at -m, whose wavenumbers on the axes
-    before the last are the negated ones; they differ only where such an
-    axis sits at its Nyquist mode, so the conjugate term lands on the
-    same mode, doubling it, or on the +Nyquist slot of that axis.
+    rfftn keeps the modes m >= 0 of the last axis, and writes them straight
+    into the leading region of out.  A mode 0 < m < n/2 also stands for its
+    conjugate at -m, whose wavenumbers on the axes before the last are the
+    negated ones; they differ only where such an axis sits at its Nyquist
+    mode, so the conjugate term lands on the same mode, doubling it, or on
+    the +Nyquist slot of that axis, which starts at zero.
     """
-    half = np.fft.rfftn(values)
     n = grid.n[-1]
+    shape = (*grid.shape[:-1], n // 2 + 1)
     pairs = np.ones(n // 2 + 1)
     pairs[0] = 0.0
     if n % 2 == 0:
         pairs[-1] = 0.0
     slots = []
-    for size in half.shape[:-1]:
+    for axis, size in enumerate(shape[:-1]):
         index = np.arange(size)
         if size % 2 == 0:
             index[size // 2] = size
+            out[(slice(None),) * axis + (size,)] = 0.0
         slots.append(index)
     slots.append(np.arange(n // 2 + 1))
-    out = np.zeros([_half_wavenumbers(grid, a).size for a in range(grid.dim)], dtype=complex)
-    out[tuple(slice(0, size) for size in half.shape)] = half
+    half = np.fft.rfftn(values, out=out[tuple(slice(0, size) for size in shape)])
     out[np.ix_(*slots)] += pairs * half
-    return out
 
 
 def _spectral_eval(spectra: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarray:
@@ -217,7 +217,7 @@ class GridFieldSampler:
         self.ncomp = len(comps[0])
         if any(len(parts) != self.ncomp for parts in comps):
             raise ValueError("snapshots disagree on component count")
-        # one transform per component, so the peak holds one spare component
+        # each component's transform writes into its slot: no component is held twice
         spectral = method == "spectral"
         shape = (
             [_half_wavenumbers(grid, a).size for a in range(grid.dim)]
@@ -229,7 +229,10 @@ class GridFieldSampler:
         for t, parts in enumerate(comps):
             for c, p in enumerate(parts):
                 p = _check_shape(p, grid, "component", float)
-                self._data[t, c] = _half_spectrum(p, grid) if spectral else p
+                if spectral:
+                    _half_spectrum(p, grid, self._data[t, c])
+                else:
+                    self._data[t, c] = p
         self.masks = None
         if masks is not None:
             masks = [_check_shape(m, grid, "mask", bool) for m in masks]

@@ -764,6 +764,38 @@ def test_diagnose_reports_equal_the_library_on_separate_series(kind, oscillator_
         assert written == report.to_json().encode("utf-8")
 
 
+@pytest.mark.parametrize("keep", ["jq", "je"])
+def test_each_kept_series_is_views_of_one_array(keep, oscillator_run):
+    # a pass sizes each series it keeps once; per snapshot the values are those
+    # of that snapshot's own _polar
+    from qvlab.decomposition import _current, _polar
+
+    cfg, out = oscillator_run
+    scenario = cli.Scenario(cli._load_config(str(cfg))[0], str(cfg.parent))
+    run = cli.Run(scenario, str(out)).load(keep)
+    consts, n, shape = scenario.consts, len(run.times), run.grid.shape
+    scale = consts.alpha / consts.beta
+    j = run.j[0].components[0].base
+    assert run.f.shape == (n, *shape) and j.shape == (n, run.grid.dim, *shape)
+    if "q" in keep:
+        assert run.q.shape == (n, *shape) and run.e is None
+    else:
+        e, masks = run.e
+        assert e.shape == (n, run.grid.dim, *shape) and masks.shape == (n, *shape)
+        assert run.q is None
+    for i, name in enumerate(_snapshot_files(out)):
+        polar = _polar(read_snapshot(out / name), scale, force_scale=scale)
+        assert run.f[i].tobytes() == polar.f.tobytes()
+        current = _current(polar.f, polar.flux, scenario.gauge, consts)
+        assert all(c.base is j for c in run.j[i].components)
+        assert [c.tobytes() for c in run.j[i].components] == [c.tobytes() for c in current]
+        if "q" in keep:
+            assert run.q[i].tobytes() == polar.q.tobytes()
+        else:
+            assert e[i].tobytes() == np.array([c / consts.q for c in polar.force]).tobytes()
+            assert np.array_equal(masks[i], polar.mask)
+
+
 @pytest.mark.parametrize("fault, prefix, reason", [
     ("truncated", "cannot read snapshot", "payload is"),
     ("regridded", "snapshot", "snapshot grid (128,) does not match config grid (256,)"),

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 from qvlab.decomposition import FourCurrent, GaugeConfiguration, PhysicalConstants
 from qvlab.evolvers import EvolutionParams, FourPotential, WaveState, wave_initial_state
 from qvlab.lattice import (
+    _INV_LAP,
+    _LAP,
+    _NEG,
     _curl3,
+    _multiplier,
+    _spectral,
     band_limit,
     curl,
     divergence,
@@ -284,6 +289,54 @@ def test_transform_counts_follow_one_transform_per_field(dim, monkeypatch):
         calls.clear()
         _curl3(v, g)
         assert calls == {"rfftn": 3, "irfftn": 3}
+
+
+def _allocating_spectral(fields, grid, outputs):
+    """_spectral as numpy's allocating transforms give it: a fresh spectrum per
+    term, a fresh sum per output and a fresh inverse."""
+    half = not any(np.iscomplexobj(f) for f in fields)
+    axes = tuple(range(grid.dim))
+    results = []
+    for terms in outputs:
+        total = None
+        for index, *factors in terms:
+            spectrum = (np.fft.rfftn if half else np.fft.fftn)(fields[index], axes=axes)
+            part = spectrum * _multiplier(grid, tuple(factors), half)
+            total = part if total is None else total + part
+        results.append(np.fft.irfftn(total, s=grid.shape, axes=axes) if half
+                       else np.fft.ifftn(total, axes=axes))
+    return results
+
+
+@pytest.mark.parametrize("n", [[8], [7], [8, 6], [9, 5], [6, 7], [8, 6, 4], [5, 7, 9],
+                               [7, 8, 6]])
+@pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
+def test_spectral_in_place_matches_the_allocating_transforms_bitwise(n, kind):
+    # the transforms write into storage _spectral owns; not one bit may move
+    rng = np.random.default_rng(sum(n))
+    g = make_grid(len(n), n, [2 * np.pi, 5.0, 3.0][:len(n)])
+    fields = [rng.standard_normal(g.shape) for _ in range(3)]
+    if kind != "real":
+        fields[1] = fields[1] + 1j * rng.standard_normal(g.shape)
+    if kind == "complex":
+        fields = [f + 1j * rng.standard_normal(g.shape) for f in fields]
+    kept = [f.copy() for f in fields]
+    last = g.dim - 1
+    outputs = [
+        [(0, 0)],
+        [(0, last, _LAP), (1, 0), (2, _INV_LAP, _NEG)],
+        [(1,), (2, 0, last)],
+        [(2, ("band", 0.25)), (0, _LAP), (1, last)],
+    ]
+    got = _spectral(fields, g, outputs)
+    want = _allocating_spectral(fields, g, outputs)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == (np.float64 if kind == "real" else np.complex128)
+        assert a.shape == g.shape
+        assert a.tobytes() == b.tobytes()
+    for f, before in zip(fields, kept):
+        assert f.tobytes() == before.tobytes()
 
 
 _G = make_grid(2, [8, 4], [1.0, 1.0])

@@ -1,7 +1,9 @@
 """The scripts under tools/."""
 import json
 import pathlib
+import re
 import runpy
+import shutil
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 COMPARE_RUNS = runpy.run_path(str(ROOT / "tools" / "compare_runs.py"))
@@ -13,11 +15,32 @@ def test_compare_runs_finds_this_checkout_equal_to_itself(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
     assert lines[-1] == "all outputs equal"
-    files = [line.split(": ")[0].rsplit("/", 1)[1] for line in lines[:-1]]
+    # one resource line per subcommand, in the scenario's order, then the files
+    usage = [re.fullmatch(r"flow-trace-tiny-1/\S+ (\w+): peak RSS ([\d.]+) -> ([\d.]+) MB, "
+                          r"minor page faults (\d+) -> (\d+)", line) for line in lines[:4]]
+    assert [match[1] for match in usage] == ["evolve", "diagnose", "trace", "fields"]
+    assert all(float(value) > 0.0 for match in usage for value in match.groups()[1:])
+    files = [line.split(": ")[0].rsplit("/", 1)[1] for line in lines[4:-1]]
     assert {"manifest.json", "snap_000016.qfs", "trace_001_force.csv",
             "report_hamilton_jacobi.json", "fields_summary.json"} <= set(files)
     assert "timings.json" not in files
-    assert all(line.endswith(": equal") for line in lines[:-1])
+    assert all(line.endswith(": equal") for line in lines[4:-1])
+
+
+def test_compare_runs_reports_a_failed_subcommand_with_its_resources(tmp_path, capsys):
+    # a tree whose CLI exits 1: the failure is printed, resources still are,
+    # and the exit status is 1
+    broken = tmp_path / "broken"
+    shutil.copytree(ROOT / "src", broken / "src")
+    (broken / "src" / "qvlab" / "cli.py").write_text(
+        "import sys\nsys.exit('runtime error: broken')\n", encoding="utf-8")
+    code = COMPARE_RUNS["main"]([str(ROOT), str(broken), "--workload", "flow-trace",
+                                 "--seed", "1", "--size", "tiny"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[-1] == "outputs differ"
+    assert f"free-3d evolve exited 1 in {broken}: runtime error: broken" in lines
+    assert sum(": peak RSS " in line for line in lines) == 4
 
 
 def test_compare_runs_reports_how_the_numbers_differ(tmp_path):

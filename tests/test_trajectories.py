@@ -166,6 +166,36 @@ def test_grid_sampler_matches_per_component_reference(case, ncomp):
             assert vals.tobytes() == np.ascontiguousarray(expect).tobytes()
 
 
+def _half_spectrum_layout(values):
+    """The sampler's spectral storage of one real component, built the plain
+    way: rfftn into zeros one slot wider on every even axis before the last,
+    then each mode 0 < m < n/2 of the last axis added again where its conjugate
+    lands (the same mode, or the +Nyquist slot of an even axis)."""
+    half = np.fft.rfftn(values)
+    n = values.shape[-1]
+    out = np.zeros([s + (s % 2 == 0) for s in values.shape[:-1]] + [n // 2 + 1],
+                   dtype=complex)
+    out[tuple(slice(0, s) for s in half.shape)] = half
+    for index in np.ndindex(*half.shape):
+        m = index[-1]
+        if 0 < m < n / 2:
+            conj = tuple(s if 2 * i == s else i for i, s in zip(index[:-1], half.shape))
+            out[(*conj, m)] += half[index]
+    return out
+
+
+@pytest.mark.parametrize("n", [[8], [7], [8, 6], [9, 5], [6, 7], [8, 6, 4], [5, 7, 9],
+                               [7, 8, 6]])
+def test_spectral_storage_is_the_half_spectrum_layout_bitwise(n):
+    rng = np.random.default_rng(sum(n))
+    g = make_grid(len(n), n, [1.0, 2.0, 3.0][:len(n)])
+    snaps = [tuple(rng.standard_normal(g.shape) for _ in range(2)) for _ in range(3)]
+    sampler = GridFieldSampler(g, [0.0, 1.0, 2.0], snaps)
+    for stored, parts in zip(sampler._data, snaps):
+        for got, values in zip(stored, parts):
+            assert got.tobytes() == _half_spectrum_layout(values).tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=_series)
 def test_flow_sampler_is_current_over_density_of_separate_samplers(case):

@@ -10,11 +10,15 @@ repeated; by default every workload runs at seeds 1 and 2, tiny and full.
 Each subcommand runs as `python -m qvlab.cli` in a fresh interpreter with the
 tree's src on PYTHONPATH, one BLAS thread, and no bytecode written.
 
-For each file either tree wrote, one line says `equal` (the same bytes) or
-gives the largest absolute and relative difference of the file's numbers:
-JSON reports and summaries, trace CSVs and snapshot samples (.qfs).
+For each subcommand, one line gives the child's peak RSS and minor page
+faults in OLD and in NEW (`os.wait4`); page faults repeat within about 1%
+between runs, wall times do not, so no time is printed.  For each file
+either tree wrote, one line says `equal` (the same bytes) or gives the
+largest absolute and relative difference of the file's numbers: JSON
+reports and summaries, trace CSVs and snapshot samples (.qfs).
 timings.json is skipped, since wall time differs between runs.  The exit
-status is 1 on any difference, missing file or failed subcommand, else 0.
+status is 1 on any difference, missing file or failed subcommand, else 0;
+the resource lines never change it.
 """
 from __future__ import annotations
 
@@ -45,20 +49,32 @@ def _env(tree):
     return env
 
 
+def _run(tree, argv):
+    """Run argv in a fresh interpreter on tree: (exit code, last stderr line, peak
+    RSS in MB, minor page faults), the last two from the child's own rusage."""
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as err:
+        proc = subprocess.Popen(argv, env=_env(tree), stdout=subprocess.DEVNULL,
+                                stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        tail = err.read().strip().splitlines()[-1:] or [""]
+    return proc.returncode, tail[0], usage.ru_maxrss / 1024.0, usage.ru_minflt
+
+
 def _run_scenario(tree, spec, config, out, seed):
-    """Run the scenario's subcommands in order; a list of failure lines."""
+    """Run the scenario's subcommands in order: a list of failure lines, and
+    each subcommand's (peak RSS in MB, minor page faults)."""
     os.makedirs(out)
-    failures = []
+    failures, usage = [], {}
     for command in spec["commands"]:
-        proc = subprocess.run(
-            [sys.executable, "-m", "qvlab.cli", command, "--config", config,
-             "--out", out, "--seed", str(seed)],
-            env=_env(tree), capture_output=True, text=True)
-        if proc.returncode:
-            tail = proc.stderr.strip().splitlines()[-1:] or [""]
-            failures.append(f"{spec['name']} {command} exited {proc.returncode} "
-                            f"in {tree}: {tail[0]}")
-    return failures
+        code, tail, rss, faults = _run(tree, [
+            sys.executable, "-m", "qvlab.cli", command, "--config", config, "--out", out,
+            "--seed", str(seed)])
+        usage[command] = rss, faults
+        if code:
+            failures.append(f"{spec['name']} {command} exited {code} in {tree}: {tail}")
+    return failures, usage
 
 
 def _numbers(path):
@@ -164,10 +180,17 @@ def main(argv=None):
                 with open(config, "w", encoding="utf-8") as fh:
                     json.dump(spec["config"], fh, indent=1)
                 outs = [os.path.join(work, case, side, spec["name"]) for side in ("old", "new")]
+                usage = []
                 for tree, out in zip(trees, outs):
-                    for failure in _run_scenario(tree, spec, config, out, seed):
+                    failures, used = _run_scenario(tree, spec, config, out, seed)
+                    for failure in failures:
                         print(failure)
                         same = False
+                    usage.append(used)
+                for command in spec["commands"]:
+                    (rss_old, faults_old), (rss_new, faults_new) = (u[command] for u in usage)
+                    print(f"{case}/{spec['name']} {command}: peak RSS {rss_old:.1f} -> "
+                          f"{rss_new:.1f} MB, minor page faults {faults_old} -> {faults_new}")
                 same = _compare_dirs(*outs, f"{case}/{spec['name']}") and same
     print("all outputs equal" if same else "outputs differ")
     return 0 if same else 1

@@ -430,10 +430,10 @@ def _run_dirac(state, scenario: Scenario, params):
     gauge, consts = scenario.gauge, scenario.consts
     if consts.q == 0.0:
         raise ConfigError("config.constants: dirac runs need q != 0 (phi = U/q)")
-    a3 = list(gauge.a_psi.components)
-    while len(a3) < 3:
-        a3.append(np.zeros(scenario.grid.shape))
-    pot = evolvers.FourPotential(scenario.grid, gauge.u / consts.q, tuple(a3))
+    if any(np.any(b) for b in gauge.b_external or ()):  # a torus has no periodic A for it
+        raise ConfigError("config.gauge.b_external: dirac runs take no uniform B; set it to zero")
+    a3 = (*gauge.a_psi.components, 0.0, 0.0)[:3]
+    pot = evolvers.FourPotential(scenario.grid, gauge.u / consts.q, a3)
     return evolvers.run_dirac(state, pot, consts, params)
 
 
@@ -653,6 +653,8 @@ _DIAGNOSTICS = {
 
 def cmd_diagnose(args, scenario: Scenario) -> int:
     names = scenario.require("diagnostics")
+    if "gauge" in names and scenario.consts.q == 0.0:  # the gauge residuals divide by q
+        raise ConfigError("config.constants: gauge reports need q != 0")
     out = _out_dir(args, scenario)
     if not names:
         print("no diagnostics requested")

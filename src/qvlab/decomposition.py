@@ -30,6 +30,18 @@ from .lattice import (
     _INV_LAP, _LAP, Grid, _check_shape, _grid_components, _spectral, divergence, spectral_gradient,
 )
 
+__all__ = [
+    "PhysicalConstants",
+    "GaugeConfiguration",
+    "FourCurrent",
+    "current_scalar",
+    "current_spinor",
+    "current_bispinor",
+    "velocity",
+    "helmholtz_split",
+    "recompose_velocity",
+]
+
 
 @dataclass(frozen=True)
 class PhysicalConstants:

@@ -26,6 +26,21 @@ from .decomposition import FourCurrent, GaugeConfiguration, PhysicalConstants, _
 from .fields import ComplexScalarField, NodeError, VectorField, _ratio, density, node_mask
 from .lattice import Grid, _curl3, _zero_slot, divergence, spectral_gradient
 
+__all__ = [
+    "ResidualReport",
+    "continuity_residual",
+    "four_current_divergence",
+    "quantum_potential",
+    "quantum_force",
+    "phase_rate_from_snapshots",
+    "hamilton_jacobi_residual",
+    "em_fields",
+    "gauge_residuals",
+    "self_consistency_residual",
+    "MaxwellFrame",
+    "maxwell_residuals",
+]
+
 _JUMP_FRACTION = 0.9  # |angle| above this multiple of pi flags a branch jump
 TIME_RTOL = 1e-9  # relative tolerance on the spacing and span of snapshot times
 

@@ -26,6 +26,22 @@ import numpy as np
 
 from .lattice import Grid, make_grid, spectral_gradient
 
+__all__ = [
+    "ComplexScalarField",
+    "SpinorField",
+    "BispinorField",
+    "VectorField",
+    "density",
+    "phase",
+    "phase_gradient",
+    "node_mask",
+    "NODE_EPSILON",
+    "NodeError",
+    "SnapshotError",
+    "write_snapshot",
+    "read_snapshot",
+]
+
 NODE_EPSILON = 1e-8
 
 _MAGIC = b"QVLABQFS"

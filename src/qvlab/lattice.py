@@ -39,6 +39,17 @@ from typing import Sequence
 
 import numpy as np
 
+__all__ = [
+    "Grid",
+    "make_grid",
+    "spectral_gradient",
+    "spectral_laplacian",
+    "divergence",
+    "curl",
+    "k_squared",
+    "band_limit",
+]
+
 MAX_DIM = 3
 
 

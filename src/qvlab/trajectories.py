@@ -59,6 +59,19 @@ import numpy as np
 from .fields import NODE_EPSILON, NodeError, VectorField, _ratio
 from .lattice import Grid, _check_shape
 
+__all__ = [
+    "AnalyticSampler",
+    "GridFieldSampler",
+    "FlowSampler",
+    "EMSeries",
+    "Path",
+    "advect",
+    "advect_ensemble",
+    "force_path",
+    "sample_density",
+    "sample_inverse_cdf",
+]
+
 _MASK_REASON = "entered masked node region"
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from qvlab import algebra
 from qvlab.algebra import (
+    IDENTITY_NAMES,
     METRIC,
     Quaternion,
     dirac_gamma,
@@ -158,6 +159,10 @@ def test_spin_cancellation_random():
         assert abs(val) <= 1e-13
 
 
+def test_identity_names_are_the_suite_order():
+    assert IDENTITY_NAMES == tuple(r.name for r in identity_suite())
+
+
 def test_identity_suite_all_pass_and_fault_fails(monkeypatch):
     results = identity_suite(seed=1)
     assert {r.name for r in results} == {
@@ -173,6 +178,17 @@ def test_identity_suite_all_pass_and_fault_fails(monkeypatch):
     faulted = identity_suite(seed=1)
     bad = [r for r in faulted if not r.passed(1e-12)]
     assert len(bad) == 1 and bad[0].name == "gamma_anticommutators"
+
+
+def test_identity_suite_fails_a_nan_deviation(monkeypatch):
+    # NaN compares false against the running worst; the suite must still fail it
+    gammas = list(algebra._GAMMA)
+    gammas[1] = gammas[1].copy()
+    gammas[1][0, 3] = np.nan
+    monkeypatch.setattr(algebra, "_GAMMA", tuple(gammas))
+    bad = [r for r in identity_suite(seed=1) if not r.passed(1e-12)]
+    assert [r.name for r in bad] == ["gamma_anticommutators"]
+    assert np.isnan(bad[0].max_error) and np.isnan(bad[0].witness).any()
 
 
 def _momentum_apply(values, grid, beta):

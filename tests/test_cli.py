@@ -523,6 +523,24 @@ def test_dirac_evolve_refuses_zero_charge(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("b_external, code", [([0.0, 0.0, 5.0], 2), ([0.0] * 3, 0)],
+                         ids=["nonzero", "zero"])
+def test_dirac_evolve_refuses_a_uniform_magnetic_field(b_external, code, tmp_path, capsys):
+    # a uniform B on a torus has no periodic A, so the Dirac step cannot carry it
+    payload = _small_config()
+    payload["equation"] = "dirac"
+    payload["initial_state"] = {"preset": "dirac_plane_wave", "mode": [1]}
+    payload["gauge"] = {"b_external": b_external}
+    cfg = _write_config(tmp_path / "magnetic.json", payload)
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == code
+    assert (out / "manifest.json").exists() == (code == 0)
+    if code:
+        assert ("config error: config.gauge.b_external: dirac runs take no uniform B"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key, token, command",
     [("gps.t", "NaN", "gps"), ("grid.length", "[Infinity]", "evolve"),
@@ -1084,6 +1102,26 @@ def test_zero_charge_fails_before_reading_the_run(command, tmp_path, capsys):
     assert "q != 0" in err
     assert "manifest" not in err
     assert not missing.exists()
+
+
+def test_gauge_diagnostic_refuses_zero_charge_before_the_pass(tmp_path, capsys):
+    # the gauge residuals divide by q; continuity alone serves a neutral run
+    payload = _small_config()
+    payload["constants"] = {"kind": "physical", "q": 0.0}
+    payload["evolution"] = {"dt": 1e-3, "steps": 4, "snapshot_stride": 2}
+    payload["diagnostics"] = ["continuity", "gauge"]
+    cfg = _write_config(tmp_path / "neutral.json", payload)
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 2
+    assert ("config error: config.constants: gauge reports need q != 0"
+            in capsys.readouterr().err)
+    assert not list(out.glob("report_*.json"))
+    payload["diagnostics"] = ["continuity"]
+    cfg = _write_config(tmp_path / "neutral.json", payload)
+    assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "report_continuity.json").exists()
 
 
 def test_advect_trace_is_blind_to_the_charge_in_a_free_gauge(tmp_path):

@@ -14,15 +14,41 @@ def test_every_exported_name_resolves():
     assert len(set(qvlab.__all__)) == len(qvlab.__all__)
 
 
+_LIBRARY = ("lattice", "fields", "algebra", "decomposition", "evolvers", "diagnostics",
+            "trajectories")
+
+
+def _defined_names(module) -> set:
+    """The names a module's own top-level statements define, imports excluded."""
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_each_module_declares_what_it_defines():
+    # a module's __all__ lists only names it defines, not ones it imports
+    for name in _LIBRARY:
+        module = importlib.import_module(f"qvlab.{name}")
+        assert module.__all__ and set(module.__all__) <= _defined_names(module), name
+        assert all(hasattr(module, export) for export in module.__all__), name
+
+
+def test_package_exports_are_the_module_lists_in_pipeline_order():
+    modules = [importlib.import_module(f"qvlab.{name}") for name in _LIBRARY]
+    assert qvlab.__all__ == ["__version__"] + [n for m in modules for n in m.__all__]
+    assert not any(inspect.ismodule(getattr(qvlab, name)) for name in qvlab.__all__)
+
+
 def test_em_fields_frames_are_the_one_frame_type():
     # em_fields returns MaxwellFrame objects; the per-family container is gone
     assert "EMFields" not in qvlab.__all__
     assert not hasattr(qvlab, "EMFields")
     assert {"MaxwellFrame", "maxwell_residuals", "em_fields"} <= set(qvlab.__all__)
-
-
-_LIBRARY = ("lattice", "fields", "algebra", "decomposition", "evolvers", "diagnostics",
-            "trajectories")
 
 
 def _called_names() -> set:

@@ -15,16 +15,20 @@ def test_compare_runs_finds_this_checkout_equal_to_itself(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
     assert lines[-1] == "all outputs equal"
-    # one resource line per subcommand, in the scenario's order, then the files
-    usage = [re.fullmatch(r"flow-trace-tiny-1/\S+ (\w+): peak RSS ([\d.]+) -> ([\d.]+) MB, "
-                          r"minor page faults (\d+) -> (\d+)", line) for line in lines[:4]]
-    assert [match[1] for match in usage] == ["evolve", "diagnose", "trace", "fields"]
-    assert all(float(value) > 0.0 for match in usage for value in match.groups()[1:])
-    files = [line.split(": ")[0].rsplit("/", 1)[1] for line in lines[4:-1]]
+    # per case, one resource line per subcommand, in the scenario's order, then
+    # the files; the seed's algebra-check case comes after the workload's
+    usage = [re.fullmatch(r"(flow-trace-tiny-1/\S+|algebra-check-1/identities) ([\w-]+): "
+                          r"peak RSS ([\d.]+) -> ([\d.]+) MB, minor page faults (\d+) -> (\d+)",
+                          line) for line in lines[:4] + lines[-3:-2]]
+    assert [match[2] for match in usage] == ["evolve", "diagnose", "trace", "fields",
+                                             "algebra-check"]
+    assert all(float(value) > 0.0 for match in usage for value in match.groups()[2:])
+    files = [line.split(": ")[0].rsplit("/", 1)[1] for line in lines[4:-3]]
     assert {"manifest.json", "snap_000016.qfs", "trace_001_force.csv",
             "report_hamilton_jacobi.json", "fields_summary.json"} <= set(files)
     assert "timings.json" not in files
-    assert all(line.endswith(": equal") for line in lines[4:-1])
+    assert all(line.endswith(": equal") for line in lines[4:-3])
+    assert lines[-2] == "algebra-check-1/identities/algebra_check.json: equal"
 
 
 def test_compare_runs_reports_a_failed_subcommand_with_its_resources(tmp_path, capsys):
@@ -40,7 +44,8 @@ def test_compare_runs_reports_a_failed_subcommand_with_its_resources(tmp_path, c
     assert code == 1
     assert lines[-1] == "outputs differ"
     assert f"free-3d evolve exited 1 in {broken}: runtime error: broken" in lines
-    assert sum(": peak RSS " in line for line in lines) == 4
+    assert f"identities algebra-check exited 1 in {broken}: runtime error: broken" in lines
+    assert sum(": peak RSS " in line for line in lines) == 5
 
 
 def test_compare_runs_reports_how_the_numbers_differ(tmp_path):

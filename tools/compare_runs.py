@@ -7,6 +7,8 @@ OLD and NEW are source checkouts, each with src/qvlab.  The scenarios come
 from OLD's perfbench/workloads.py, which is read and not changed, and both
 trees run the same config files.  --workload, --seed and --size may be
 repeated; by default every workload runs at seeds 1 and 2, tiny and full.
+Each seed also runs `algebra-check --seed N` with no config, as the case
+algebra-check-N, whatever the workloads and sizes.
 Each subcommand runs as `python -m qvlab.cli` in a fresh interpreter with the
 tree's src on PYTHONPATH, one BLAS thread, and no bytecode written.
 
@@ -63,14 +65,15 @@ def _run(tree, argv):
 
 
 def _run_scenario(tree, spec, config, out, seed):
-    """Run the scenario's subcommands in order: a list of failure lines, and
-    each subcommand's (peak RSS in MB, minor page faults)."""
+    """Run the scenario's subcommands in order, with --config unless config is
+    None: a list of failure lines, and each subcommand's (peak RSS in MB, minor
+    page faults)."""
     os.makedirs(out)
     failures, usage = [], {}
     for command in spec["commands"]:
         code, tail, rss, faults = _run(tree, [
-            sys.executable, "-m", "qvlab.cli", command, "--config", config, "--out", out,
-            "--seed", str(seed)])
+            sys.executable, "-m", "qvlab.cli", command, "--out", out, "--seed", str(seed),
+            *(() if config is None else ("--config", config))])
         usage[command] = rss, faults
         if code:
             failures.append(f"{spec['name']} {command} exited {code} in {tree}: {tail}")
@@ -168,30 +171,34 @@ def main(argv=None):
     if unknown:
         parser.error(f"unknown workload {sorted(unknown)[0]!r}; "
                      f"choose from {', '.join(workloads['WORKLOADS'])}")
-    same = True
-    cases = itertools.product(args.workload or workloads["WORKLOADS"], args.size or SIZES,
-                              args.seed or (1, 2))
+    same, seeds = True, args.seed or (1, 2)
+    cases = [(f"{workload}-{size}-{seed}", spec, seed)
+             for workload, size, seed in itertools.product(
+                 args.workload or workloads["WORKLOADS"], args.size or SIZES, seeds)
+             for spec in workloads["build"](workload, seed, size == "tiny")]
+    cases += [(f"algebra-check-{seed}", {"name": "identities", "commands": ["algebra-check"]},
+               seed) for seed in seeds]
     with tempfile.TemporaryDirectory(prefix="compare-runs-") as work:
-        for workload, size, seed in cases:
-            case = f"{workload}-{size}-{seed}"
-            for spec in workloads["build"](workload, seed, size == "tiny"):
+        for case, spec, seed in cases:
+            config = None
+            if "config" in spec:
                 config = os.path.join(work, case, f"{spec['name']}.json")
                 os.makedirs(os.path.dirname(config), exist_ok=True)
                 with open(config, "w", encoding="utf-8") as fh:
                     json.dump(spec["config"], fh, indent=1)
-                outs = [os.path.join(work, case, side, spec["name"]) for side in ("old", "new")]
-                usage = []
-                for tree, out in zip(trees, outs):
-                    failures, used = _run_scenario(tree, spec, config, out, seed)
-                    for failure in failures:
-                        print(failure)
-                        same = False
-                    usage.append(used)
-                for command in spec["commands"]:
-                    (rss_old, faults_old), (rss_new, faults_new) = (u[command] for u in usage)
-                    print(f"{case}/{spec['name']} {command}: peak RSS {rss_old:.1f} -> "
-                          f"{rss_new:.1f} MB, minor page faults {faults_old} -> {faults_new}")
-                same = _compare_dirs(*outs, f"{case}/{spec['name']}") and same
+            outs = [os.path.join(work, case, side, spec["name"]) for side in ("old", "new")]
+            usage = []
+            for tree, out in zip(trees, outs):
+                failures, used = _run_scenario(tree, spec, config, out, seed)
+                for failure in failures:
+                    print(failure)
+                    same = False
+                usage.append(used)
+            for command in spec["commands"]:
+                (rss_old, faults_old), (rss_new, faults_new) = (u[command] for u in usage)
+                print(f"{case}/{spec['name']} {command}: peak RSS {rss_old:.1f} -> "
+                      f"{rss_new:.1f} MB, minor page faults {faults_old} -> {faults_new}")
+            same = _compare_dirs(*outs, f"{case}/{spec['name']}") and same
     print("all outputs equal" if same else "outputs differ")
     return 0 if same else 1
 

@@ -102,7 +102,7 @@ _KINDS = {
 
 class _Key(NamedTuple):
     """How one config key is read.  `kind` is a _KINDS name, a tuple of allowed
-    strings, a list of them (an array of allowed strings), a schema (a nested
+    strings, a list of them (an array of distinct allowed strings), a schema (a nested
     object) or a _Presets table.  A `default` of _MISSING makes the key
     required, and None makes it optional.  `size` is the entry count, "dim" for
     one entry per grid axis."""
@@ -122,7 +122,7 @@ class _Presets(dict):
 
 def _value(label: str, value, kind):
     """`value` checked and converted as `kind`: a _KINDS name, allowed strings
-    (a tuple or a preset table), or a list of allowed strings for an array."""
+    (a tuple or a preset table), or a list of them for an array of distinct ones."""
     if isinstance(kind, str):
         accepts, convert, what = _KINDS[kind]
         if not accepts(value):
@@ -130,8 +130,11 @@ def _value(label: str, value, kind):
         return convert(value)
     if isinstance(kind, list):
         names = _value(label, value, "strings")
-        return [_value(f"{label}[{index}]", name, tuple(kind))
-                for index, name in enumerate(names)]
+        for index, name in enumerate(names):
+            _value(f"{label}[{index}]", name, tuple(kind))
+            if name in names[:index]:
+                raise ConfigError(f"{label}[{index}] repeats {json.dumps(name)}")
+        return names
     value = _value(label, value, "string")
     if value not in kind:
         raise ConfigError(
@@ -273,7 +276,7 @@ def _make_grid(data):
         return None
     try:
         return lattice.make_grid(**_parse(data, _GRID, "config.grid", None))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"config.grid: {exc}") from exc
 
 
@@ -424,6 +427,8 @@ def _versions() -> dict:
 # ---------------------------------------------------------------------------
 # evolve
 
+_SNAPSHOT_NAME = "snap_{:06d}.qfs"  # the file of the snapshot kept at a step
+
 
 def _run_dirac(state, scenario: Scenario, params):
     """Dirac runs see the four-potential (U/q, A), A padded to 3 components."""
@@ -477,11 +482,10 @@ def cmd_evolve(args, scenario: Scenario) -> int:
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(out, "manifest.json"))
     entries = []
-    for snap_time, snap in zip(trace.times, trace.snapshots):
-        step = int(round(snap_time / params.dt))
-        fname = f"snap_{step:06d}.qfs"
+    for step, t, snap in zip(params.snapshot_steps, trace.times, trace.snapshots):
+        fname = _SNAPSHOT_NAME.format(step)
         fields.write_snapshot(snap, os.path.join(out, fname))
-        entries.append({"file": fname, "step": step, "time": snap_time})
+        entries.append({"file": fname, "step": step, "time": t})
     manifest = {
         "name": scenario.config["name"],
         "command": "evolve",
@@ -494,7 +498,7 @@ def cmd_evolve(args, scenario: Scenario) -> int:
         "steps": params.steps,
         "snapshot_stride": params.snapshot_stride,
         "versions": _versions(),
-        "snapshots": entries,
+        "snapshots": entries,  # a record: a run is read back from its config
     }
     # wall time differs between reruns, so it stays out of the manifest,
     # which is written last
@@ -509,17 +513,19 @@ def cmd_evolve(args, scenario: Scenario) -> int:
 
 
 class Run:
-    """The snapshot series a manifest lists, if the manifest's physics hash is
-    the scenario's.  That hash pins the config's equation and grid, so they are
-    the run's, with the field class the equation evolves.  A pass reads each
-    snapshot when it reaches it and refuses one off that grid or of another
-    class.  After load, window holds the middle snapshot and its two
-    neighbours (for h only), and middle the middle snapshot's (f, flux, Q,
+    """The snapshot series evolve wrote in out, read from the scenario's config:
+    the equation gives the field class, and EvolutionParams.snapshot_steps each
+    file and time.  The manifest's physics hash, which pins those sections, must
+    be the config's, to show that this config's evolve completed there.  A pass
+    reads each snapshot when it reaches it and refuses one off the config's grid
+    or of another class.  After load, window holds the middle snapshot and its
+    two neighbours (for h only), and middle the middle snapshot's (f, flux, Q,
     mask) if it has Q."""
 
     def __init__(self, scenario: Scenario, out: str):
         self.equation = scenario.require("equation")
         scenario.require("grid")
+        params = scenario.evolution
         self.grid, self.kind = scenario.grid, _EQUATIONS[self.equation][0]
         manifest_path = os.path.join(out, "manifest.json")
         corrupt = f"corrupt run manifest {manifest_path}"
@@ -539,14 +545,9 @@ class Run:
                 f"{recorded} does not match the config's {scenario.physics_sha256}; "
                 "re-run evolve with this config"
             )
-        entries = manifest.get("snapshots", [])
-        if not _array_of(lambda e: isinstance(e, dict) and isinstance(e.get("file"), str)
-                         and _is_number(e.get("time")))(entries):
-            raise ConfigError(f"{corrupt}: snapshots need a string file and a numeric time")
-        if not entries:
-            raise ConfigError(f"{manifest_path} lists no snapshots")
-        self.scenario, self.out, self.entries = scenario, out, entries
-        self.times = [float(entry["time"]) for entry in entries]
+        self.scenario, self.out = scenario, out
+        self.files = [_SNAPSHOT_NAME.format(step) for step in params.snapshot_steps]
+        self.times = [step * params.dt for step in params.snapshot_steps]  # as _run forms them
 
     def serving(self, command: str, equations, hint: str = "") -> "Run":
         """Self, if command serves runs of this run's equation."""
@@ -583,9 +584,8 @@ class Run:
         f, j = series("j" in keep), series("j" in keep, 3 if dirac else dim)  # f is J^0 for dirac
         q, e, masks = series("q" in keep), series("e" in keep, dim), series("e" in keep, dtype=bool)
         self.window, self.middle = [], None
-        for i, entry in enumerate(self.entries):
-            psi = _snapshot(os.path.join(self.out, entry["file"]), repr(entry), self.grid,
-                            self.kind)
+        for i, name in enumerate(self.files):
+            psi = _snapshot(os.path.join(self.out, name), repr(name), self.grid, self.kind)
             self.window += [psi] if "h" in keep and abs(i - mid) <= 1 else []
             if dirac:
                 decomposition.current_bispinor(psi, consts.c, (f[i], *j[i]))
@@ -666,14 +666,14 @@ def cmd_diagnose(args, scenario: Scenario) -> int:
         run.serving(f"diagnostics: {name}", equations,
                     f"; use {', '.join(served)} for {run.equation}")
     run.load("".join(keep for _, keep, _ in wanted))
-    reports = [report for _, _, reports_of in wanted for report in reports_of(run)]
-    for report in reports:
-        _write_text(os.path.join(out, f"report_{report.name}.json"), report.to_json())
-        print(
-            f"{report.name}: l2={report.l2:.3e} linf={report.linf:.3e} "
-            f"mask={report.mask_fraction:.3f}"
-        )
+    _write_reports(out, [report for _, _, reports_of in wanted for report in reports_of(run)])
     return EXIT_OK
+
+
+def _write_reports(out: str, reports) -> None:
+    for r in reports:
+        _write_text(os.path.join(out, f"report_{r.name}.json"), r.to_json())
+        print(f"{r.name}: l2={r.l2:.3e} linf={r.linf:.3e} mask={r.mask_fraction:.3f}")
 
 
 # ---------------------------------------------------------------------------
@@ -803,11 +803,11 @@ def cmd_fields(args, scenario: Scenario) -> int:
     if consts.q == 0.0:
         raise ConfigError("config.constants: field reports need q != 0")
     out = _out_dir(args, scenario)
-    run = Run(scenario, out).spaced().serving("fields", ["schrodinger"]).load("q")
+    equations, keep, gauge_reports = _DIAGNOSTICS["gauge"]
+    run = Run(scenario, out).spaced().serving("fields", equations).load(keep)
     gauges = [scenario.gauge] * len(run.times)
 
     inner, frames = diagnostics.em_fields(run.times, gauges, consts, run.q, family)
-    reports = list(diagnostics.gauge_residuals(run.times, gauges, consts, run.q))
     mid, dim = len(inner) // 2, run.grid.dim
     # the Gauss law of self_consistency holds for E_psi whatever the family; the
     # psi family has it already, as the frame of snapshot mid + 1
@@ -815,10 +815,8 @@ def cmd_fields(args, scenario: Scenario) -> int:
         run.times[mid:mid + 3], gauges[mid:mid + 3], consts, run.q[mid:mid + 3])[1][0]
     e_mid = fields.VectorField(run.grid, psi_frame.e[:dim])
     # the middle record is of snapshot len(times) // 2, the frame of E_psi
-    reports.append(diagnostics.self_consistency_residual(e_mid, run.middle.f, consts))
-    for report in reports:
-        _write_text(os.path.join(out, f"report_{report.name}.json"), report.to_json())
-        print(f"{report.name}: l2={report.l2:.3e} linf={report.linf:.3e}")
+    self_consistency = diagnostics.self_consistency_residual(e_mid, run.middle.f, consts)
+    _write_reports(out, [*gauge_reports(run), self_consistency])
 
     def rms(arr):
         return float(np.sqrt(np.mean(np.square(arr))))

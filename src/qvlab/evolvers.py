@@ -90,32 +90,33 @@ class EvolutionParams:
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be at least 1")
 
+    @property
+    def snapshot_steps(self) -> list[int]:
+        """The steps a run keeps: every snapshot_stride-th and the last."""
+        return [*range(0, self.steps, self.snapshot_stride), self.steps]
+
 
 @dataclass
 class EvolutionTrace:
-    """Snapshots collected every snapshot_stride steps (step 0 and the final
-    step always included)."""
+    """Snapshots at the run's EvolutionParams.snapshot_steps."""
 
     times: list[float]
     snapshots: list
 
 
 def _run(state, params: EvolutionParams, build, clock=None) -> EvolutionTrace:
-    """Advance `state` one snapshot stride at a time with the stepper
-    `build()` returns, advance(state, steps), built only when there is a
-    step to take; snapshot times are step*dt unless `clock` reads them off
+    """Advance `state` from one of params.snapshot_steps to the next with the
+    stepper `build()` returns, advance(state, steps), built only when there is
+    a step to take; snapshot times are step*dt unless `clock` reads them off
     the state."""
-    trace = EvolutionTrace([], [])
-    step = 0
+    trace, kept = EvolutionTrace([], []), params.snapshot_steps
     advance = build() if params.steps else None
-    while True:
+    for done, step in zip([0, *kept], kept):
+        if step > done:
+            state = advance(state, step - done)
         trace.times.append(clock(state) if clock else step * params.dt)
         trace.snapshots.append(state)
-        if step == params.steps:
-            return trace
-        stride = min(params.snapshot_stride, params.steps - step)
-        state = advance(state, stride)
-        step += stride
+    return trace
 
 
 def _run_field(name, cls, psi, params, build):

@@ -129,6 +129,32 @@ def test_evolve_rerun_is_byte_identical(gaussian_run, tmp_path, capsys):
     assert (again / "manifest.json").read_bytes() == manifest
 
 
+@settings(max_examples=40, deadline=None)
+@given(steps=st.integers(0, 12), stride=st.integers(1, 5),
+       dt=st.one_of(st.floats(1e-4, 1e-2), st.floats(-1e-2, -1e-4)))
+def test_a_run_keeps_the_snapshot_steps_of_its_params(steps, stride, dt):
+    # every stride-th step and the last, at the times step * dt, in the library
+    # run and in the files and manifest evolve writes
+    payload = _small_config()
+    payload["evolution"] = {"dt": dt, "steps": steps, "snapshot_stride": stride}
+    kept = sorted({*range(0, steps, stride), steps})
+    times = [step * dt for step in kept]
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = cli.Scenario(payload, tmp)
+        params = scenario.evolution
+        assert params.snapshot_steps == kept
+        run = cli.evolvers.run_schrodinger(scenario.state, scenario.gauge, scenario.consts,
+                                           params)
+        assert run.times == times
+        cfg, out = _write_config(pathlib.Path(tmp) / "run.json", payload), pathlib.Path(tmp, "run")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        files = sorted(path.name for path in out.glob("snap_*.qfs"))
+        assert files == [f"snap_{step:06d}.qfs" for step in kept]
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert [entry["time"] for entry in manifest["snapshots"]] == times
+
+
 def test_unknown_preset_is_a_config_error(tmp_path, capsys):
     payload = _gaussian_config()
     payload["initial_state"]["preset"] = "gaussina"
@@ -290,6 +316,19 @@ def test_unknown_diagnostic_fails_evolve_before_it_runs(tmp_path, capsys):
         "config.diagnostics[2] must be one of continuity, hamilton_jacobi, gauge, "
         'four_current, got "continuty"'
     ) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "diagnose", "trace", "fields", "gps"])
+def test_every_command_refuses_a_repeated_diagnostic(command, tmp_path, capsys):
+    # a repeat would compute, print and write its reports twice
+    payload = _gaussian_config()
+    payload["diagnostics"] = ["continuity", "hamilton_jacobi", "continuity"]
+    cfg = _write_config(tmp_path / "twice.json", payload)
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert ('config error: config.diagnostics[2] repeats "continuity"'
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -837,7 +876,7 @@ def test_a_bad_snapshot_mid_series_writes_nothing(command, fault, prefix, reason
         write_snapshot(ComplexScalarField(grid, np.ones(128, complex)), middle)
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"config error: {prefix} {{'file': '{middle.name}'" in err
+    assert f"config error: {prefix} '{middle.name}'" in err
     assert reason in err
     assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json"] + files)
 
@@ -870,28 +909,60 @@ def test_diagnose_missing_manifest_is_a_config_error(tmp_path, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
+def _edited_run(small_run, tmp_path, edit):
+    """A copy of small_run whose manifest edit(run, manifest) may change."""
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+    edit(run, manifest)
+    (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    return run
+
+
+def _reads_as_unedited(command, small_run, tmp_path, edit):
+    """Whether command leaves the same files in a copy of small_run edited by
+    edit(run, manifest) as in an unedited copy, manifest aside; it must exit 0."""
+    cfg = small_run.parent / "scenario.json"
+    outputs = []
+    for run in (_edited_run(small_run, tmp_path, edit),
+                _edited_run(small_run, tmp_path / "unedited", lambda run, manifest: None)):
+        assert main([command, "--config", str(cfg), "--out", str(run)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in run.iterdir()
+                        if p.name != "manifest.json"})
+    return outputs[0] == outputs[1]
+
+
 def _entries(edit):
-    return lambda manifest: {**manifest, "snapshots": edit(manifest["snapshots"])}
+    def edited(run, manifest):
+        manifest["snapshots"] = edit(manifest["snapshots"])
+    return edited
 
 
 @pytest.mark.parametrize(
-    "corrupt",
+    "edit",
     [
-        lambda manifest: [],
+        None,
         _entries(lambda entries: entries[0]["file"]),
         _entries(lambda entries: [entry["file"] for entry in entries]),
         _entries(lambda entries: [{"time": e["time"]} for e in entries]),
         _entries(lambda entries: [{**e, "time": str(e["time"])} for e in entries]),
         _entries(lambda entries: [{**e, "time": None} for e in entries]),
+        lambda run, manifest: manifest.pop("snapshots"),
+        _entries(lambda entries: [{**e, "time": 2 * e["time"]} for e in entries[::-1]]),
     ],
     ids=["list", "snapshots-string", "string-entries", "no-file", "string-time",
-         "null-time"],
+         "null-time", "dropped", "retimed"],
 )
-def test_a_manifest_of_the_wrong_shape_is_corrupt(corrupt, small_run, tmp_path, capsys):
+def test_a_manifest_of_the_wrong_shape_is_corrupt(edit, small_run, tmp_path, capsys):
+    # only a manifest that is no object is corrupt: the run is read from its
+    # config's evolution section, which the physics hash pins, and nothing
+    # reads the snapshots list back
+    if edit is not None:
+        assert _reads_as_unedited("diagnose", small_run, tmp_path, edit)
+        return
     run = tmp_path / "run"
     shutil.copytree(small_run, run)
-    manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
-    (run / "manifest.json").write_text(json.dumps(corrupt(manifest)), encoding="utf-8")
+    (run / "manifest.json").write_text("[]", encoding="utf-8")
     cfg = small_run.parent / "scenario.json"
     assert main(["diagnose", "--config", str(cfg), "--out", str(run)]) == 2
     err = capsys.readouterr().err
@@ -907,20 +978,6 @@ def test_four_current_refuses_a_scalar_run(small_run, tmp_path, capsys):
     assert not (small_run / "report_four_current_divergence.json").exists()
 
 
-def _edited_run(small_run, tmp_path, edit):
-    """A copy of small_run whose manifest edit(run, manifest) may change."""
-    run = tmp_path / "run"
-    shutil.copytree(small_run, run)
-    manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
-    edit(run, manifest)
-    (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-    return run
-
-
-def _empty(run, manifest):
-    manifest["snapshots"] = []
-
-
 def _regrid_first(run, manifest):
     grid = make_grid(1, [8], [8.0])
     write_snapshot(ComplexScalarField(grid, np.ones(8, complex)),
@@ -928,12 +985,16 @@ def _regrid_first(run, manifest):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_empty, "manifest.json lists no snapshots"),
+    (_entries(lambda entries: []), None),
     (_regrid_first, "snapshot grid (8,) does not match config grid (16,)"),
 ], ids=["no-snapshots", "first-off-grid"])
 @pytest.mark.parametrize("command", ["diagnose", "fields", "trace"])
 def test_a_run_without_snapshots_on_the_config_grid_is_refused(edit, message, command,
                                                                small_run, tmp_path, capsys):
+    # a manifest that lists no snapshots still reads: the config names them
+    if message is None:
+        assert _reads_as_unedited(command, small_run, tmp_path, edit)
+        return
     run = _edited_run(small_run, tmp_path, edit)
     cfg = small_run.parent / "scenario.json"
     before = sorted(p.name for p in run.iterdir())
@@ -968,7 +1029,7 @@ def test_a_run_holding_another_field_class_is_refused(edit, held, command, small
     before = sorted(p.name for p in run.iterdir())
     assert main([command, "--config", str(cfg), "--out", str(run)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: snapshot {'file': 'snap_000000.qfs'")
+    assert err.startswith("config error: snapshot 'snap_000000.qfs' ")
     assert f"holds a {held}, not a ComplexScalarField" in err
     assert sorted(p.name for p in run.iterdir()) == before
 

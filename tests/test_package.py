@@ -131,3 +131,11 @@ def _fft_sites() -> set:
 def test_numpy_transforms_are_called_only_at_the_known_sites():
     # a transform outside these functions would be a spectral path beside them
     assert _fft_sites() == _FFT_SITES
+
+
+def test_the_snapshot_file_name_is_spelled_once():
+    # evolve names each kept step's file and a finished run is read back by the
+    # same pattern, so the two cannot drift apart
+    sources = [path.read_text(encoding="utf-8")
+               for path in pathlib.Path(qvlab.__file__).parent.glob("*.py")]
+    assert sum(source.count("snap_") for source in sources) == 1

@@ -61,7 +61,14 @@ _ZEROS = object()  # the default of a per-axis key: 0.0 on every grid axis
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number: a literal too large for a float (1e999 parses to
+    inf, a 400-digit integer does not convert) is not one."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _is_integer(value) -> bool:
@@ -439,19 +446,20 @@ def _run_dirac(state, scenario: Scenario, params):
         raise ConfigError("config.gauge.b_external: dirac runs take no uniform B; set it to zero")
     a3 = (*gauge.a_psi.components, 0.0, 0.0)[:3]
     pot = evolvers.FourPotential(scenario.grid, gauge.u / consts.q, a3)
-    return evolvers.run_dirac(state, pot, consts, params)
+    return evolvers._kept_dirac(state, pot, consts, params)
 
 
-# equation -> (field class its state must have, runner(state, scenario, params))
+# equation -> (field class its state must have, runner(state, scenario, params),
+# which hands out each kept (time, state) as its stride ends)
 _EQUATIONS = {
     "schrodinger": (
         fields.ComplexScalarField,
-        lambda state, sc, params: evolvers.run_schrodinger(
+        lambda state, sc, params: evolvers._kept_schrodinger(
             state, sc.gauge, sc.consts, params),
     ),
     "pauli": (
         fields.SpinorField,
-        lambda state, sc, params: evolvers.run_pauli(state, sc.gauge, sc.consts, params),
+        lambda state, sc, params: evolvers._kept_pauli(state, sc.gauge, sc.consts, params),
     ),
     "dirac": (fields.BispinorField, _run_dirac),
 }
@@ -473,16 +481,16 @@ def cmd_evolve(args, scenario: Scenario) -> int:
     except fields.NodeError as exc:
         raise ConfigError(f"config.initial_state: {exc}") from exc
 
-    started = time.perf_counter()
-    trace = run(state, scenario, params)
-    elapsed = time.perf_counter() - started
-
+    kept = run(state, scenario, params)
     out = _out_dir(args, scenario)
     # an old manifest must not list a series this run is half way to replacing
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(out, "manifest.json"))
-    entries = []
-    for step, t, snap in zip(params.snapshot_steps, trace.times, trace.snapshots):
+    entries, elapsed = [], 0.0
+    for step in params.snapshot_steps:  # each snapshot is written as its stride ends
+        started = time.perf_counter()
+        t, snap = next(kept)
+        elapsed += time.perf_counter() - started
         fname = _SNAPSHOT_NAME.format(step)
         fields.write_snapshot(snap, os.path.join(out, fname))
         entries.append({"file": fname, "step": step, "time": t})
@@ -512,15 +520,46 @@ def cmd_evolve(args, scenario: Scenario) -> int:
 # a finished run, read back
 
 
+class _Ring:
+    """A series of n frames held three at a time: frame i is written into, and
+    read from, row i % 3 of one array."""
+
+    def __init__(self, n: int, *shape):
+        self.n, self.held = n, [None] * 3
+        self.rows = np.zeros((3, *shape))  # a VectorField of rows checks them finite
+
+    def _frame(self, i: int) -> np.ndarray:
+        self.held[i % 3] = i
+        return self.rows[i % 3]
+
+    def _keep(self, i: int) -> None:
+        pass
+
+
+class _Window:
+    """A reducer's view of a _Ring's series: frame k is items[k % 3], while
+    the ring holds it."""
+
+    def __init__(self, ring: _Ring, items):
+        self.ring, self.items = ring, items
+
+    def __len__(self) -> int:
+        return self.ring.n
+
+    def __getitem__(self, k: int):
+        if self.ring.held[k % 3] != k:
+            raise IndexError(f"frame {k} is not among the three the ring holds")
+        return self.items[k % 3]
+
+
 class Run:
     """The snapshot series evolve wrote in out, read from the scenario's config:
     the equation gives the field class, and EvolutionParams.snapshot_steps each
     file and time.  The manifest's physics hash, which pins those sections, must
     be the config's, to show that this config's evolve completed there.  A pass
-    reads each snapshot when it reaches it and refuses one off the config's grid
-    or of another class.  After load, window holds the middle snapshot and its
-    two neighbours (for h only), and middle the middle snapshot's (f, flux, Q,
-    mask) if it has Q."""
+    reads each snapshot once, in order, and refuses one off the config's grid
+    or of another class.  A command that reduces a series holds three frames of
+    it (stream); one that samples it holds it once, in its samplers (fill)."""
 
     def __init__(self, scenario: Scenario, out: str):
         self.equation = scenario.require("equation")
@@ -567,48 +606,81 @@ class Run:
             ) from exc
         return self
 
-    def load(self, keep: str) -> "Run":
-        """One _polar call per snapshot, keeping the series keep names: j (f and J, or a
-        bispinor's four-current), q (Q), e (-grad Q / q and its node mask), and for h
-        the middle record and the window.  Each kept series is one array sized once per
-        pass, (N, *grid) or (N, k, *grid), and filled snapshot by snapshot: f and q are
-        such arrays, e is the pair (-grad Q / q, masks), and j holds one VectorField
-        (or FourCurrent) of views per snapshot.  A series not kept is None."""
-        consts, mid, dim = self.scenario.consts, len(self.times) // 2, self.grid.dim
-        scale, dirac = consts.alpha / consts.beta, self.kind is fields.BispinorField
-
-        def series(kept, *per_snapshot, dtype=float):
-            shape = (len(self.times), *per_snapshot, *self.grid.shape)
-            return np.empty(shape, dtype) if kept else None
-
-        f, j = series("j" in keep), series("j" in keep, 3 if dirac else dim)  # f is J^0 for dirac
-        q, e, masks = series("q" in keep), series("e" in keep, dim), series("e" in keep, dtype=bool)
-        self.window, self.middle = [], None
-        for i, name in enumerate(self.files):
-            psi = _snapshot(os.path.join(self.out, name), repr(name), self.grid, self.kind)
-            self.window += [psi] if "h" in keep and abs(i - mid) <= 1 else []
-            if dirac:
-                decomposition.current_bispinor(psi, consts.c, (f[i], *j[i]))
-                continue
-            with_q = "q" in keep or ("h" in keep and i == mid)
-            polar = decomposition._polar(psi, scale if with_q else None,
-                                         force_scale=scale if "e" in keep else None,
-                                         f_out=None if f is None else f[i])
-            self.middle = polar if with_q and i == mid else self.middle
-            if j is not None:
-                decomposition._current(polar.f, polar.flux, self.scenario.gauge, consts, j[i])
-            if q is not None:
-                q[i] = polar.q
-            if e is not None:
-                for row, part in zip(e[i], polar.force):
-                    np.divide(part, consts.q, out=row)
-                masks[i] = polar.mask
-        self.f, self.q = None if dirac else f, q
-        self.j = None if j is None else [
-            decomposition.FourCurrent(self.grid, j0, tuple(parts)) if dirac
-            else fields.VectorField(self.grid, tuple(parts)) for j0, parts in zip(f, j)]
-        self.e = None if e is None else (e, masks)
+    def stream(self, keep: str) -> "Run":
+        """Start a pass that holds the series keep names three frames at a time,
+        for reducers that read frame i once read(i + 1) has brought frame i + 1
+        in: j gives f and j (f and J, or a bispinor's J^0 and four-current), q
+        gives q (Q), each a _Window; h keeps the window and the middle record
+        (see _take)."""
+        dirac, n, shape = self.kind is fields.BispinorField, len(self.times), self.grid.shape
+        j = _Ring(n, 4 if dirac else 1 + self.grid.dim, *shape) if "j" in keep else None
+        q = _Ring(n, *shape) if "q" in keep else None
+        self._start(j, q, None, "h" in keep)
+        self.f = self.j = self.q = None
+        if j is not None:
+            self.f = None if dirac else _Window(j, list(j.rows[:, 0]))
+            self.j = _Window(j, [
+                decomposition.FourCurrent(self.grid, row[0], tuple(row[1:])) if dirac
+                else fields.VectorField(self.grid, tuple(row[1:])) for row in j.rows])
+        if q is not None:
+            self.q = _Window(q, list(q.rows))
         return self
+
+    def fill(self, flow, e=None) -> "Run":
+        """A whole pass that writes (f, J) into the filling FlowSampler flow and,
+        given the filling GridFieldSampler e, -grad Q / q and its node masks
+        into e."""
+        self._start(flow, None, e, False)
+        return self.read(len(self.times) - 1)
+
+    def _start(self, *stores) -> None:
+        self._stores, self._read = stores, 0
+        self.window, self.middle = [], None
+
+    def read(self, k: int) -> "Run":
+        """Read the snapshots up to k that the pass has not read yet, in order."""
+        while self._read <= k:
+            # the snapshot read last is held until the next is in: freeing it first
+            # let the allocator return its pages and fault them in again for the
+            # next (a repeated Dirac 48^3 diagnose took 11.4k minor faults, not
+            # 7.3k, and ran 20% slower; the held snapshot is 7 MB there)
+            self._last = self._take(self._read, *self._stores)
+            self._read += 1
+        return self
+
+    def _take(self, i, j, q, e, h):
+        """One _polar call (for a bispinor, one four-current) on snapshot i,
+        writing frame i of each series into its store, a _Ring or a filling
+        sampler, through _frame(i) and _keep(i): j takes f and then J, q takes
+        Q, and e takes -grad Q / q and the node mask.  f0 is snapshot 0's f.
+        With h, window holds the middle snapshot and its two neighbours; middle
+        is the middle snapshot's (f, flux, Q, mask), kept whenever Q is formed
+        there, with f and Q copied out of the stores.  Returns the snapshot."""
+        consts, mid = self.scenario.consts, len(self.times) // 2
+        scale = consts.alpha / consts.beta
+        name = self.files[i]
+        psi = _snapshot(os.path.join(self.out, name), repr(name), self.grid, self.kind)
+        self.window += [psi] if h and abs(i - mid) <= 1 else []
+        fj = None if j is None else j._frame(i)
+        if self.kind is fields.BispinorField:
+            decomposition.current_bispinor(psi, consts.c, fj)
+        else:
+            with_q = q is not None or (h and i == mid)
+            polar = decomposition._polar(
+                psi, scale if with_q else None, force_scale=None if e is None else scale,
+                f_out=None if fj is None else fj[0], q_out=None if q is None else q._frame(i))
+            if with_q and i == mid:
+                self.middle = polar._replace(f=polar.f.copy(), q=polar.q.copy())
+            if fj is not None:
+                decomposition._current(polar.f, polar.flux, self.scenario.gauge, consts, fj[1:])
+            if e is not None:
+                for row, part in zip(e._frame(i), polar.force):
+                    np.divide(part, consts.q, out=row)
+                e._keep(i, polar.mask)
+        if fj is not None:
+            self.f0 = fj[0].copy() if i == 0 else self.f0
+            j._keep(i)
+        return psi
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +696,7 @@ def _hamilton_jacobi(run: Run):
     )
     # a branch jump (a phase turn of nearly pi or more) leaves the rate ambiguous
     try:
-        report = diagnostics.hamilton_jacobi_residual(
+        return diagnostics.hamilton_jacobi_residual(
             psi, run.scenario.gauge, run.scenario.consts, rate, rate_mask | jumps,
             dt=times[1] - times[0], polar=run.middle,
         )
@@ -635,20 +707,32 @@ def _hamilton_jacobi(run: Run):
             f"config.evolution.snapshot_stride: {exc}; the phase jumped a branch at "
             f"{int(jumps.sum())} points between snapshots; take a smaller stride"
         ) from exc
-    return [report]
 
 
-# diagnostic name -> (the equations whose runs it serves, the series Run.load keeps
-# for it, reports(run))
+# diagnostic name -> (the equations whose runs it serves, the series Run.stream
+# keeps for it, its rows(run) for diagnostics._interior or None, its report names)
 _DIAGNOSTICS = {
-    "continuity": (("schrodinger", "pauli"), "j", lambda run: [
-        diagnostics.continuity_residual(run.times, run.f, run.j)]),
-    "hamilton_jacobi": (("schrodinger",), "h", _hamilton_jacobi),
-    "gauge": (("schrodinger",), "q", lambda run: diagnostics.gauge_residuals(
-        run.times, [run.scenario.gauge] * len(run.times), run.scenario.consts, run.q)),
-    "four_current": (("dirac",), "j", lambda run: [
-        diagnostics.four_current_divergence(run.times, run.j, run.scenario.consts)]),
+    "continuity": (("schrodinger", "pauli"), "j",
+                   lambda run: diagnostics._continuity_rows(run.f, run.j), ("continuity",)),
+    "hamilton_jacobi": (("schrodinger",), "h", None, ("hamilton_jacobi",)),
+    "gauge": (("schrodinger",), "q", lambda run: diagnostics._gauge_rows(
+        [run.scenario.gauge] * len(run.times), run.scenario.consts, run.q),
+        ("gauge_psi", "gauge_lorentz", "gauge_quantum")),
+    "four_current": (("dirac",), "j", lambda run: diagnostics._four_current_rows(
+        run.j, run.scenario.consts), ("four_current_divergence",)),
 }
+
+
+def _reduce(run: Run, rows) -> dict:
+    """The reports of the rows functions over a streamed run, from one pass
+    that reads every snapshot: frame i's rows run once frame i + 1 is in."""
+    def union(i, rate):
+        run.read(i + 1)
+        return {name: parts for r in rows for name, parts in r(i, rate).items()}
+
+    reports = diagnostics._interior(run.times, union, points=False)
+    run.read(len(run.times) - 1)
+    return reports
 
 
 def cmd_diagnose(args, scenario: Scenario) -> int:
@@ -660,13 +744,16 @@ def cmd_diagnose(args, scenario: Scenario) -> int:
         print("no diagnostics requested")
         return EXIT_OK
     run, wanted = Run(scenario, out).spaced(), [_DIAGNOSTICS[name] for name in names]
-    served = [name for name, (equations, _, _) in _DIAGNOSTICS.items()
+    served = [name for name, (equations, *_) in _DIAGNOSTICS.items()
               if run.equation in equations]
-    for name, (equations, _, _) in zip(names, wanted):  # all before the pass
+    for name, (equations, *_) in zip(names, wanted):  # all before the pass
         run.serving(f"diagnostics: {name}", equations,
                     f"; use {', '.join(served)} for {run.equation}")
-    run.load("".join(keep for _, keep, _ in wanted))
-    _write_reports(out, [report for _, _, reports_of in wanted for report in reports_of(run)])
+    run.stream("".join(keep for _, keep, _, _ in wanted))
+    reports = _reduce(run, [rows(run) for _, _, rows, _ in wanted if rows])
+    if "hamilton_jacobi" in names:
+        reports["hamilton_jacobi"] = _hamilton_jacobi(run)
+    _write_reports(out, [reports[report] for *_, made in wanted for report in made])
     return EXIT_OK
 
 
@@ -682,14 +769,15 @@ def _write_reports(out: str, reports) -> None:
 
 def _trace_samplers(run: Run, interpolation, force: bool):
     """The flow sampler and, for the force method, E = -grad Q / q with B = 0 (the
-    gauge is free), all from one pass over the snapshots."""
-    run.load("je" if force else "j")
-    flow = trajectories.FlowSampler(run.grid, run.times, run.f, run.j, method=interpolation)
+    gauge is free), filled by one pass over the snapshots."""
+    flow = trajectories.FlowSampler._filling(run.grid, run.times, method=interpolation)
+    e = trajectories.GridFieldSampler._filling(
+        run.grid, run.times, run.grid.dim, method=interpolation, masked=True) if force else None
+    run.fill(flow, e)
     if not force:
         return flow, None
-    e, masks = run.e
     return flow, trajectories.EMSeries(
-        e=trajectories.GridFieldSampler(run.grid, run.times, e, method=interpolation, masks=masks),
+        e=e,
         b=trajectories.AnalyticSampler(lambda pts, t: np.zeros((pts.shape[0], 3)),
                                        lengths=run.grid.length),
     )
@@ -744,7 +832,7 @@ def cmd_trace(args, scenario: Scenario) -> int:
     else:
         rng = np.random.default_rng(args.seed if args.seed is not None else 0)
         starts = trajectories.sample_density(
-            grid, run.f[0], trace_cfg["count"], rng
+            grid, run.f0, trace_cfg["count"], rng
         )
 
     batches = {}
@@ -803,32 +891,31 @@ def cmd_fields(args, scenario: Scenario) -> int:
     if consts.q == 0.0:
         raise ConfigError("config.constants: field reports need q != 0")
     out = _out_dir(args, scenario)
-    equations, keep, gauge_reports = _DIAGNOSTICS["gauge"]
-    run = Run(scenario, out).spaced().serving("fields", equations).load(keep)
-    gauges = [scenario.gauge] * len(run.times)
-
-    inner, frames = diagnostics.em_fields(run.times, gauges, consts, run.q, family)
-    mid, dim = len(inner) // 2, run.grid.dim
-    # the Gauss law of self_consistency holds for E_psi whatever the family; the
-    # psi family has it already, as the frame of snapshot mid + 1
-    psi_frame = frames[mid] if family == "psi" else diagnostics.em_fields(
-        run.times[mid:mid + 3], gauges[mid:mid + 3], consts, run.q[mid:mid + 3])[1][0]
-    e_mid = fields.VectorField(run.grid, psi_frame.e[:dim])
-    # the middle record is of snapshot len(times) // 2, the frame of E_psi
-    self_consistency = diagnostics.self_consistency_residual(e_mid, run.middle.f, consts)
-    _write_reports(out, [*gauge_reports(run), self_consistency])
+    equations, keep, gauge_rows, names = _DIAGNOSTICS["gauge"]
+    run = Run(scenario, out).spaced().serving("fields", equations).stream(keep)
+    times, dim, mid = run.times, run.grid.dim, len(run.times) // 2
+    gauges = [scenario.gauge] * len(times)
+    frames, rows, e_mid = diagnostics._em_frames(times, gauges, consts, run.q, family), [], None
 
     def rms(arr):
         return float(np.sqrt(np.mean(np.square(arr))))
 
-    rows = [
-        {
-            "time": t,
-            "e_rms": [rms(c) for c in frame.e[:dim]],
-            "b_rms": [rms(c) for c in frame.b],
-        }
-        for t, frame in zip(inner, frames)
-    ]
+    def norms(i, rate):  # frame i's E and B norms, and E_psi at the middle snapshot
+        nonlocal e_mid
+        frame = next(frames)
+        rows.append({"time": times[i], "e_rms": [rms(c) for c in frame.e[:dim]],
+                     "b_rms": [rms(c) for c in frame.b]})
+        if i == mid:  # self_consistency's Gauss law holds for E_psi whatever the family
+            if family != "psi":
+                frame = diagnostics.em_fields(times[i - 1:i + 2], gauges[i - 1:i + 2], consts,
+                                              [run.q[k] for k in range(i - 1, i + 2)])[1][0]
+            e_mid = fields.VectorField(run.grid, frame.e[:dim])
+        return {}
+
+    reports = _reduce(run, [gauge_rows(run), norms])
+    # the middle record is of snapshot len(times) // 2, the frame of e_mid
+    self_consistency = diagnostics.self_consistency_residual(e_mid, run.middle.f, consts)
+    _write_reports(out, [*(reports[name] for name in names), self_consistency])
     _write_json(
         os.path.join(out, "fields_summary.json"),
         {"family": family, "frames": rows},

@@ -173,13 +173,14 @@ _Polar = collections.namedtuple("_Polar", "f flux q mask force")
 
 
 def _polar(psi, q_scale: Optional[float] = None, what: Optional[str] = None,
-           force_scale: Optional[float] = None, f_out=None) -> _Polar:
+           force_scale: Optional[float] = None, f_out=None, q_out=None) -> _Polar:
     """f and the flux Im(psi^dag grad psi) per axis from one transform of each
     component of psi and, for a scalar psi, from the same transform: given q_scale
     = alpha/beta, Q = q_scale*(Re(Lap psi/psi) + sum_a (flux_a/f)^2), and given
     force_scale = alpha/beta, -grad Q (see diagnostics.quantum_force), both 0 on
     the nodes.  Only they check for support, raising NodeError naming `what` (by
-    default the quantity asked for).  f is written into f_out when it is given."""
+    default the quantity asked for).  f and Q are written into f_out and q_out
+    when they are given."""
     grid, dim, axes = psi.grid, psi.grid.dim, range(psi.grid.dim)
     f, asked = density(psi, f_out), "quantum potential" if force_scale is None else "quantum force"
     mask = None if q_scale is None and force_scale is None else _support(f, what or asked)
@@ -197,17 +198,20 @@ def _polar(psi, q_scale: Optional[float] = None, what: Optional[str] = None,
     q = force = None
     if q_scale is not None:
         ratio = _ratio(derivatives[dim], psi.values, mask)
-        q = q_scale * (ratio.real + sum(_ratio(x, f, mask) ** 2 for x in flux))
+        q = np.multiply(q_scale, ratio.real + sum(_ratio(x, f, mask) ** 2 for x in flux),
+                        out=q_out)
         q[mask] = 0.0
     if force_scale is not None:
         inv = _ratio(1.0, psi.values, mask)
-        r1, rlap = [d * inv for d in derivatives[:dim]], derivatives[dim] * inv
+        for d in derivatives:  # each derivative becomes its ratio to psi, in place
+            d *= inv
+        r1, rlap = derivatives[:dim], derivatives[dim]
         dlap, second = derivatives[dim + 1:], dict(zip(pairs, derivatives[2 * dim + 1:]))
         force = []
         for a in axes:
-            dg = (dlap[a] * inv - rlap * r1[a]).real
+            dg = (dlap[a] - rlap * r1[a]).real
             for b in axes:
-                cross = (second[min(a, b), max(a, b)] * inv - r1[a] * r1[b]).imag
+                cross = (second[min(a, b), max(a, b)] - r1[a] * r1[b]).imag
                 dg = dg + 2.0 * r1[b].imag * cross
             force.append(-force_scale * dg)
             force[-1][mask] = 0.0

@@ -9,14 +9,20 @@ Q, transforms psi once, and so does the force.
 Every time derivative is a centered second-order difference over stored
 snapshots, so residuals carry an O(dt^2) floor that is discretization, not
 identity failure; report dt alongside the norms.  Each time-series residual
-is a per-frame formula that one reducer, _interior, lays out frame-major in
-per_point: (k * frames, *grid), with k = 3 axis rows for Faraday and Ampere.
-Norms are taken over the unmasked grid points only (l2 is the root mean
-square), and the masked fraction is part of the report.
+is a per-frame formula, its rows function, that one reducer, _interior, runs
+frame by frame in time order and lays out frame-major in per_point:
+(k * frames, *grid), with k = 3 axis rows for Faraday and Ampere.  A rows
+function reads only frames i - 1 to i + 1 of its series, so a caller may hold
+those three alone and keep no per_point.  Norms are taken over the unmasked
+grid points only (l2 is the root mean square), and the masked fraction is
+part of the report.  One rule reduces every report: each row (a grid-shaped
+sample array) has its r^2 summed by one numpy reduction, and the row sums add
+in row order.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -75,23 +81,45 @@ class ResidualReport:
         return json.dumps(payload) + "\n"
 
 
-def _report(name, samples, mask=None, dt=None) -> ResidualReport:
-    samples = np.asarray(samples, dtype=float)
-    if mask is None:
-        keep = samples.reshape(-1)
-    else:
-        keep = samples[~np.broadcast_to(mask, samples.shape)]
-    if keep.size == 0:
-        raise NodeError(f"{name}: every sample is masked")
-    return ResidualReport(
-        name=name,
-        l2=float(np.sqrt(np.mean(keep**2))),
-        linf=float(np.max(np.abs(keep))),
-        mask_fraction=1.0 - keep.size / samples.size,
-        n_points=int(keep.size),
-        dt=dt,
-        per_point=samples,
-    )
+class _Tally:
+    """The norms of residual rows, added one row at a time: each row's r^2 is
+    summed by one numpy reduction, and the row sums add in row order, so a
+    report reads the same whether its rows were kept or not."""
+
+    def __init__(self):
+        self.sum2, self.linf, self.kept, self.total = 0.0, 0.0, 0, 0
+
+    def add(self, row, mask=None) -> "_Tally":
+        """Tally the samples of row off mask (broadcast to the row)."""
+        row = np.asarray(row, dtype=float)
+        kept = row.reshape(-1) if mask is None else row[~np.broadcast_to(mask, row.shape)]
+        self.sum2 += float(np.sum(kept**2))
+        if kept.size:  # np.maximum keeps a NaN
+            self.linf = float(np.maximum(self.linf, np.max(np.abs(kept))))
+        self.kept, self.total = self.kept + kept.size, self.total + row.size
+        return self
+
+    def report(self, name, dt=None, per_point=None) -> ResidualReport:
+        if self.kept == 0:
+            raise NodeError(f"{name}: every sample is masked")
+        return ResidualReport(
+            name=name,
+            l2=math.sqrt(self.sum2 / self.kept),
+            linf=self.linf,
+            mask_fraction=1.0 - self.kept / self.total,
+            n_points=self.kept,
+            dt=dt,
+            per_point=per_point,
+        )
+
+
+def _report(name, samples, dt=None) -> ResidualReport:
+    """The report of a time series' stacked rows (rows, *grid), per_point
+    holding them."""
+    tally = _Tally()
+    for row in samples:
+        tally.add(row)
+    return tally.report(name, dt, samples)
 
 
 def _series_spacing(times: Sequence[float], **series) -> float:
@@ -108,21 +136,30 @@ def _series_spacing(times: Sequence[float], **series) -> float:
     return float(steps[0])
 
 
-def _interior(times: Sequence[float], rows, **series) -> dict:
-    """Reports over the interior frames i of checked series: rows(i, rate) maps
-    each report name to its k samples at frame i (rate(at) is the centered time
-    derivative of the samples at(k)), copied into rows k*(i-1) to k*i - 1."""
+def _interior(times: Sequence[float], rows, points: bool = True, **series) -> dict:
+    """Reports over the interior frames i of checked series, taken in time
+    order: rows(i, rate) maps each report name to its k samples at frame i
+    (rate(at) is the centered time derivative of the samples at(k)).  With
+    points, the rows are kept, as rows k*(i-1) to k*i - 1 of the report's
+    per_point, and reduced by _report; without, each row is tallied as it
+    comes, to the same norms."""
     dt = _series_spacing(times, **series)
-    frames, out = len(times) - 2, {}
+    frames, kept = len(times) - 2, {}
     for i in range(1, frames + 1):
         def rate(at):
             return (at(i + 1) - at(i - 1)) / (2.0 * dt)
         for name, parts in rows(i, rate).items():
-            if name not in out:
-                out[name] = np.empty((len(parts) * frames,) + np.shape(parts[0]))
+            if not points:
+                for values in parts:
+                    kept.setdefault(name, _Tally()).add(values)
+                continue
+            if name not in kept:
+                kept[name] = np.empty((len(parts) * frames,) + np.shape(parts[0]))
             for row, values in enumerate(parts, start=len(parts) * (i - 1)):
-                out[name][row] = values
-    return {name: _report(name, samples, dt=dt) for name, samples in out.items()}
+                kept[name][row] = values
+    if points:
+        return {name: _report(name, samples, dt) for name, samples in kept.items()}
+    return {name: tally.report(name, dt) for name, tally in kept.items()}
 
 
 def _freeze(parts):
@@ -165,11 +202,16 @@ def continuity_residual(
     currents: Sequence[VectorField],
 ) -> ResidualReport:
     """r = df/dt + div J at the interior snapshot times."""
+    rows = _continuity_rows(densities, currents)
+    return _interior(times, rows, densities=densities, currents=currents)["continuity"]
+
+
+def _continuity_rows(densities, currents):
     def rows(i, rate):
         div_j = divergence(currents[i].components, currents[i].grid)
         return {"continuity": (rate(lambda k: densities[k]) + div_j,)}
 
-    return _interior(times, rows, densities=densities, currents=currents)["continuity"]
+    return rows
 
 
 def four_current_divergence(
@@ -178,11 +220,16 @@ def four_current_divergence(
     consts: PhysicalConstants,
 ) -> ResidualReport:
     """r = (1/c) dJ^0/dt + div J at the interior snapshot times."""
+    rows = _four_current_rows(currents, consts)
+    return _interior(times, rows, currents=currents)["four_current_divergence"]
+
+
+def _four_current_rows(currents, consts):
     def rows(i, rate):
         j0_rate = rate(lambda k: currents[k].j0) / consts.c
         return {"four_current_divergence": (j0_rate + currents[i].spatial_divergence(),)}
 
-    return _interior(times, rows, currents=currents)["four_current_divergence"]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +320,7 @@ def hamilton_jacobi_residual(
         - gauge.u
         - q
     )
-    return _report("hamilton_jacobi", r, mask=mask, dt=dt)
+    return _Tally().add(r, mask).report("hamilton_jacobi", dt, r)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +346,12 @@ def em_fields(
     shared, read-only, by those frames.  Returns (interior_times,
     [MaxwellFrame]).
     """
+    return list(times[1:-1]), list(_em_frames(times, gauges, consts, q_series, family))
+
+
+def _em_frames(times, gauges, consts, q_series=None, family="psi"):
+    """The MaxwellFrames of em_fields, one at a time in time order: frame i
+    reads only q_series[i], so q_series may hold frames i - 1 to i + 1 alone."""
     if family not in FAMILIES:
         raise ValueError(f"unknown field family {family!r}, expected one of {FAMILIES}")
     dt = _series_spacing(times, gauges=gauges, q_series=q_series)
@@ -317,7 +370,7 @@ def em_fields(
         grad_u = tuple(spectral_gradient(g.u, grid)) if family == "classical" else ()
         return b, grad_u
 
-    per_gauge, frames = _per_gauge(static), []
+    per_gauge = _per_gauge(static)
     for i in range(1, len(times) - 1):
         b, grad_u = per_gauge(gauges[i])
         if family == "classical":
@@ -327,8 +380,7 @@ def em_fields(
             grad = spectral_gradient(v, grid)
         a0, a2 = (getattr(gauges[k], a_name).components for k in (i - 1, i + 1))
         e = tuple(-(x2 - x0) / (2.0 * dt) - coeff * gr for x0, x2, gr in zip(a0, a2, grad))
-        frames.append(MaxwellFrame(grid, e, b))
-    return list(times[1:-1]), frames
+        yield MaxwellFrame(grid, e, b)
 
 
 def gauge_residuals(
@@ -346,6 +398,11 @@ def gauge_residuals(
     divergences are taken once for consecutive frames that repeat one
     gauge object.
     """
+    rows = _gauge_rows(gauges, consts, q_series)
+    return tuple(_interior(times, rows, gauges=gauges, q_series=q_series).values())
+
+
+def _gauge_rows(gauges, consts, q_series):
     q = (lambda k: 0.0) if q_series is None else (lambda k: q_series[k])
     coeff = 2.0 * consts.alpha * consts.beta / consts.gamma
     inv_qc2 = 1.0 / (consts.q * consts.c**2)
@@ -362,7 +419,7 @@ def gauge_residuals(
             "gauge_quantum": (div_q + inv_qc2 * rate(q),),
         }
 
-    return tuple(_interior(times, rows, gauges=gauges, q_series=q_series).values())
+    return rows
 
 
 def self_consistency_residual(
@@ -370,7 +427,7 @@ def self_consistency_residual(
 ) -> ResidualReport:
     """r = eps0 div E_psi - q f; measured, never enforced."""
     r = consts.eps0 * divergence(e_psi.components, e_psi.grid) - consts.q * f
-    return _report("self_consistency", r)
+    return _Tally().add(r).report("self_consistency", per_point=r)
 
 
 def _slots(grid: Grid, parts, name: str) -> tuple:

@@ -21,10 +21,11 @@ step of dt.
 Each equation has one stepper, built once per run: its factory computes every
 factor fixed for the run (for the leapfrog, the CFL check and the source) and
 returns a function that advances the state a given number of steps.  The
-run_* functions share one loop, which advances one snapshot stride at a time
-and builds no stepper for a run of zero steps; a single step is the last
-snapshot of a one-step run.  Each run function takes fields of one class and
-refuses any other with a TypeError.
+run_* functions share one loop, which advances one snapshot stride at a time,
+hands each kept state out as its stride ends (a caller that writes them need
+not hold them) and builds no stepper for a run of zero steps; a single step
+is the last snapshot of a one-step run.  Each run function takes fields of
+one class and refuses any other with a TypeError.
 
 Between two snapshots the k split steps run as one block,
 O(dt/2) . I . [O(dt) . I]^(k-1) . O(dt/2), with O the outer factor and I the
@@ -104,17 +105,24 @@ class EvolutionTrace:
     snapshots: list
 
 
-def _run(state, params: EvolutionParams, build, clock=None) -> EvolutionTrace:
+def _run(state, params: EvolutionParams, build, clock=None):
     """Advance `state` from one of params.snapshot_steps to the next with the
     stepper `build()` returns, advance(state, steps), built only when there is
-    a step to take; snapshot times are step*dt unless `clock` reads them off
-    the state."""
-    trace, kept = EvolutionTrace([], []), params.snapshot_steps
+    a step to take, and hand out (time, state) as each stride ends; snapshot
+    times are step*dt unless `clock` reads them off the state."""
+    kept = params.snapshot_steps
     advance = build() if params.steps else None
     for done, step in zip([0, *kept], kept):
         if step > done:
             state = advance(state, step - done)
-        trace.times.append(clock(state) if clock else step * params.dt)
+        yield (clock(state) if clock else step * params.dt), state
+
+
+def _trace(kept) -> EvolutionTrace:
+    """The EvolutionTrace of the (time, state) pairs a run hands out."""
+    trace = EvolutionTrace([], [])
+    for t, state in kept:
+        trace.times.append(t)
         trace.snapshots.append(state)
     return trace
 
@@ -496,21 +504,34 @@ def gps_apply(matrix: TaylorEvolutionMatrix, state) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # run drivers
 
-def run_schrodinger(psi, gauge, consts, params) -> EvolutionTrace:
+# each _kept_* hands out its run's kept (time, state) pairs; run_* collects them
+def _kept_schrodinger(psi, gauge, consts, params):
     return _run_field("run_schrodinger", ComplexScalarField, psi, params,
                       lambda: _split_stepper(psi.grid, gauge, consts, params))
 
 
-def run_pauli(psi, gauge, consts, params) -> EvolutionTrace:
+def _kept_pauli(psi, gauge, consts, params):
     return _run_field("run_pauli", SpinorField, psi, params,
                       lambda: _split_stepper(psi.grid, gauge, consts, params, spin=True))
 
 
-def run_dirac(psi, pot, consts, params) -> EvolutionTrace:
+def _kept_dirac(psi, pot, consts, params):
     return _run_field("run_dirac", BispinorField, psi, params,
                       lambda: _dirac_stepper(psi.grid, pot, consts, params))
 
 
+def run_schrodinger(psi, gauge, consts, params) -> EvolutionTrace:
+    return _trace(_kept_schrodinger(psi, gauge, consts, params))
+
+
+def run_pauli(psi, gauge, consts, params) -> EvolutionTrace:
+    return _trace(_kept_pauli(psi, gauge, consts, params))
+
+
+def run_dirac(psi, pot, consts, params) -> EvolutionTrace:
+    return _trace(_kept_dirac(psi, pot, consts, params))
+
+
 def run_wave(state: WaveState, j, consts, params) -> EvolutionTrace:
-    return _run(state, params, lambda: _wave_stepper(state.grid, j, consts, params),
-                clock=lambda s: s.time)
+    return _trace(_run(state, params, lambda: _wave_stepper(state.grid, j, consts, params),
+                       clock=lambda s: s.time))

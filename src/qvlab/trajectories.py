@@ -209,6 +209,41 @@ class GridFieldSampler:
 
     def __init__(self, grid: Grid, times, snapshots, *, method: str = "spectral",
                  masks=None):
+        comps = [
+            snap.components if isinstance(snap, VectorField) else tuple(snap)
+            for snap in snapshots
+        ]
+        self._setup(grid, times, method, len(comps[0]) if comps else 0)
+        if len(comps) != self.times.size:
+            raise ValueError(
+                f"got {len(comps)} snapshots for {self.times.size} times"
+            )
+        if any(len(parts) != self.ncomp for parts in comps):
+            raise ValueError("snapshots disagree on component count")
+        for t, parts in enumerate(comps):
+            frame = self._frame(t)
+            for c, p in enumerate(parts):
+                frame[c] = _check_shape(p, grid, "component", float)
+            self._keep(t)
+        if masks is not None:
+            masks = [_check_shape(m, grid, "mask", bool) for m in masks]
+            if len(masks) != self.times.size:
+                raise ValueError("need one mask per snapshot")
+            self.masks = np.stack(masks)
+
+    @classmethod
+    def _filling(cls, grid: Grid, times, ncomp: int, *, method: str = "spectral",
+                 masked: bool = False) -> "GridFieldSampler":
+        """A sampler of ncomp components, and of node masks when masked, whose
+        series the caller writes one snapshot at a time: snapshot t's components
+        into _frame(t), then _keep(t, mask)."""
+        sampler = cls.__new__(cls)
+        sampler._setup(grid, times, method, ncomp)
+        if masked:
+            sampler.masks = np.empty((sampler.times.size, *grid.shape), dtype=bool)
+        return sampler
+
+    def _setup(self, grid: Grid, times, method: str, ncomp: int) -> None:
         if method not in ("spectral", "tricubic"):
             raise ValueError(f"unknown interpolation method {method!r}")
         self.grid = grid
@@ -219,39 +254,35 @@ class GridFieldSampler:
             raise ValueError("need a non-empty 1D time array")
         if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("snapshot times must be strictly increasing")
-        comps = [
-            snap.components if isinstance(snap, VectorField) else tuple(snap)
-            for snap in snapshots
-        ]
-        if len(comps) != self.times.size:
-            raise ValueError(
-                f"got {len(comps)} snapshots for {self.times.size} times"
-            )
-        self.ncomp = len(comps[0])
-        if any(len(parts) != self.ncomp for parts in comps):
-            raise ValueError("snapshots disagree on component count")
-        # each component's transform writes into its slot: no component is held twice
+        self.ncomp, self.masks, self._scratch = ncomp, None, None
         spectral = method == "spectral"
         shape = (
             [_half_wavenumbers(grid, a).size for a in range(grid.dim)]
             if spectral else grid.shape
         )
         self._data = np.empty(
-            (len(comps), self.ncomp, *shape), dtype=complex if spectral else float
+            (self.times.size, ncomp, *shape), dtype=complex if spectral else float
         )
-        for t, parts in enumerate(comps):
-            for c, p in enumerate(parts):
-                p = _check_shape(p, grid, "component", float)
-                if spectral:
-                    _half_spectrum(p, grid, self._data[t, c])
-                else:
-                    self._data[t, c] = p
-        self.masks = None
-        if masks is not None:
-            masks = [_check_shape(m, grid, "mask", bool) for m in masks]
-            if len(masks) != self.times.size:
-                raise ValueError("need one mask per snapshot")
-            self.masks = np.stack(masks)
+
+    def _frame(self, t: int) -> np.ndarray:
+        """Where snapshot t's components are written, (ncomp, *grid), before
+        _keep(t): the tricubic samples themselves, or one frame of samples,
+        held until _keep transforms it into the spectra."""
+        if self.method == "tricubic":
+            return self._data[t]
+        if self._scratch is None:
+            self._scratch = np.empty((self.ncomp, *self.grid.shape))
+        return self._scratch
+
+    def _keep(self, t: int, mask=None) -> None:
+        """Store snapshot t's components from _frame(t), and its node mask:
+        each spectral component's transform writes into its slot."""
+        if self.method == "spectral":
+            for c, values in enumerate(self._scratch):
+                _half_spectrum(values, self.grid, self._data[t, c])
+            self._scratch = None
+        if mask is not None:
+            self.masks[t] = mask
 
     def _bracket(self, t: float):
         times = self.times
@@ -296,17 +327,41 @@ class FlowSampler:
             (d, *(j.components if isinstance(j, VectorField) else j))
             for d, j in zip(dens, currents, strict=True)
         ]
-        self._sampler = GridFieldSampler(grid, times, series, method=method)
-        if self._sampler.ncomp != 1 + grid.dim:
+        sampler = GridFieldSampler(grid, times, series, method=method)
+        if sampler.ncomp != 1 + grid.dim:
             raise ValueError(
-                f"current needs {grid.dim} components, got {self._sampler.ncomp - 1}"
+                f"current needs {grid.dim} components, got {sampler.ncomp - 1}"
             )
-        self._floor = NODE_EPSILON * max(float(d.max()) for d in dens)
+        self._adopt(sampler, max(float(d.max()) for d in dens))
+
+    @classmethod
+    def _filling(cls, grid: Grid, times, *, method: str = "spectral") -> "FlowSampler":
+        """A flow sampler whose series the caller writes one snapshot at a
+        time: snapshot t's density and current components into _frame(t), then
+        _keep(t).  The floor is a running maximum of the densities kept, and
+        it is checked when the last snapshot is kept."""
+        flow = cls.__new__(cls)
+        flow._sampler = GridFieldSampler._filling(grid, times, 1 + grid.dim, method=method)
+        flow._peak = 0.0
+        return flow
+
+    def _adopt(self, sampler: GridFieldSampler, peak: float) -> None:
+        self._sampler = sampler
+        self._floor = NODE_EPSILON * peak
         if self._floor <= 0.0:
             raise NodeError("flow velocity undefined: density has no support")
-        self.grid = grid
-        self.times = self._sampler.times
-        self.lengths = np.asarray(grid.length, dtype=float)
+        self.grid = sampler.grid
+        self.times = sampler.times
+        self.lengths = np.asarray(self.grid.length, dtype=float)
+
+    def _frame(self, t: int) -> np.ndarray:
+        return self._sampler._frame(t)
+
+    def _keep(self, t: int) -> None:
+        self._peak = max(self._peak, float(self._frame(t)[0].max()))
+        self._sampler._keep(t)
+        if t == self._sampler.times.size - 1:
+            self._adopt(self._sampler, self._peak)
 
     def __call__(self, points: np.ndarray, t: float):
         vals, _ = self._sampler(points, t)

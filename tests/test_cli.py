@@ -596,6 +596,24 @@ def test_non_json_number_tokens_are_config_errors(key, token, command, tmp_path,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("key, literal, command", [
+    ("grid.length", "[1e999]", "evolve"),
+    ("grid.length", "[1" + "0" * 400 + "]", "evolve"),
+    ("gps.t", "-1e999", "gps"),
+], ids=["float-overflow", "401-digit-integer", "negative-overflow"])
+def test_numbers_too_large_for_a_float_are_config_errors(key, literal, command, tmp_path,
+                                                         capsys):
+    # JSON parses 1e999 to inf and keeps a long integer exact; neither is a number
+    # a run can use, so the key is refused before anything is computed
+    payload = _traced_config()
+    _put(payload, key, "LITERAL")
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(payload).replace('"LITERAL"', literal), encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: config.{key} must be ")
+    assert not (tmp_path / "run").exists()
+
+
 def _key_paths(payload, prefix=""):
     """(dotted path, value) of every key, depth first."""
     for key, value in payload.items():
@@ -823,34 +841,120 @@ def test_diagnose_reports_equal_the_library_on_separate_series(kind, oscillator_
 
 @pytest.mark.parametrize("keep", ["jq", "je"])
 def test_each_kept_series_is_views_of_one_array(keep, oscillator_run):
-    # a pass sizes each series it keeps once; per snapshot the values are those
-    # of that snapshot's own _polar
+    # a reducing pass holds each series in three frames of one array, and a
+    # sampling pass writes each frame into the samplers' own arrays; every frame
+    # a command sees holds the values of that snapshot's own _polar
     from qvlab.decomposition import _current, _polar
+    from qvlab.trajectories import _half_spectrum
 
     cfg, out = oscillator_run
     scenario = cli.Scenario(cli._load_config(str(cfg))[0], str(cfg.parent))
-    run = cli.Run(scenario, str(out)).load(keep)
-    consts, n, shape = scenario.consts, len(run.times), run.grid.shape
-    scale = consts.alpha / consts.beta
-    j = run.j[0].components[0].base
-    assert run.f.shape == (n, *shape) and j.shape == (n, run.grid.dim, *shape)
-    if "q" in keep:
-        assert run.q.shape == (n, *shape) and run.e is None
-    else:
-        e, masks = run.e
-        assert e.shape == (n, run.grid.dim, *shape) and masks.shape == (n, *shape)
-        assert run.q is None
-    for i, name in enumerate(_snapshot_files(out)):
-        polar = _polar(read_snapshot(out / name), scale, force_scale=scale)
-        assert run.f[i].tobytes() == polar.f.tobytes()
+    consts, files = scenario.consts, _snapshot_files(out)
+    scale, grid = consts.alpha / consts.beta, scenario.grid
+    n, dim = len(files), grid.dim
+
+    def own(k):  # snapshot k's f, J components, Q and -grad Q / q with its mask
+        polar = _polar(read_snapshot(out / files[k]), scale, force_scale=scale)
         current = _current(polar.f, polar.flux, scenario.gauge, consts)
-        assert all(c.base is j for c in run.j[i].components)
-        assert [c.tobytes() for c in run.j[i].components] == [c.tobytes() for c in current]
-        if "q" in keep:
-            assert run.q[i].tobytes() == polar.q.tobytes()
-        else:
-            assert e[i].tobytes() == np.array([c / consts.q for c in polar.force]).tobytes()
-            assert np.array_equal(masks[i], polar.mask)
+        force = np.array([c / consts.q for c in polar.force])
+        return polar.f, np.array(current), polar.q, force, polar.mask
+
+    if keep == "jq":
+        run = cli.Run(scenario, str(out)).stream(keep)
+        ring, q_ring = run.f.items[0].base, run.q.items[0].base
+        assert run._read == 0
+        assert ring.shape == (3, 1 + dim, *grid.shape) and q_ring.shape == (3, *grid.shape)
+        seen = []
+
+        def rows(i, rate):
+            for k in (i - 1, i, i + 1):
+                f, current, q, _, _ = own(k)
+                assert run.f[k].base is ring and run.q[k].base is q_ring
+                assert all(c.base is ring for c in run.j[k].components)
+                assert run.f[k].tobytes() == f.tobytes()
+                assert np.array(run.j[k].components).tobytes() == current.tobytes()
+                assert run.q[k].tobytes() == q.tobytes()
+            assert run._read == i + 2  # frame i + 1 is in, and no later frame
+            seen.append(i)
+            return {"probe": (rate(lambda k: run.f[k]),)}
+
+        cli._reduce(run, [rows])
+        assert seen == list(range(1, n - 1)) and run._read == n
+        with pytest.raises(IndexError, match="is not among the three the ring holds"):
+            run.f[n - 4]
+        return
+    for method in ("tricubic", "spectral"):
+        flow, em = cli._trace_samplers(cli.Run(scenario, str(out)), method, force=True)
+        fj, e = flow._sampler._data, em.e._data
+        assert fj.shape[:2] == (n, 1 + dim) and e.shape[:2] == (n, dim)
+        for i in range(n):
+            f, current, _, force, mask = own(i)
+            assert np.array_equal(em.e.masks[i], mask)
+            for stored, values in zip([*fj[i], *e[i]], [f, *current, *force]):
+                if method == "spectral":  # stored as its half spectrum
+                    spectrum = np.empty_like(stored)
+                    _half_spectrum(values, grid, spectrum)
+                    values = spectrum
+                assert stored.tobytes() == values.tobytes()
+
+
+def _two_dimensional_oscillator(snapshots, **sections):
+    """A 64^2 oscillator ground state kept every 4th step, `snapshots` times."""
+    return {
+        "name": "oscillator-2d",
+        "equation": "schrodinger",
+        "grid": {"dim": 2, "n": [64, 64], "length": [16.0, 16.0]},
+        "initial_state": {"preset": "ho_ground", "omega": 1.0, "center": [8.5, 7.5]},
+        "gauge": {"u": {"preset": "harmonic", "omega": 1.0, "center": [8.0, 8.0]}},
+        "evolution": {"dt": 1e-3, "steps": 4 * (snapshots - 1), "snapshot_stride": 4},
+        **sections,
+    }
+
+
+def _traced_peak(argv):
+    """Peak traced allocation of main(argv) above what was traced before it;
+    the command is run once first, to fill the spectral caches."""
+    import tracemalloc
+
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_reducing_commands_hold_three_frames_whatever_the_run_length(tmp_path, capsys):
+    # evolve, diagnose and fields hold a window of frames, so 51 snapshots cost
+    # them what 11 do: within three frames of (f, J, Q), 3 * 4 grids of floats
+    peaks = {}
+    for snapshots in (11, 51):
+        payload = _two_dimensional_oscillator(
+            snapshots, diagnostics=["continuity", "hamilton_jacobi", "gauge"])
+        cfg = _write_config(tmp_path / f"osc{snapshots}.json", payload)
+        argv = ["--config", str(cfg), "--out", str(tmp_path / f"run{snapshots}")]
+        for command in ("evolve", "diagnose", "fields"):
+            peaks[command, snapshots] = _traced_peak([command, *argv])
+    capsys.readouterr()
+    frames = 3 * 4 * 64 * 64 * 8
+    for command in ("evolve", "diagnose", "fields"):
+        assert abs(peaks[command, 51] - peaks[command, 11]) < frames, command
+
+
+@pytest.mark.parametrize("interpolation", ["tricubic", "spectral"])
+def test_trace_holds_its_series_once(interpolation, tmp_path, capsys):
+    # the samplers own the (f, J) series their pass fills: no second copy
+    trace = {"method": "advect", "interpolation": interpolation,
+             "starts": [[8.5, 7.5], [9.0, 8.0]], "dt": 4e-3, "steps": 50}
+    cfg = _write_config(tmp_path / "osc.json", _two_dimensional_oscillator(51, trace=trace))
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "run")]
+    assert main(["evolve", *argv]) == 0
+    peak = _traced_peak(["trace", *argv])
+    capsys.readouterr()
+    series = 51 * 3 * 64 * 64 * 8
+    assert peak < 1.3 * series
 
 
 @pytest.mark.parametrize("fault, prefix, reason", [

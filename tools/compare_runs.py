@@ -13,8 +13,11 @@ Each subcommand runs as `python -m qvlab.cli` in a fresh interpreter with the
 tree's src on PYTHONPATH, one BLAS thread, and no bytecode written.
 
 For each subcommand, one line gives the child's peak RSS and minor page
-faults in OLD and in NEW (`os.wait4`); page faults repeat within about 1%
-between runs, wall times do not, so no time is printed.  For each file
+faults in OLD and in NEW (`os.wait4`); wall times do not repeat between
+runs, so no time is printed.  Page faults repeat within about 1% between
+two runs of the same invocation, not across invocations of another shape
+(another set of workloads, seeds or sizes): compare a fault count only
+with one from an invocation of the same arguments.  For each file
 either tree wrote, one line says `equal` (the same bytes) or gives the
 largest absolute and relative difference of the file's numbers: JSON
 reports and summaries, trace CSVs and snapshot samples (.qfs).

@@ -629,7 +629,8 @@ class Run:
     def fill(self, flow, e=None) -> "Run":
         """A whole pass that writes (f, J) into the filling FlowSampler flow and,
         given the filling GridFieldSampler e, -grad Q / q and its node masks
-        into e."""
+        into e, through the samplers' one write path (_frame(i), then
+        _keep(i, mask)); flow fixes its node floor when the last is kept."""
         self._start(flow, None, e, False)
         return self.read(len(self.times) - 1)
 
@@ -770,7 +771,8 @@ def _write_reports(out: str, reports) -> None:
 def _trace_samplers(run: Run, interpolation, force: bool):
     """The flow sampler and, for the force method, E = -grad Q / q with B = 0 (the
     gauge is free), filled by one pass over the snapshots."""
-    flow = trajectories.FlowSampler._filling(run.grid, run.times, method=interpolation)
+    flow = trajectories.FlowSampler._filling(
+        run.grid, run.times, 1 + run.grid.dim, method=interpolation)
     e = trajectories.GridFieldSampler._filling(
         run.grid, run.times, run.grid.dim, method=interpolation, masked=True) if force else None
     run.fill(flow, e)
@@ -1066,6 +1068,17 @@ _CONFIG = {
 # entry point
 
 
+def _seed(text: str) -> int:
+    """The --seed type: an integer from 0 to 2**64 - 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"{value} is not a u64 (0 to 2**64 - 1)")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qvlab",
@@ -1085,7 +1098,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=needs_config, help="scenario JSON file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="random seed (u64)")
+        p.add_argument("--seed", type=_seed, default=None, help="random seed (u64)")
         if name == "algebra-check":
             p.add_argument(
                 "--list", action="store_true", help="print identity names and exit"

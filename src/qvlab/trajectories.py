@@ -24,7 +24,10 @@ with ``points`` of shape (N, dim), ``values`` of shape (N, ncomp) and
 ``masked`` a boolean (N,) row mask.  A grid sampler stores its series as
 one (times, components, *grid) array, evaluates every component of the
 one or two snapshots bracketing t at once, and is linear in time between
-them (clamped at the ends).  Spatial evaluation is either trigonometric
+them (clamped at the ends).  Its series is written one snapshot at a
+time, by the constructor or by a caller that fills it in a pass: the
+components into _frame(t), then _keep(t, mask), which stores them and
+the node mask.  Spatial evaluation is either trigonometric
 ("spectral", exact for band-limited data; the series is real, so it is
 stored as half spectra, the first axis is one GEMM, and the others are
 contracted point by point) or local cubic ("tricubic",
@@ -35,8 +38,10 @@ below 1e-4.
 
 Velocity fields deserve care: <v> = J/f is masked near nodes, and a
 masked array has jump edges that global trigonometric interpolation
-turns into ringing everywhere.  FlowSampler is therefore one grid sampler
-over the smooth series (f, J) that divides at the evaluation point.
+turns into ringing everywhere.  FlowSampler is therefore the grid
+sampler of the smooth series (f, J) that divides at the evaluation
+point; its one node floor is fixed from the peak density when the last
+snapshot is kept.
 GridFieldSampler interpolates raw components and is the right tool for
 globally smooth fields (E, B, A) or, with the tricubic method, for
 anything evaluated far from mask edges.
@@ -213,37 +218,34 @@ class GridFieldSampler:
             snap.components if isinstance(snap, VectorField) else tuple(snap)
             for snap in snapshots
         ]
-        self._setup(grid, times, method, len(comps[0]) if comps else 0)
+        self._setup(grid, times, method, len(comps[0]) if comps else 0, masks is not None)
         if len(comps) != self.times.size:
             raise ValueError(
                 f"got {len(comps)} snapshots for {self.times.size} times"
             )
         if any(len(parts) != self.ncomp for parts in comps):
             raise ValueError("snapshots disagree on component count")
-        for t, parts in enumerate(comps):
-            frame = self._frame(t)
-            for c, p in enumerate(parts):
-                frame[c] = _check_shape(p, grid, "component", float)
-            self._keep(t)
         if masks is not None:
             masks = [_check_shape(m, grid, "mask", bool) for m in masks]
             if len(masks) != self.times.size:
                 raise ValueError("need one mask per snapshot")
-            self.masks = np.stack(masks)
+        for t, parts in enumerate(comps):
+            frame = self._frame(t)
+            for c, p in enumerate(parts):
+                frame[c] = _check_shape(p, grid, "component", float)
+            self._keep(t, None if masks is None else masks[t])
 
     @classmethod
     def _filling(cls, grid: Grid, times, ncomp: int, *, method: str = "spectral",
                  masked: bool = False) -> "GridFieldSampler":
         """A sampler of ncomp components, and of node masks when masked, whose
-        series the caller writes one snapshot at a time: snapshot t's components
-        into _frame(t), then _keep(t, mask)."""
+        series the caller writes one snapshot at a time, as the constructor
+        does: snapshot t's components into _frame(t), then _keep(t, mask)."""
         sampler = cls.__new__(cls)
-        sampler._setup(grid, times, method, ncomp)
-        if masked:
-            sampler.masks = np.empty((sampler.times.size, *grid.shape), dtype=bool)
+        sampler._setup(grid, times, method, ncomp, masked)
         return sampler
 
-    def _setup(self, grid: Grid, times, method: str, ncomp: int) -> None:
+    def _setup(self, grid: Grid, times, method: str, ncomp: int, masked: bool) -> None:
         if method not in ("spectral", "tricubic"):
             raise ValueError(f"unknown interpolation method {method!r}")
         self.grid = grid
@@ -254,7 +256,8 @@ class GridFieldSampler:
             raise ValueError("need a non-empty 1D time array")
         if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("snapshot times must be strictly increasing")
-        self.ncomp, self.masks, self._scratch = ncomp, None, None
+        self.ncomp, self._scratch = ncomp, None
+        self.masks = np.empty((self.times.size, *grid.shape), dtype=bool) if masked else None
         spectral = method == "spectral"
         shape = (
             [_half_wavenumbers(grid, a).size for a in range(grid.dim)]
@@ -310,61 +313,43 @@ class GridFieldSampler:
         return vals, masked
 
 
-class FlowSampler:
+class FlowSampler(GridFieldSampler):
     """Probability-flow velocity <v> = J/f off-grid, node-safe.
 
-    Interpolates the smooth pair (density, current) as one series and
-    divides at the evaluation point; points where the interpolated density
-    falls below NODE_EPSILON of the series peak are masked.  The floor is
-    fixed once, not taken by node_mask per call: the interpolated values at
-    a few points say nothing about the peak of the grid.
+    A grid sampler of the smooth series (density, current) that divides at
+    the evaluation point; points where the interpolated density falls below
+    NODE_EPSILON of the series peak are masked.  The floor is fixed once,
+    from the running peak of the densities kept, when the last snapshot is
+    kept, not taken by node_mask per call: the interpolated values at a few
+    points say nothing about the peak of the grid.  A filling flow sampler
+    has 1 + dim components, density first.
     """
 
     def __init__(self, grid: Grid, times, densities, currents, *,
                  method: str = "spectral"):
-        dens = [np.asarray(d, dtype=float) for d in densities]
-        series = [
+        super().__init__(grid, times, [
             (d, *(j.components if isinstance(j, VectorField) else j))
-            for d, j in zip(dens, currents, strict=True)
-        ]
-        sampler = GridFieldSampler(grid, times, series, method=method)
-        if sampler.ncomp != 1 + grid.dim:
-            raise ValueError(
-                f"current needs {grid.dim} components, got {sampler.ncomp - 1}"
-            )
-        self._adopt(sampler, max(float(d.max()) for d in dens))
+            for d, j in zip(densities, currents, strict=True)
+        ], method=method)
 
-    @classmethod
-    def _filling(cls, grid: Grid, times, *, method: str = "spectral") -> "FlowSampler":
-        """A flow sampler whose series the caller writes one snapshot at a
-        time: snapshot t's density and current components into _frame(t), then
-        _keep(t).  The floor is a running maximum of the densities kept, and
-        it is checked when the last snapshot is kept."""
-        flow = cls.__new__(cls)
-        flow._sampler = GridFieldSampler._filling(grid, times, 1 + grid.dim, method=method)
-        flow._peak = 0.0
-        return flow
+    def _setup(self, *args) -> None:
+        super()._setup(*args)
+        self._peak = 0.0
 
-    def _adopt(self, sampler: GridFieldSampler, peak: float) -> None:
-        self._sampler = sampler
-        self._floor = NODE_EPSILON * peak
-        if self._floor <= 0.0:
-            raise NodeError("flow velocity undefined: density has no support")
-        self.grid = sampler.grid
-        self.times = sampler.times
-        self.lengths = np.asarray(self.grid.length, dtype=float)
-
-    def _frame(self, t: int) -> np.ndarray:
-        return self._sampler._frame(t)
-
-    def _keep(self, t: int) -> None:
+    def _keep(self, t: int, mask=None) -> None:
         self._peak = max(self._peak, float(self._frame(t)[0].max()))
-        self._sampler._keep(t)
-        if t == self._sampler.times.size - 1:
-            self._adopt(self._sampler, self._peak)
+        super()._keep(t, mask)
+        if t == self.times.size - 1:
+            if self.ncomp != 1 + self.grid.dim:
+                raise ValueError(
+                    f"current needs {self.grid.dim} components, got {self.ncomp - 1}"
+                )
+            self._floor = NODE_EPSILON * self._peak
+            if self._floor <= 0.0:
+                raise NodeError("flow velocity undefined: density has no support")
 
     def __call__(self, points: np.ndarray, t: float):
-        vals, _ = self._sampler(points, t)
+        vals, _ = super().__call__(points, t)
         f_col, j_vals = vals[:, 0], vals[:, 1:]
         masked = f_col < self._floor
         return _ratio(j_vals, f_col[:, None], masked[:, None]), masked

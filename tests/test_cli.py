@@ -384,6 +384,47 @@ def test_zero_trace_steps_stay_valid(small_run, tmp_path):
     assert rows.shape[0] == 1
 
 
+def _seeded(command, seed, small_run, tmp_path):
+    """argv of command with --seed seed, and the directory it would write: a
+    fresh one for evolve and algebra-check, a copy of small_run for a trace that
+    draws its starts (count) from the seed."""
+    payload = _traced_config()
+    payload["trace"] = {"count": 3, "dt": 1e-3, "steps": 1}
+    cfg = _write_config(tmp_path / "seeded.json", payload)
+    out = tmp_path / "out"
+    if command == "trace":
+        shutil.copytree(small_run, out)
+    argv = [command, "--out", str(out), "--seed", seed]
+    return (argv if command == "algebra-check" else [*argv, "--config", str(cfg)]), out
+
+
+@pytest.mark.parametrize("seed", ["-7", "-1", str(2**64), "4.5"])
+@pytest.mark.parametrize("command", ["evolve", "trace", "algebra-check"])
+def test_a_seed_outside_u64_exits_2_before_any_work(command, seed, small_run, tmp_path,
+                                                     capsys):
+    argv, out = _seeded(command, seed, small_run, tmp_path)
+    before = sorted(os.listdir(out)) if out.exists() else None
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "argument --seed: " in capsys.readouterr().err
+    assert (sorted(os.listdir(out)) if out.exists() else None) == before
+
+
+@pytest.mark.parametrize("command", ["evolve", "trace", "algebra-check"])
+def test_the_largest_u64_seed_is_accepted(command, small_run, tmp_path):
+    argv, out = _seeded(command, str(2**64 - 1), small_run, tmp_path)
+    assert main(argv) == 0
+    if command == "algebra-check":
+        report = json.loads((out / "algebra_check.json").read_text(encoding="utf-8"))
+        assert report["seed"] == 2**64 - 1
+    elif command == "evolve":
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["seed"] == 2**64 - 1
+    else:
+        assert (out / "trace_002.csv").exists()
+
+
 _ONE_SNAPSHOT = {"steps": 0}
 _UNEVEN = {"steps": 5, "snapshot_stride": 2}  # snapshots at steps 0, 2, 4, 5
 _SCHEDULE = "config.evolution.steps/snapshot_stride"
@@ -885,7 +926,7 @@ def test_each_kept_series_is_views_of_one_array(keep, oscillator_run):
         return
     for method in ("tricubic", "spectral"):
         flow, em = cli._trace_samplers(cli.Run(scenario, str(out)), method, force=True)
-        fj, e = flow._sampler._data, em.e._data
+        fj, e = flow._data, em.e._data
         assert fj.shape[:2] == (n, 1 + dim) and e.shape[:2] == (n, dim)
         for i in range(n):
             f, current, _, force, mask = own(i)

@@ -1,12 +1,18 @@
-"""The scripts under tools/."""
+"""The scripts under tools/, and the benchmark's tracer on the package."""
 import json
 import pathlib
 import re
 import runpy
 import shutil
 
+import numpy as np
+
+from qvlab.lattice import make_grid
+from qvlab.trajectories import FlowSampler, GridFieldSampler
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 COMPARE_RUNS = runpy.run_path(str(ROOT / "tools" / "compare_runs.py"))
+TRACER = runpy.run_path(str(ROOT / "perfbench" / "tracer.py"))
 
 
 def test_compare_runs_finds_this_checkout_equal_to_itself(capsys):
@@ -69,3 +75,28 @@ def test_compare_runs_reports_how_the_numbers_differ(tmp_path):
     new = written("new.csv", "t,x\n0.0,1.0\n0.5,2.5\n")
     assert COMPARE_RUNS["compare_files"](old, new) == (
         "differs: max abs 5.000e-01, max rel 2.000e-01")
+
+
+def test_the_benchmark_tracer_installs_on_the_package_and_leaves_no_wrapper():
+    # the tracer wraps sampler methods by name in each class's own __dict__, so
+    # a method moved off its class fails here, not only in traced benchmark runs
+    originals = {cls: (vars(cls)["__init__"], vars(cls)["__call__"])
+                 for cls in (GridFieldSampler, FlowSampler)}
+    tracer = TRACER["Tracer"]()
+    tracer.install()
+    try:
+        assert all(vars(cls)["__init__"] is not init and vars(cls)["__call__"] is not call
+                   for cls, (init, call) in originals.items())
+        g = make_grid(2, [8, 8], [1.0, 1.0])
+        ones = np.ones(g.shape)
+        flow = FlowSampler(g, [0.0, 1.0], [ones, ones], [(ones, ones)] * 2)
+        flow(np.zeros((5, 2)), 0.5)
+    finally:
+        tracer.uninstall()  # raises if a wrapper is left on any class or module
+    assert {cls: (vars(cls)["__init__"], vars(cls)["__call__"])
+            for cls in originals} == originals
+    metrics = TRACER["layer_metrics"](tracer.spans)
+    # the flow sampler's own grid build and evaluation nest inside its spans
+    assert metrics["trajectories.sampler_calls"][0] == 1
+    assert metrics["trajectories.sampler_points"][0] == 5
+    assert metrics["trajectories.sampler_build_s"][0] > 0.0

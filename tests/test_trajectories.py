@@ -236,6 +236,58 @@ def test_flow_sampler_call_is_one_grid_evaluation(monkeypatch):
     assert np.allclose(vals, 1.0)
 
 
+def _filled(sampler, series, masks=None):
+    """A sampler from _filling with series written as a pass writes it: each
+    snapshot's components into _frame(t), then _keep(t, mask)."""
+    for t, parts in enumerate(series):
+        sampler._frame(t)[...] = parts
+        sampler._keep(t, None if masks is None else masks[t])
+    return sampler
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_series, ncomp=st.integers(1, 3))
+def test_the_constructor_and_a_filling_pass_build_the_same_sampler(case, ncomp):
+    g, rng, pts = _grid_and_points(case)
+    times = np.arange(case["nsnap"], dtype=float)
+    snaps = [rng.uniform(-1.0, 1.0, (ncomp, *g.shape)) for _ in times]
+    masks = [rng.random(g.shape) < 0.3 for _ in times]
+    # densities with near-nodes, so the flow's floor masks some points
+    flows = [rng.random((1 + g.dim, *g.shape)) ** 6 for _ in times]
+    for method in ("spectral", "tricubic"):
+        pairs = [
+            (GridFieldSampler(g, times, snaps, method=method, masks=masks),
+             _filled(GridFieldSampler._filling(g, times, ncomp, method=method,
+                                               masked=True), snaps, masks)),
+            (FlowSampler(g, times, [fj[0] for fj in flows], [fj[1:] for fj in flows],
+                         method=method),
+             _filled(FlowSampler._filling(g, times, 1 + g.dim, method=method), flows)),
+        ]
+        for built, filled in pairs:
+            assert type(built) is type(filled)
+            assert built._data.tobytes() == filled._data.tobytes()
+            assert np.array_equal(built.masks, filled.masks)
+            assert getattr(built, "_floor", None) == getattr(filled, "_floor", None)
+            for got, want in zip(built(pts, case["t"]), filled(pts, case["t"])):
+                assert got.tobytes() == want.tobytes()
+
+
+def test_flow_sampler_is_a_grid_sampler_that_checks_its_series_once_kept():
+    g = make_grid(2, [8, 6], [1.0, 2.0])
+    ones, zero = np.ones(g.shape), np.zeros(g.shape)
+    flow = FlowSampler(g, [0.0, 1.0], [ones, ones], [(ones, ones)] * 2)
+    assert isinstance(flow, GridFieldSampler)
+    assert flow.grid is g and flow.times.tolist() == [0.0, 1.0]
+    assert flow.lengths.tolist() == [1.0, 2.0] and flow.masks is None
+    # a wrong current count is named before a zero density's node error
+    with pytest.raises(ValueError, match=r"^current needs 2 components, got 1$"):
+        FlowSampler(g, [0.0, 1.0], [zero, zero], [(zero,)] * 2)
+    with pytest.raises(ValueError, match=r"^current needs 2 components, got 1$"):
+        _filled(FlowSampler._filling(g, [0.0, 1.0], 2), [np.zeros((2, *g.shape))] * 2)
+    with pytest.raises(NodeError, match="^flow velocity undefined: density has no support$"):
+        _filled(FlowSampler._filling(g, [0.0, 1.0], 3), [np.zeros((3, *g.shape))] * 2)
+
+
 # ---------------------------------------------------------------------------
 # advection
 

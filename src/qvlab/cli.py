@@ -362,11 +362,12 @@ def _dirac_plane_wave(record, scenario: Scenario):
     return fields.BispinorField(grid, tuple(component * plane for component in spinor))
 
 
-def _snapshot(path: str, label: str, grid, kind=None):
+def _snapshot(path: str, label: str, grid, kind=None, out=None):
     """The .qfs snapshot at path, refused unless it lies on grid and, when kind
-    is given, holds that field class; label names it in the refusal."""
+    is given, holds that field class; label names it in the refusal.  Its
+    samples are read into out when it fits them (see fields.read_snapshot)."""
     try:
-        snap = fields.read_snapshot(path)
+        snap = fields.read_snapshot(path, out=out)
     except OSError as exc:  # a SnapshotError is an OSError
         raise ConfigError(f"cannot read snapshot {label}: {exc}") from exc
     if snap.grid != grid:
@@ -559,7 +560,8 @@ class Run:
     be the config's, to show that this config's evolve completed there.  A pass
     reads each snapshot once, in order, and refuses one off the config's grid
     or of another class.  A command that reduces a series holds three frames of
-    it (stream); one that samples it holds it once, in its samplers (fill)."""
+    it (stream); one that samples it holds it once, in its samplers (fill).
+    Every snapshot of a pass is read into one array the pass owns."""
 
     def __init__(self, scenario: Scenario, out: str):
         self.equation = scenario.require("equation")
@@ -636,32 +638,34 @@ class Run:
 
     def _start(self, *stores) -> None:
         self._stores, self._read = stores, 0
+        self._psi = np.empty(self.kind._shape(self.grid), complex)
         self.window, self.middle = [], None
 
     def read(self, k: int) -> "Run":
-        """Read the snapshots up to k that the pass has not read yet, in order."""
+        """Read the snapshots up to k that the pass has not read yet, in order,
+        each into the pass's one snapshot array."""
         while self._read <= k:
-            # the snapshot read last is held until the next is in: freeing it first
-            # let the allocator return its pages and fault them in again for the
-            # next (a repeated Dirac 48^3 diagnose took 11.4k minor faults, not
-            # 7.3k, and ran 20% slower; the held snapshot is 7 MB there)
-            self._last = self._take(self._read, *self._stores)
+            self._take(self._read, *self._stores)
             self._read += 1
         return self
 
     def _take(self, i, j, q, e, h):
         """One _polar call (for a bispinor, one four-current) on snapshot i,
-        writing frame i of each series into its store, a _Ring or a filling
-        sampler, through _frame(i) and _keep(i): j takes f and then J, q takes
-        Q, and e takes -grad Q / q and the node mask.  f0 is snapshot 0's f.
-        With h, window holds the middle snapshot and its two neighbours; middle
-        is the middle snapshot's (f, flux, Q, mask), kept whenever Q is formed
-        there, with f and Q copied out of the stores.  Returns the snapshot."""
+        read into the pass's snapshot array, writing frame i of each series
+        into its store, a _Ring or a filling sampler, through _frame(i) and
+        _keep(i): j takes f and then J, q takes Q, and e takes -grad Q / q and
+        the node mask.  f0 is snapshot 0's f.  The next read overwrites psi, so
+        what outlives it is copied: with h, window holds copies of the middle
+        snapshot and its two neighbours, and middle is the middle snapshot's
+        (f, flux, Q, mask), kept whenever Q is formed there, with f and Q
+        copied out of the stores."""
         consts, mid = self.scenario.consts, len(self.times) // 2
         scale = consts.alpha / consts.beta
         name = self.files[i]
-        psi = _snapshot(os.path.join(self.out, name), repr(name), self.grid, self.kind)
-        self.window += [psi] if h and abs(i - mid) <= 1 else []
+        psi = _snapshot(os.path.join(self.out, name), repr(name), self.grid, self.kind,
+                        self._psi)
+        if h and abs(i - mid) <= 1:
+            self.window.append(type(psi)(psi.grid, psi.values.copy()))
         fj = None if j is None else j._frame(i)
         if self.kind is fields.BispinorField:
             decomposition.current_bispinor(psi, consts.c, fj)
@@ -681,7 +685,6 @@ class Run:
         if fj is not None:
             self.f0 = fj[0].copy() if i == 0 else self.f0
             j._keep(i)
-        return psi
 
 
 # ---------------------------------------------------------------------------

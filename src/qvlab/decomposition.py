@@ -254,8 +254,9 @@ def current_bispinor(psi: BispinorField, c: float, out=None) -> FourCurrent:
     p1, p2, p3, p4 = psi.values
     j0, j1, j2, j3 = [None] * 4 if out is None else out
     j0 = np.multiply(c, density(psi), out=j0)
-    j1 = np.multiply(2.0 * c, (np.conj(p1) * p4 + np.conj(p2) * p3).real, out=j1)
-    j2 = np.multiply(-2.0 * c, (np.conj(p2) * p3 - np.conj(p1) * p4).imag, out=j2)
+    p14, p23 = np.conj(p1) * p4, np.conj(p2) * p3  # J^1 and J^2 share these bilinears
+    j1 = np.multiply(2.0 * c, (p14 + p23).real, out=j1)
+    j2 = np.multiply(-2.0 * c, (p23 - p14).imag, out=j2)
     j3 = np.multiply(2.0 * c, (np.conj(p1) * p3 - np.conj(p4) * p2).real, out=j3)
     return FourCurrent(psi.grid, j0, (j1, j2, j3))
 

@@ -14,10 +14,14 @@ density or by psi takes its mask from _support, which refuses a density
 with no support, and divides with _ratio, which writes 0 on the nodes.
 
 Snapshots (.qfs) are a fixed 64-byte little-endian header followed by raw
-float64 samples, interleaved per grid point; round-trips are bit-exact.
+float64 samples, component-major as fields hold them: (ncomp, *grid), so a
+snapshot is written and read with no transposing copy.  Round-trips are
+bit-exact.  Version 1 files, whose samples are interleaved per grid point
+as (*grid, ncomp), are still read; only version 2 is written.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import Union
@@ -45,7 +49,7 @@ __all__ = [
 NODE_EPSILON = 1e-8
 
 _MAGIC = b"QVLABQFS"
-_VERSION = 1
+_VERSION = 2  # version 1 interleaved the components per grid point
 # magic, version, dim, n[3], length[3], ncomp, scalar width, 4 pad bytes
 _HEADER = struct.Struct("<8sII3I3dII4x")
 assert _HEADER.size == 64
@@ -219,18 +223,18 @@ def phase_gradient(field: ComplexScalarField):
     return [_ratio((np.conj(field.values) * d).imag, f, mask) for d in grads], mask
 
 
-def _field_payload(field) -> tuple[int, int, np.ndarray]:
-    """(ncomp, scalar width in bytes, samples with trailing component axis)."""
+def _field_payload(field) -> tuple[int, int, tuple[np.ndarray, ...]]:
+    """(ncomp, scalar width in bytes, the sample arrays, component-major)."""
     if isinstance(field, _Amplitude):
-        return field.ncomp, 16, np.moveaxis(_component_list(field), 0, -1)
+        return field.ncomp, 16, (field.values,)
     if isinstance(field, VectorField):
-        return field.grid.dim, 8, np.stack(field.components, axis=-1)
+        return field.grid.dim, 8, field.components
     raise TypeError(f"cannot snapshot {type(field).__name__}")
 
 
 def write_snapshot(field, path) -> None:
     """Serialize one field to a .qfs file (bit-exact round-trip)."""
-    ncomp, width, payload = _field_payload(field)
+    ncomp, width, parts = _field_payload(field)
     g = field.grid
     n3 = list(g.n) + [0] * (3 - g.dim)
     len3 = list(g.length) + [0.0] * (3 - g.dim)
@@ -238,11 +242,20 @@ def write_snapshot(field, path) -> None:
     dtype = "<c16" if width == 16 else "<f8"
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(payload, dtype=dtype))
+        for part in parts:
+            fh.write(np.asarray(part, dtype=dtype))
 
 
-def read_snapshot(path):
-    """Read a .qfs file back into the matching field container."""
+def read_snapshot(path, out=None):
+    """Read a .qfs file back into the matching field container.
+
+    Given out, a C-contiguous array of the shape and dtype the file's field
+    holds (a scalar's grid shape, else (ncomp, *grid); complex, or float for
+    a vector field), the samples are read straight into it and the field
+    keeps it as its storage.  A file of another grid or class reads into a
+    new array, so that the caller's own checks name the difference.  A file
+    refused for its samples may leave part of them in out.
+    """
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
@@ -250,7 +263,7 @@ def read_snapshot(path):
         magic, version, dim, n1, n2, n3, l1, l2, l3, ncomp, width = _HEADER.unpack(raw)
         if magic != _MAGIC:
             raise SnapshotError(f"{path}: bad magic {magic!r}")
-        if version != _VERSION:
+        if version not in (1, _VERSION):
             raise SnapshotError(f"{path}: unsupported version {version}")
         try:
             grid = make_grid(dim, (n1, n2, n3)[:dim], (l1, l2, l3)[:dim])
@@ -258,22 +271,32 @@ def read_snapshot(path):
             raise SnapshotError(f"{path}: bad geometry: {err}") from err
         if width not in (8, 16):
             raise SnapshotError(f"{path}: unsupported scalar width {width}")
-        data = fh.read()
-    expected = grid.size * ncomp * width
-    if len(data) != expected:
-        raise SnapshotError(
-            f"{path}: payload is {len(data)} bytes, header promises {expected}"
-        )
-    dtype = "<c16" if width == 16 else "<f8"
-    samples = np.frombuffer(data, dtype=dtype).reshape(*grid.shape, ncomp)
-    if width == 16:
-        if ncomp not in _AMPLITUDES:
+        size, expected = os.fstat(fh.fileno()).st_size - _HEADER.size, grid.size * ncomp * width
+        if size != expected:
+            raise SnapshotError(f"{path}: payload is {size} bytes, header promises {expected}")
+        if width == 16 and ncomp not in _AMPLITUDES:
             raise SnapshotError(f"{path}: complex field with {ncomp} components")
-        cls = _AMPLITUDES[ncomp]
-        return cls(grid, np.moveaxis(samples, -1, 0).reshape(cls._shape(grid)))
-    if ncomp != grid.dim:
-        raise SnapshotError(
-            f"{path}: vector field with {ncomp} components on a {grid.dim}D grid"
-        )
-    comps = tuple(np.ascontiguousarray(samples[..., i]) for i in range(ncomp))
-    return VectorField(grid, comps)
+        if width == 8 and ncomp != grid.dim:
+            raise SnapshotError(
+                f"{path}: vector field with {ncomp} components on a {grid.dim}D grid"
+            )
+        cls = _AMPLITUDES[ncomp] if width == 16 else None
+        shape = (ncomp, *grid.shape) if cls is None else cls._shape(grid)
+        dtype = np.dtype("<c16" if width == 16 else "<f8")
+        if (out is None or out.shape != shape or out.dtype != dtype
+                or not out.flags.c_contiguous):
+            out = np.empty(shape, dtype)
+        if version == 1 and ncomp > 1:  # the one transposing copy, of (*grid, ncomp)
+            interleaved = np.empty((*grid.shape, ncomp), dtype)
+            _read_into(fh, interleaved, path)
+            np.copyto(out, np.moveaxis(interleaved, -1, 0))
+        else:
+            _read_into(fh, out, path)
+    return VectorField(grid, tuple(out)) if cls is None else cls(grid, out)
+
+
+def _read_into(fh, samples: np.ndarray, path) -> None:
+    """Fill samples from fh, refusing a payload that ends first."""
+    got = fh.readinto(samples)
+    if got != samples.nbytes:
+        raise SnapshotError(f"{path}: payload ended after {got} of {samples.nbytes} bytes")

@@ -206,7 +206,8 @@ class GridFieldSampler:
     """Interpolates a time series of grid component arrays at points.
 
     snapshots: one entry per time, each a VectorField or a sequence of
-    component arrays.  All snapshots need the same component count.
+    component arrays.  All snapshots need the same component count, and
+    every sample must be finite.
     masks: optional per-time boolean node masks of the grid's shape; a
     queried point is masked when its nearest cell is masked in either
     bracketing snapshot.
@@ -233,6 +234,8 @@ class GridFieldSampler:
             frame = self._frame(t)
             for c, p in enumerate(parts):
                 frame[c] = _check_shape(p, grid, "component", float)
+                if not np.isfinite(frame[c]).all():
+                    raise ValueError(f"snapshot {t} component {c} has non-finite samples")
             self._keep(t, None if masks is None else masks[t])
 
     @classmethod

@@ -830,9 +830,9 @@ def test_diagnose_transforms_and_reads_each_snapshot_once(oscillator_run, tmp_pa
     reads = collections.Counter()
     real = cli.fields.read_snapshot
 
-    def counting(path):
+    def counting(path, out=None):
         reads[os.path.basename(path)] += 1
-        return real(path)
+        return real(path, out=out)
 
     monkeypatch.setattr(cli.fields, "read_snapshot", counting)
     calls = count_transforms(monkeypatch)
@@ -1481,9 +1481,9 @@ def test_trace_transforms_and_reads_each_snapshot_once(gaussian_run, monkeypatch
     reads = collections.Counter()
     real = cli.fields.read_snapshot
 
-    def counting(path):
+    def counting(path, out=None):
         reads[os.path.basename(path)] += 1
-        return real(path)
+        return real(path, out=out)
 
     monkeypatch.setattr(cli.fields, "read_snapshot", counting)
     calls = count_transforms(monkeypatch)

@@ -244,6 +244,10 @@ def test_current_bispinor_matches_matrix_form(seed):
         mat = g0 @ dirac_gamma(mu)
         expected = c * np.einsum("a...,ab,b...->...", np.conj(vals), mat, vals).real
         assert linf(got - expected) <= 1e-13
+    # J^1 and J^2 are bitwise those of each bilinear formed where it is used
+    p1, p2, p3, p4 = vals
+    assert np.array_equal(j.jk[0], 2.0 * c * (np.conj(p1) * p4 + np.conj(p2) * p3).real)
+    assert np.array_equal(j.jk[1], -2.0 * c * (np.conj(p2) * p3 - np.conj(p1) * p4).imag)
 
 
 def test_current_bispinor_timelike():

@@ -25,7 +25,7 @@ from qvlab.fields import (
     write_snapshot,
 )
 from qvlab.lattice import _LAP, _multiplier, make_grid, spectral_gradient, spectral_laplacian
-from util import linf, random_band_limited
+from util import linf, random_band_limited, write_snapshot_v1
 
 NAT = PhysicalConstants.natural()
 
@@ -214,28 +214,72 @@ def test_paramagnetic_identity_branch_free(grid1d, seed):
     assert linf(lhs.imag) <= 1e-12
 
 
-@pytest.mark.parametrize("kind", ["scalar", "spinor", "bispinor", "vector"])
+def _random_field(kind, g, seed=42):
+    rng = np.random.default_rng(seed)
+    if kind == "vector":
+        return VectorField(g, tuple(rng.standard_normal(g.shape) for _ in range(g.dim)))
+    cls = {"scalar": ComplexScalarField, "spinor": SpinorField, "bispinor": BispinorField}[kind]
+    shape = cls._shape(g)
+    return cls(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def _samples(field) -> np.ndarray:
+    """A field's samples as one (ncomp, *grid) or grid-shaped array."""
+    return np.stack(field.components) if isinstance(field, VectorField) else field.values
+
+
+_KINDS = ["scalar", "spinor", "bispinor", "vector"]
+_GRIDS = [make_grid(1, [8], [1.0]), make_grid(2, [8, 12], [1.0, 2.5]),
+          make_grid(3, [4, 6, 5], [1.0, 2.0, 3.0])]
+
+
+@pytest.mark.parametrize("kind", _KINDS)
 def test_snapshot_round_trip_bit_exact(tmp_path, kind):
-    rng = np.random.default_rng(42)
-    g = make_grid(2, [8, 12], [1.0, 2.5])
-    if kind == "scalar":
-        field = ComplexScalarField(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
-    elif kind == "spinor":
-        field = SpinorField(g, rng.standard_normal((2, *g.shape)) + 1j * rng.standard_normal((2, *g.shape)))
-    elif kind == "bispinor":
-        field = BispinorField(g, rng.standard_normal((4, *g.shape)) + 1j * rng.standard_normal((4, *g.shape)))
-    else:
-        field = VectorField(g, tuple(rng.standard_normal(g.shape) for _ in range(2)))
+    # version 2 stores the samples as the field holds them, component-major
+    for g in _GRIDS:
+        field = _random_field(kind, g)
+        path = tmp_path / f"{kind}-{g.dim}d.qfs"
+        write_snapshot(field, path)
+        raw = path.read_bytes()
+        assert int.from_bytes(raw[8:12], "little") == 2
+        assert raw[64:] == _samples(field).tobytes()
+        back = read_snapshot(path)
+        assert type(back) is type(field)
+        assert back.grid == g
+        assert _samples(back).tobytes() == _samples(field).tobytes()
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("kind", _KINDS)
+def test_snapshot_reads_into_the_destination_given(tmp_path, kind, version):
+    # the field keeps out as its storage; a version 1 file is transposed into it
+    g = _GRIDS[1]
+    field = _random_field(kind, g)
     path = tmp_path / f"{kind}.qfs"
-    write_snapshot(field, path)
+    (write_snapshot if version == 2 else write_snapshot_v1)(field, path)
+    out = np.empty_like(_samples(field))
+    back = read_snapshot(path, out=out)
+    parts = back.components if kind == "vector" else (back.values,)
+    assert all(np.shares_memory(part, out) for part in parts)
+    assert out.tobytes() == _samples(field).tobytes()
+    # storage of another shape is left alone: the file's own shape is read
+    other = np.zeros((5, *g.shape), dtype=out.dtype)
+    back = read_snapshot(path, out=other)
+    assert not np.any(other)
+    assert _samples(back).tobytes() == _samples(field).tobytes()
+
+
+@pytest.mark.parametrize("g", _GRIDS, ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("kind", _KINDS)
+def test_snapshot_reads_version_1_files(tmp_path, kind, g):
+    # version 1 interleaved the components per grid point, as (*grid, ncomp)
+    field = _random_field(kind, g, seed=7)
+    path = tmp_path / "v1.qfs"
+    write_snapshot_v1(field, path)
     back = read_snapshot(path)
     assert type(back) is type(field)
     assert back.grid == g
-    if kind == "vector":
-        for a, b in zip(back.components, field.components):
-            assert np.array_equal(a, b)
-    else:
-        assert np.array_equal(back.values, field.values)
+    assert _samples(back).tobytes() == _samples(field).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -292,6 +336,20 @@ def test_snapshot_truncated_payload(tmp_path):
         read_snapshot(p)
 
 
+@pytest.mark.parametrize("edit, size", [(lambda raw: raw[:-1], 4 * 16 * 16 - 1),
+                                        (lambda raw: raw + b"\0", 4 * 16 * 16 + 1)],
+                         ids=["one-byte-short", "one-trailing-byte"])
+def test_snapshot_payload_must_be_the_size_the_header_promises(tmp_path, edit, size):
+    g = make_grid(1, [16], [1.0])
+    p = tmp_path / "bi.qfs"
+    write_snapshot(_random_field("bispinor", g), p)
+    p.write_bytes(edit(p.read_bytes()))
+    out = np.zeros((4, 16), dtype=complex)
+    with pytest.raises(SnapshotError, match=f"payload is {size} bytes, header promises 1024"):
+        read_snapshot(p, out=out)
+    assert not np.any(out)  # refused before a sample is read
+
+
 def test_snapshot_bad_magic(tmp_path):
     g = make_grid(1, [16], [1.0])
     field = ComplexScalarField(g, np.ones(16, dtype=complex))
@@ -304,18 +362,31 @@ def test_snapshot_bad_magic(tmp_path):
         read_snapshot(p)
 
 
+@pytest.mark.parametrize("version", [0, 3])
+def test_snapshot_unknown_version(tmp_path, version):
+    g = make_grid(1, [16], [1.0])
+    p = tmp_path / "version.qfs"
+    write_snapshot(ComplexScalarField(g, np.ones(16, dtype=complex)), p)
+    raw = bytearray(p.read_bytes())
+    raw[8:12] = version.to_bytes(4, "little")
+    p.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotError, match=f"unsupported version {version}$"):
+        read_snapshot(p)
+
+
 def test_snapshot_wrong_component_count(tmp_path):
-    # a complex payload with 3 components matches no field kind
+    # a complex payload with 3 components matches no field kind, in either version
     import struct
 
-    header = struct.Struct("<8sII3I3dII4x").pack(
-        b"QVLABQFS", 1, 1, 16, 0, 0, 1.0, 0.0, 0.0, 3, 16
-    )
-    payload = np.zeros(16 * 3, dtype="<c16").tobytes()
-    p = tmp_path / "odd.qfs"
-    p.write_bytes(header + payload)
-    with pytest.raises(SnapshotError, match="components"):
-        read_snapshot(p)
+    for version in (1, 2):
+        header = struct.Struct("<8sII3I3dII4x").pack(
+            b"QVLABQFS", version, 1, 16, 0, 0, 1.0, 0.0, 0.0, 3, 16
+        )
+        payload = np.zeros(16 * 3, dtype="<c16").tobytes()
+        p = tmp_path / "odd.qfs"
+        p.write_bytes(header + payload)
+        with pytest.raises(SnapshotError, match="components"):
+            read_snapshot(p)
 
 
 @pytest.mark.parametrize("cls, ncomp", [(ComplexScalarField, 1), (SpinorField, 2),

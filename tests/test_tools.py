@@ -7,8 +7,10 @@ import shutil
 
 import numpy as np
 
+from qvlab.fields import BispinorField, write_snapshot
 from qvlab.lattice import make_grid
 from qvlab.trajectories import FlowSampler, GridFieldSampler
+from util import write_snapshot_v1
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 COMPARE_RUNS = runpy.run_path(str(ROOT / "tools" / "compare_runs.py"))
@@ -75,6 +77,20 @@ def test_compare_runs_reports_how_the_numbers_differ(tmp_path):
     new = written("new.csv", "t,x\n0.0,1.0\n0.5,2.5\n")
     assert COMPARE_RUNS["compare_files"](old, new) == (
         "differs: max abs 5.000e-01, max rel 2.000e-01")
+
+
+def test_compare_runs_compares_snapshots_by_what_they_hold(tmp_path):
+    # a version 1 file (interleaved per grid point) and a version 2 file
+    # (component-major) of one bispinor hold the same field
+    g = make_grid(2, [6, 4], [1.0, 2.0])
+    values = np.random.default_rng(3).standard_normal((4, *g.shape)) * (1 + 0.5j)
+    v1, v2, other = (str(tmp_path / name) for name in ("v1.qfs", "v2.qfs", "other.qfs"))
+    write_snapshot_v1(BispinorField(g, values), v1)
+    write_snapshot(BispinorField(g, values), v2)
+    assert COMPARE_RUNS["compare_files"](v1, v2) == "equal"
+    values[3, 5, 2] += 0.25
+    write_snapshot(BispinorField(g, values), other)
+    assert COMPARE_RUNS["compare_files"](v1, other).startswith("differs: max abs 2.500e-01")
 
 
 def test_the_benchmark_tracer_installs_on_the_package_and_leaves_no_wrapper():

@@ -130,6 +130,25 @@ def test_grid_sampler_rejects_masks_of_the_wrong_shape():
         GridFieldSampler(g, [0.0], [(ones,)], masks=[np.zeros((8, 8), dtype=bool)])
 
 
+@pytest.mark.parametrize("build, where", [
+    (lambda g, ones, bad, method: GridFieldSampler(
+        g, [0.0, 1.0], [(ones, ones), (ones, bad)], method=method), "snapshot 1 component 1"),
+    # a NaN density used to drop out of the peak and read as a density with no support
+    (lambda g, ones, bad, method: FlowSampler(g, [0.0], [bad], [(ones,)], method=method),
+     "snapshot 0 component 0"),
+    (lambda g, ones, bad, method: FlowSampler(
+        g, [0.0, 1.0], [ones] * 2, [(ones,), (bad,)], method=method), "snapshot 1 component 1"),
+], ids=["grid", "flow-density", "flow-current"])
+@pytest.mark.parametrize("method", ["spectral", "tricubic"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_grid_samplers_refuse_non_finite_samples(build, where, method, value):
+    g = make_grid(1, [16], [2 * np.pi])
+    ones, bad = np.ones(g.shape), np.ones(g.shape)
+    bad[5] = value
+    with pytest.raises(ValueError, match=f"^{where} has non-finite samples$"):
+        build(g, ones, bad, method)
+
+
 _series = st.fixed_dictionaries({
     "shape": st.lists(st.integers(4, 12), min_size=1, max_size=3),
     "lengths": st.lists(st.floats(0.5, 20.0), min_size=3, max_size=3),

@@ -1,8 +1,10 @@
 """Shared helpers for the test suite: random band-limited fields, norms,
 finite-difference operators that cross-validate the spectral ones, a
-per-component reference for the grid samplers, and a counter of FFT calls."""
+per-component reference for the grid samplers, a counter of FFT calls, and
+a writer of version 1 snapshots."""
 import collections
 import itertools
+import struct
 
 import numpy as np
 
@@ -127,3 +129,18 @@ def count_transforms(monkeypatch) -> collections.Counter:
 
         monkeypatch.setattr(np.fft, name, counted)
     return calls
+
+
+def write_snapshot_v1(field, path) -> None:
+    """Write field as a version 1 .qfs file, laid out by hand: the 64-byte
+    header, then the samples interleaved per grid point, as (*grid, ncomp)."""
+    g = field.grid
+    if hasattr(field, "components"):
+        width, samples = 8, np.stack(field.components, axis=-1)
+    else:
+        width, samples = 16, np.stack(list(field.values.reshape(-1, *g.shape)), axis=-1)
+    header = struct.Struct("<8sII3I3dII4x").pack(
+        b"QVLABQFS", 1, g.dim, *g.n, *[0] * (3 - g.dim), *g.length,
+        *[0.0] * (3 - g.dim), samples.shape[-1], width)
+    with open(path, "wb") as fh:
+        fh.write(header + samples.astype("<c16" if width == 16 else "<f8").tobytes())

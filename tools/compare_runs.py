@@ -20,7 +20,11 @@ two runs of the same invocation, not across invocations of another shape
 with one from an invocation of the same arguments.  For each file
 either tree wrote, one line says `equal` (the same bytes) or gives the
 largest absolute and relative difference of the file's numbers: JSON
-reports and summaries, trace CSVs and snapshot samples (.qfs).
+reports and summaries, trace CSVs and snapshot samples (.qfs).  A snapshot
+is compared by what it holds: its decoded header but for the format
+version, and its samples in component-major order, so a version 1 file
+(components interleaved per grid point) and a version 2 file of the same
+field are `equal`.
 timings.json is skipped, since wall time differs between runs.  The exit
 status is 1 on any difference, missing file or failed subcommand, else 0;
 the resource lines never change it.
@@ -34,6 +38,7 @@ import json
 import math
 import os
 import runpy
+import struct
 import subprocess
 import sys
 import tempfile
@@ -44,7 +49,8 @@ SIZES = ("tiny", "full")
 SKIPPED = ("timings.json",)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
-QFS_HEADER = 64  # bytes before the float64 samples of a .qfs snapshot
+# a .qfs header: magic, version, dim, n[3], length[3], ncomp, scalar width
+QFS_HEADER = struct.Struct("<8sII3I3dII4x")
 
 
 def _env(tree):
@@ -87,9 +93,7 @@ def _numbers(path):
     """(the file with its numbers taken out, its numbers as float64), or None
     for a file whose numbers are not read."""
     if path.endswith(".qfs"):
-        with open(path, "rb") as fh:
-            data = fh.read()
-        return data[:QFS_HEADER], np.frombuffer(data[QFS_HEADER:], "<f8")
+        return _snapshot(path)
     numbers = []
 
     def strip(value):
@@ -112,6 +116,20 @@ def _numbers(path):
     return skeleton, np.array(numbers)
 
 
+def _snapshot(path):
+    """(a .qfs file's header fields but its version, its samples as float64 in
+    component-major order)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    header = QFS_HEADER.unpack_from(data)
+    samples = np.frombuffer(data, "<f8", offset=QFS_HEADER.size)
+    version, dim, n, ncomp, width = header[1], header[2], header[3:6], header[-2], header[-1]
+    points = math.prod(n[:dim])
+    if version == 1 and samples.size * 8 == points * ncomp * width:
+        samples = samples.reshape(points, ncomp, width // 8).transpose(1, 0, 2).ravel()
+    return header[:1] + header[2:], samples
+
+
 def _number(cell):
     try:
         return float(cell)
@@ -126,13 +144,15 @@ def compare_files(old, new):
             return "equal"
     try:
         parsed = _numbers(old), _numbers(new)
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError, struct.error) as exc:
         return f"differs, unreadable: {exc}"
     if None in parsed:
         return "differs"
     (shape_a, a), (shape_b, b) = parsed
     if shape_a != shape_b or a.shape != b.shape:
         return "differs in layout"
+    if old.endswith(".qfs") and a.tobytes() == b.tobytes():
+        return "equal"  # the same field, written in another format version
     both_nan = np.isnan(a) & np.isnan(b)
     diff = np.where(both_nan, 0.0, np.abs(a - b))
     scale = np.maximum(np.abs(a), np.abs(b))

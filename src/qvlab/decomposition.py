@@ -207,14 +207,19 @@ def _polar(psi, q_scale: Optional[float] = None, what: Optional[str] = None,
             d *= inv
         r1, rlap = derivatives[:dim], derivatives[dim]
         dlap, second = derivatives[dim + 1:], dict(zip(pairs, derivatives[2 * dim + 1:]))
-        force = []
+        # -grad_a Q = -force_scale*(Re(dlap_a - rlap*r1_a)
+        #   + sum_b 2*Im(r1_b)*Im(second_ab - r1_a*r1_b)), formed in two work
+        # arrays; complex products keep their operand order, which rounds
+        force, work, term = [], np.empty(grid.shape, dtype=complex), np.empty(grid.shape)
         for a in axes:
-            dg = (dlap[a] - rlap * r1[a]).real
+            np.subtract(dlap[a], np.multiply(rlap, r1[a], out=work), out=work)
+            dg = work.real.copy()
             for b in axes:
-                cross = (second[min(a, b), max(a, b)] - r1[a] * r1[b]).imag
-                dg = dg + 2.0 * r1[b].imag * cross
-            force.append(-force_scale * dg)
-            force[-1][mask] = 0.0
+                np.subtract(second[min(a, b), max(a, b)], np.multiply(r1[a], r1[b], out=work),
+                            out=work)
+                dg += np.multiply(np.multiply(2.0, r1[b].imag, out=term), work.imag, out=term)
+            force.append(np.multiply(-force_scale, dg, out=dg))
+            dg[mask] = 0.0
     return _Polar(f, flux, q, mask, force)
 
 

@@ -35,6 +35,19 @@ one generator fixed for the run, so they merge into one outer factor of dt
 exact Strang state, so a block of -dt undoes a block of dt; the merged factor
 rounds differently from two halves, so the states differ from step-by-step
 composition by roundoff.
+
+When the Hamiltonian is diagonal in transform space, every factor commutes
+and the split propagator is exact for any duration (Feit, Fleck & Steiger,
+J. Comput. Phys. 47, 412, 1982), so a block of k steps is one multiplier for
+k*dt, applied with one transform pair per component.  The steppers take that
+path when the outer factor is a scalar phase and the inner one has no
+position-dependent part: for Schrodinger, and Pauli without an external B,
+a uniform U and a uniform A (which has no curl); for Dirac a uniform phi and
+A = 0.  Each block length's multiplier is built once; a run has two at
+most, the stride and a shorter last block.  The merged multiplier rounds
+differently from k steps, so states differ from the Strang block by
+roundoff, and no potential-phase warning is given, since the splitting has
+no error to degrade.
 """
 from __future__ import annotations
 
@@ -141,12 +154,13 @@ def _run_field(name, cls, psi, params, build):
     return _run(psi, params, on_field)
 
 
-def _strang(half, full, inner):
+def _strang(half, full, inner, multiplier):
     """The block stepper of one Strang scheme.  Each factor writes
     factor(src) into dst, which shares no memory with src; `half` and `full`
-    are the outer factor for dt/2 and dt and leave src intact, `inner` may
-    overwrite src.  A block writes into one new array and works in one more,
-    kept for the run."""
+    are the outer factor for dt/2 and dt and leave src intact, and
+    inner(src, dst, multiplier), with the transform-space multiplier for dt,
+    may overwrite src.  A block writes into one new array and works in one
+    more, kept for the run."""
     work = None
 
     def advance(values, steps):
@@ -158,8 +172,30 @@ def _strang(half, full, inner):
         for step in range(steps):
             if step:
                 full(work, out)
-            inner(out, work)
+            inner(out, work, multiplier)
         half(work, out)
+        return out
+
+    return advance
+
+
+def _exact(factor, inner):
+    """The block stepper of a run whose factors all commute: a block of k
+    steps is inner(src, dst, factor(k)), the one transform-space multiplier
+    for k*dt.  `inner` may overwrite src.  Each block length's multiplier is
+    built once; a block writes into one new array and works in one more,
+    kept for the run."""
+    work, factors = None, {}
+
+    def advance(values, steps):
+        nonlocal work
+        if work is None:
+            work = np.empty_like(values)
+        if steps not in factors:
+            factors[steps] = factor(steps)
+        np.copyto(work, values)
+        out = np.empty_like(values)
+        inner(work, out, factors[steps])
         return out
 
     return advance
@@ -186,10 +222,10 @@ def _potential_energy(gauge: GaugeConfiguration, consts: PhysicalConstants) -> n
     return gauge.u + consts.q**2 * a2 / (2.0 * consts.m)
 
 
-def _uniform_components(field) -> Optional[list[float]]:
-    """Constant value per component, or None if any component varies."""
+def _uniform_components(components) -> Optional[list[float]]:
+    """Constant value per component array, or None if any component varies."""
     out = []
-    for comp in field.components:
+    for comp in components:
         flat = comp.reshape(-1)
         if not np.all(flat == flat[0]):
             return None
@@ -253,31 +289,27 @@ def _split_stepper(grid, gauge, consts, params, spin=False):
     spin the moment term -(q*hbar/2m) sigma.B: the kinetic multiplier between
     the cross halves on each component (exact to roundoff when A and U are
     uniform, unitary whenever A is) inside the potential phase V, or R.V with
-    R the pointwise 2x2 rotation by the moment term when B != 0."""
+    R the pointwise 2x2 rotation by the moment term when B != 0.  With U and
+    A uniform and no external B with spin, every factor is diagonal in
+    transform space, and a block is one multiplier for its whole duration."""
     if grid != gauge.grid:
         raise ValueError("field and gauge configuration live on different grids")
     dt = params.dt
     tau = 0.5 * dt
     v = _potential_energy(gauge, consts)
-    if abs(dt) * float(np.max(np.abs(v))) * consts.beta > 0.5:
-        warnings.warn(
-            "potential phase exceeds 0.5 rad per step; splitting accuracy degrades",
-            RuntimeWarning,
-        )
-    half = np.exp(-1j * tau * v * consts.beta)
-    full = np.exp(-1j * dt * v * consts.beta)
-    k_phase = np.exp(-1j * dt * consts.hbar * k_squared(grid) / (2.0 * consts.m))
-    coeff = shift = None
-    uniform = _uniform_components(gauge.a_psi)
-    if uniform is None:
-        coeff = tau * consts.q / (2.0 * consts.m)
-    elif any(uniform):
-        # Both cross halves are diagonal in transform space and commute
-        # with the kinetic multiplier: one phase over the whole dt.
-        shift = sum(a * _kmesh(grid, axis, True) for axis, a in enumerate(uniform))
-        k_phase = k_phase * np.exp(1j * dt * (consts.q / consts.m) * shift)
+    uniform = _uniform_components(gauge.a_psi.components)
+    coeff = None if uniform is not None else tau * consts.q / (2.0 * consts.m)
 
-    def inner(src, dst):
+    def kinetic(t):
+        # With A uniform both cross halves are diagonal in transform space and
+        # commute with the kinetic multiplier: one phase over the whole time t.
+        phase = np.exp(-1j * t * consts.hbar * k_squared(grid) / (2.0 * consts.m))
+        if uniform is not None and any(uniform):
+            shift = sum(a * _kmesh(grid, axis, True) for axis, a in enumerate(uniform))
+            phase = phase * np.exp(1j * t * (consts.q / consts.m) * shift)
+        return phase
+
+    def inner(src, dst, k_phase):
         for comp, out in zip(src.reshape(-1, *grid.shape), dst.reshape(-1, *grid.shape)):
             if coeff is not None:
                 comp = _apply_cross(comp, grid, gauge.a_psi.components, coeff)
@@ -287,15 +319,30 @@ def _split_stepper(grid, gauge, consts, params, spin=False):
             if coeff is not None:
                 out[...] = _apply_cross(out, grid, gauge.a_psi.components, coeff)
 
-    # B comes after the fixed arrays, and after v and shift are freed together; without the
-    # del, spinor-evolve's 2D Pauli evolve peaks at 62.7 MB, not 61.7 (250 more page faults).
-    del v, shift
+    external = gauge.b_external if spin and gauge.b_external is not None else ()
+    v0 = _uniform_components([v])
+    if uniform is not None and v0 is not None and not any(np.any(c) for c in external):
+        # a uniform A has no curl, so B = 0 and V is a scalar phase
+        return _exact(lambda steps: kinetic(steps * dt)
+                      * np.exp(-1j * steps * dt * v0[0] * consts.beta), inner)
+    if abs(dt) * float(np.max(np.abs(v))) * consts.beta > 0.5:
+        warnings.warn(
+            "potential phase exceeds 0.5 rad per step; splitting accuracy degrades",
+            RuntimeWarning,
+        )
+    half = np.exp(-1j * tau * v * consts.beta)
+    full = np.exp(-1j * dt * v * consts.beta)
+    k_phase = kinetic(dt)
+
+    # B comes after the fixed arrays, and after v is freed; without the del,
+    # spinor-evolve's 2D Pauli evolve peaks 0.4 MB higher (120 more page faults).
+    del v
     b = magnetic_field(gauge) if spin else ()
     if not any(np.any(comp) for comp in b):
-        return _strang(_phase(half), _phase(full), inner)
+        return _strang(_phase(half), _phase(full), inner, k_phase)
     scratch = np.empty(grid.shape, dtype=complex)
     return _strang(_spin_factor(b, consts, tau, half, scratch),
-                   _spin_factor(b, consts, dt, full, scratch), inner)
+                   _spin_factor(b, consts, dt, full, scratch), inner, k_phase)
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +393,13 @@ def _dirac_interaction(pot, consts, tau, scratch):
 def _dirac_stepper(grid, pot, consts, params):
     """Strang steps of i*hbar dpsi/dt = [c*alpha.(p - qA) + m*c^2*gamma^0
     + q*phi] psi, the free factor inside.  The free factor
-    exp(-i*dt*H_free/hbar) per wave vector is
-    cos(E*dt/hbar) - i*sin(E*dt/hbar)*H_free/E, since H_free^2 = E^2; its
+    exp(-i*t*H_free/hbar) per wave vector is
+    cos(E*t/hbar) - i*sin(E*t/hbar)*H_free/E, since H_free^2 = E^2; its
     entries are cos -+ i*sinc*m*c^2 on the diagonal blocks and
-    -i*sinc*sigma.(c*hbar*k) off them, sinc = sin(E*dt/hbar)/E."""
+    -i*sinc*sigma.(c*hbar*k) off them, sinc = sin(E*t/hbar)/E.  With phi
+    uniform and A = 0 the interaction is a scalar phase that commutes with
+    it, and a block is the free factor for its whole duration times that
+    phase."""
     if grid != pot.grid:
         raise ValueError("field and potential live on different grids")
     dt = params.dt
@@ -357,23 +407,33 @@ def _dirac_stepper(grid, pot, consts, params):
     k2 = sum(kv**2 for kv in kvecs[: grid.dim])
     mc2 = consts.m * consts.c**2
     energy = np.sqrt((consts.c * consts.hbar) ** 2 * k2 + mc2**2)
-    phase = dt * energy * consts.beta
-    cos = np.cos(phase)
-    isinc = -1j * np.sin(phase) / energy
     scratch = np.empty(grid.shape, dtype=complex)
-    free = _dirac_factor(
-        cos + isinc * mc2, cos - isinc * mc2,
-        sigma_parts([isinc * consts.c * consts.hbar * kv for kv in kvecs]), scratch)
 
-    def inner(src, dst):
+    def free(t, phase=None):
+        # the free factor for a time t, times the scalar phase when given
+        angle = t * energy * consts.beta
+        cos = np.cos(angle)
+        isinc = -1j * np.sin(angle) / energy
+        if phase is not None:
+            cos, isinc = phase * cos, phase * isinc
+        return _dirac_factor(
+            cos + isinc * mc2, cos - isinc * mc2,
+            sigma_parts([isinc * consts.c * consts.hbar * kv for kv in kvecs]), scratch)
+
+    def inner(src, dst, factor):
         for comp in src:
             np.fft.fftn(comp, out=comp)
-        free(src, dst)
+        factor(src, dst)
         for comp in dst:
             np.fft.ifftn(comp, out=comp)
 
+    phi = _uniform_components([pot.phi])
+    if phi is not None and not any(np.any(c) for c in pot.a):
+        return _exact(lambda steps: free(
+            steps * dt, np.exp(-1j * consts.q * steps * dt * consts.beta * phi[0])), inner)
+    step = free(dt)
     return _strang(_dirac_interaction(pot, consts, 0.5 * dt, scratch),
-                   _dirac_interaction(pot, consts, dt, scratch), inner)
+                   _dirac_interaction(pot, consts, dt, scratch), inner, step)
 
 
 # ---------------------------------------------------------------------------

@@ -111,24 +111,27 @@ def _half_spectrum(values: np.ndarray, grid: Grid, out: np.ndarray) -> None:
     conjugate at -m, whose wavenumbers on the axes before the last are the
     negated ones; they differ only where such an axis sits at its Nyquist
     mode, so the conjugate term lands on the same mode, doubling it, or on
-    the +Nyquist slot of that axis, which starts at zero.
+    the +Nyquist slot of that axis, which starts at zero.  Each axis before
+    the last is one run of modes, or for even n the runs below and above
+    Nyquist and Nyquist itself, whose conjugate goes to the slot; the terms
+    are added one product of runs at a time.
     """
     n = grid.n[-1]
     shape = (*grid.shape[:-1], n // 2 + 1)
-    pairs = np.ones(n // 2 + 1)
-    pairs[0] = 0.0
-    if n % 2 == 0:
-        pairs[-1] = 0.0
-    slots = []
+    runs = []  # per axis before the last, (modes, where their conjugates land)
     for axis, size in enumerate(shape[:-1]):
-        index = np.arange(size)
-        if size % 2 == 0:
-            index[size // 2] = size
-            out[(slice(None),) * axis + (size,)] = 0.0
-        slots.append(index)
-    slots.append(np.arange(n // 2 + 1))
+        if size % 2:
+            runs.append([(slice(0, size),) * 2])
+            continue
+        nyquist = size // 2
+        out[(slice(None),) * axis + (size,)] = 0.0
+        runs.append([(slice(0, nyquist),) * 2, (slice(nyquist + 1, size),) * 2,
+                     (slice(nyquist, nyquist + 1), slice(size, size + 1))])
     half = np.fft.rfftn(values, out=out[tuple(slice(0, size) for size in shape)])
-    out[np.ix_(*slots)] += pairs * half
+    paired = slice(1, (n + 1) // 2)  # the modes 0 < m < n/2 of the last axis
+    for product in itertools.product(*runs):
+        modes, slots = tuple(m for m, _ in product), tuple(s for _, s in product)
+        out[(*slots, paired)] += half[(*modes, paired)]
 
 
 def _spectral_eval(spectra: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarray:

@@ -34,7 +34,9 @@ from qvlab.diagnostics import (
 )
 from qvlab.evolvers import EvolutionParams, FourPotential, run_dirac
 from qvlab.fields import BispinorField, ComplexScalarField, NodeError, SpinorField, VectorField
-from qvlab.lattice import _curl3, divergence, k_squared, make_grid, spectral_gradient
+from qvlab.lattice import (
+    _LAP, _curl3, _spectral, divergence, k_squared, make_grid, spectral_gradient,
+)
 from oracles import CoherentState, GaussianPacket
 from util import count_transforms, linf, random_band_limited
 
@@ -210,6 +212,31 @@ def test_quantum_force_matches_gradient_of_smooth_q():
     assert not mask.any()
     for a in range(2):
         assert linf(force[a] + reference[a]) <= 1e-11
+
+
+@pytest.mark.parametrize("shape", [(16,), (8, 6), (6, 5, 4)])
+def test_quantum_force_is_the_plain_formula_bitwise(shape):
+    # the force path forms each axis in work arrays; complex products round
+    # by operand order, so the plain formula, with a temporary per operation,
+    # must give the same bits
+    rng = np.random.default_rng(len(shape))
+    g = make_grid(len(shape), list(shape), [2 * np.pi] * len(shape))
+    vals = 2.0 + random_band_limited(g, rng, 0.4, complex_valued=True)
+    force, mask = quantum_force(ComplexScalarField(g, vals), NAT)
+    assert not mask.any()
+    axes = range(g.dim)
+    pairs = [(a, b) for a in axes for b in axes if a <= b]
+    outputs = ([[(0, a)] for a in axes] + [[(0, _LAP)]] + [[(0, a, _LAP)] for a in axes]
+               + [[(0, a, b)] for a, b in pairs])
+    inv = 1.0 / vals
+    r = [d * inv for d in _spectral([vals], g, outputs)]
+    r1, rlap, dlap = r[:g.dim], r[g.dim], r[g.dim + 1:2 * g.dim + 1]
+    second = dict(zip(pairs, r[2 * g.dim + 1:]))
+    for a in axes:
+        dg = (dlap[a] - rlap * r1[a]).real
+        for b in axes:
+            dg = dg + 2.0 * r1[b].imag * (second[min(a, b), max(a, b)] - r1[a] * r1[b]).imag
+        assert force[a].tobytes() == (-(NAT.alpha / NAT.beta) * dg).tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

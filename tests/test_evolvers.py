@@ -1,5 +1,6 @@
 """Split-step integrators, the wave-equation leapfrog, and the Taylor
 evolution matrix."""
+import itertools
 import warnings
 
 import numpy as np
@@ -176,22 +177,43 @@ def test_cross_generator_transform_count(dim, monkeypatch):
     assert calls == {"fftn": dim + 1, "ifftn": dim + 1}
 
 
+def _peaked_potential(g):
+    # a position-dependent potential that reaches 100, where the splitting
+    # error of a 0.01 step is real
+    return GaugeConfiguration.assemble(g, u=100.0 * (1.0 + np.cos(g.axis_coordinates(0))) / 2.0)
+
+
 def test_potential_phase_warning():
     g = make_grid(1, [32], [2 * np.pi])
     psi = ComplexScalarField(g, np.ones(g.shape, dtype=complex))
-    gauge = GaugeConfiguration.assemble(g, u=np.full(g.shape, 100.0))
     with pytest.warns(RuntimeWarning):
-        _step(run_schrodinger, psi, gauge, 0.01)
+        _step(run_schrodinger, psi, _peaked_potential(g), 0.01)
 
 
 def test_potential_phase_warning_once_per_run():
     g = make_grid(1, [32], [2 * np.pi])
     psi = ComplexScalarField(g, np.ones(g.shape, dtype=complex))
-    gauge = GaugeConfiguration.assemble(g, u=np.full(g.shape, 100.0))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        run_schrodinger(psi, gauge, NAT, EvolutionParams(0.01, 5))
+        run_schrodinger(psi, _peaked_potential(g), NAT, EvolutionParams(0.01, 5))
     assert [w.category for w in caught] == [RuntimeWarning]
+
+
+def test_uniform_potential_is_exact_and_gives_no_phase_warning():
+    # a uniform U commutes with the kinetic factor, so a large one only turns
+    # the whole state by exp(-i*U*t): the splitting has no error to warn of
+    rng = np.random.default_rng(14)
+    g = make_grid(1, [32], [2 * np.pi])
+    psi = ComplexScalarField(g, random_band_limited(g, rng, complex_valued=True))
+    params = EvolutionParams(0.01, 5, snapshot_stride=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        trace = run_schrodinger(psi, GaugeConfiguration.assemble(g, u=np.full(g.shape, 100.0)),
+                                NAT, params)
+    assert caught == []
+    free = run_schrodinger(psi, GaugeConfiguration.free(g), NAT, params)
+    for t, out, ref in zip(trace.times, trace.snapshots, free.snapshots):
+        assert linf(out.values - np.exp(-1j * 100.0 * t) * ref.values) <= 1e-13
 
 
 def test_grid_mismatch_rejected():
@@ -216,13 +238,15 @@ def test_run_driver_records_stride_and_final():
 
 def test_pauli_reduces_to_scalar_when_b_vanishes():
     # a uniform A folds into the kinetic phase, 0.3 sin x takes the cross
-    # series on each component; a 1D grid has no curl, so B = 0 in both
+    # series on each component; a 1D grid has no curl, so B = 0 in all, and
+    # with a uniform A and U the step is one multiplier
     rng = np.random.default_rng(21)
     g = make_grid(1, [64], [2 * np.pi])
     x = g.axis_coordinates(0)
     vals = random_band_limited(g, rng, complex_valued=True)
-    for a in (np.full(g.shape, 0.4), 0.3 * np.sin(x)):
-        gauge = GaugeConfiguration.assemble(g, a_classical=VectorField(g, (a,)), u=np.cos(x))
+    for a, u in itertools.product((np.full(g.shape, 0.4), 0.3 * np.sin(x)),
+                                  (np.cos(x), np.full(g.shape, 0.9))):
+        gauge = GaugeConfiguration.assemble(g, a_classical=VectorField(g, (a,)), u=u)
         scalar = _step(run_schrodinger, ComplexScalarField(g, vals), gauge, 0.01)
         spinor = _step(
             run_pauli, SpinorField(g, np.stack([vals, np.zeros_like(vals)])), gauge, 0.01
@@ -441,7 +465,7 @@ def test_dirac_uniform_scalar_potential_exact_phase():
 # ---------------------------------------------------------------------------
 # properties shared by the three split-step equations
 
-_SHAPES = [(8,), (16,), (32,), (4, 8), (8, 4)]
+_SHAPES = [(8,), (16,), (32,), (4, 8), (8, 4), (4, 4, 4), (8, 4, 6)]
 
 
 def _coords(g):
@@ -532,6 +556,103 @@ def test_block_run_then_reverse_run_is_identity(equation, shape, uniform, seed, 
     there = run(state, EvolutionParams(dt, steps, snapshot_stride=stride)).snapshots[-1]
     back = run(there, EvolutionParams(-dt, steps, snapshot_stride=stride)).snapshots[-1]
     assert linf(back.values - state.values) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# runs whose Hamiltonian is diagonal in transform space
+
+def _diagonal_case(equation, shape, potential, vector, seed):
+    """(state, run) for one equation whose factors all commute: U or phi
+    zero or uniform, A zero or uniform (B = 0) for Schrodinger and Pauli,
+    A = 0 for Dirac; run(state, params) calls the public API."""
+    rng = np.random.default_rng(seed)
+    g = make_grid(len(shape), list(shape), [2 * np.pi] * len(shape))
+    comps = {"schrodinger": 1, "pauli": 2, "dirac": 4}[equation]
+    vals = rng.standard_normal((comps, *g.shape)) + 1j * rng.standard_normal((comps, *g.shape))
+    u = np.full(g.shape, 0.7 if potential else 0.0)
+    if equation == "dirac":
+        pot = FourPotential(g, u, (0.0, 0.0, 0.0))
+        return BispinorField(g, vals), lambda s, p: run_dirac(s, pot, NAT, p)
+    a = _vector_potential(g, True, 0.3 if vector else 0.0)
+    gauge = GaugeConfiguration.assemble(g, a_classical=VectorField(g, a), u=u)
+    if equation == "pauli":
+        return SpinorField(g, vals), lambda s, p: run_pauli(s, gauge, NAT, p)
+    return ComplexScalarField(g, vals[0]), lambda s, p: run_schrodinger(s, gauge, NAT, p)
+
+
+_diagonal_cases = dict(
+    equation=st.sampled_from(["schrodinger", "pauli", "dirac"]),
+    shape=st.sampled_from(_SHAPES),
+    potential=st.booleans(),
+    vector=st.booleans(),
+    seed=st.integers(0, 2**16),
+    dt=st.floats(1e-3, 0.1) | st.floats(-0.1, -1e-3),
+    steps=st.integers(1, 12),
+    stride=st.sampled_from([1, 2, 3, 5]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_diagonal_cases)
+def test_diagonal_run_matches_repeated_steps(equation, shape, potential, vector, seed, dt,
+                                             steps, stride):
+    # a block is one multiplier for its whole duration; every kept state
+    # matches that many single steps
+    state, run = _diagonal_case(equation, shape, potential, vector, seed)
+    params = EvolutionParams(dt, steps, snapshot_stride=stride)
+    trace = run(state, params)
+    kept = dict(zip(params.snapshot_steps, trace.snapshots))
+    one = EvolutionParams(dt, 1)
+    for step in range(1, steps + 1):
+        state = run(state, one).snapshots[-1]
+        if step in kept:
+            assert linf(kept[step].values - state.values) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_diagonal_cases)
+def test_diagonal_run_then_reverse_run_is_identity(equation, shape, potential, vector, seed,
+                                                   dt, steps, stride):
+    state, run = _diagonal_case(equation, shape, potential, vector, seed)
+    there = run(state, EvolutionParams(dt, steps, snapshot_stride=stride)).snapshots[-1]
+    back = run(there, EvolutionParams(-dt, steps, snapshot_stride=stride)).snapshots[-1]
+    assert linf(back.values - state.values) <= 1e-12
+
+
+def _transform_cases(g):
+    """(run, field class, source, transform pairs per component) for a run
+    of 40 steps at stride 10: one pair per block for a free run, whose
+    factors all commute, and one per step for a position-dependent U, a
+    non-uniform A, B != 0 and Dirac with A != 0."""
+    x = g.axis_coordinates(0)[:, None, None]
+    wavy = np.broadcast_to(np.cos(x), g.shape)
+    zero = np.zeros(g.shape)
+    return {
+        "schrodinger-free": (run_schrodinger, ComplexScalarField, GaugeConfiguration.free(g), 4),
+        "pauli-free": (run_pauli, SpinorField, GaugeConfiguration.free(g), 4),
+        "dirac-free": (run_dirac, BispinorField, FourPotential.free(g), 4),
+        "u-cos-x": (run_schrodinger, ComplexScalarField,
+                    GaugeConfiguration.assemble(g, u=wavy), 40),
+        "a-non-uniform": (run_schrodinger, ComplexScalarField, GaugeConfiguration.assemble(
+            g, a_classical=VectorField(g, (zero, 0.3 * wavy, zero))), 40),
+        "b-external": (run_pauli, SpinorField,
+                       GaugeConfiguration.assemble(g, b_external=(0.0, 0.0, 0.5)), 40),
+        "dirac-a": (run_dirac, BispinorField, FourPotential(g, zero, (0.2, 0.0, 0.0)), 40),
+    }
+
+
+@pytest.mark.parametrize("case", ["schrodinger-free", "pauli-free", "dirac-free", "u-cos-x",
+                                  "a-non-uniform", "b-external", "dirac-a"])
+def test_transform_pairs_per_component_of_a_run(case, monkeypatch):
+    # the cross series and B take transforms of their own; count the steps'
+    monkeypatch.setattr(evolvers, "_apply_cross", lambda values, grid, a, coeff: values)
+    monkeypatch.setattr(evolvers, "magnetic_field", lambda gauge: gauge.b_external)
+    g = make_grid(3, [8, 6, 4], [2 * np.pi] * 3)
+    run, cls, source, pairs = _transform_cases(g)[case]
+    psi = cls(g, np.ones(cls._shape(g), dtype=complex))
+    calls = count_transforms(monkeypatch)
+    run(psi, source, NAT, EvolutionParams(0.01, 40, snapshot_stride=10))
+    assert calls == {"fftn": pairs * cls.ncomp, "ifftn": pairs * cls.ncomp}
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,10 @@ faults in OLD and in NEW (`os.wait4`); wall times do not repeat between
 runs, so no time is printed.  Page faults repeat within about 1% between
 two runs of the same invocation, not across invocations of another shape
 (another set of workloads, seeds or sizes): compare a fault count only
-with one from an invocation of the same arguments.  For each file
+with one from an invocation of the same arguments.  Peak RSS moves by
+about 1 MB between trees with an edit that never runs in the subcommand
+(heap layout alone), so a difference of that size is not evidence of a
+code effect.  For each file
 either tree wrote, one line says `equal` (the same bytes) or gives the
 largest absolute and relative difference of the file's numbers: JSON
 reports and summaries, trace CSVs and snapshot samples (.qfs).  A snapshot

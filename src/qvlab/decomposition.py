@@ -187,7 +187,9 @@ def _polar(psi, q_scale: Optional[float] = None, what: Optional[str] = None,
     if mask is not None and psi.ncomp != 1:
         raise TypeError(f"{asked} needs a ComplexScalarField, got a {type(psi).__name__}")
     pairs = [(a, b) for a in axes for b in axes if a <= b]
-    outputs = [[(0, a)] for a in axes] + ([] if mask is None else [[(0, _LAP)]])
+    # Lap psi as its per-axis parts, which share each d_a psi's transform
+    lap = [] if mask is None else [[(0, (_LAP, a)) for a in axes]]
+    outputs = [[(0, a)] for a in axes] + lap
     if force_scale is not None:
         outputs += [[(0, a, _LAP)] for a in axes] + [[(0, a, b)] for a, b in pairs]
     flux = [np.zeros(grid.shape) for _ in axes]

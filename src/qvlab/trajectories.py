@@ -167,22 +167,23 @@ def _catmull_rom_weights(t: np.ndarray) -> np.ndarray:
 
 
 def _tricubic_eval(samples: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarray:
-    """Catmull-Rom sum of K stacked sample arrays (K, *shape) at the points: (N, K)."""
-    bases, weights = [], []
+    """Catmull-Rom sum of K stacked sample arrays (K, *shape) at the points: (N, K).
+    One fancy index gathers the 4^dim neighbours of every point, (K, N, 4, ...),
+    and each axis, the last first, is contracted with its weights as products
+    summed in offset order: elementwise, so a point's value does not depend on
+    the other points or components of the call (an einsum's order does)."""
+    index, weights = [], []
     for a in range(grid.dim):
         u = points[:, a] / grid.spacing[a]
         base = np.floor(u).astype(np.int64)
-        weights.append(_catmull_rom_weights(u - base))
-        bases.append(base)
-    out = np.zeros((samples.shape[0], points.shape[0]))
-    for offsets in itertools.product(range(4), repeat=grid.dim):
-        w = weights[0][:, offsets[0]]
-        for a in range(1, grid.dim):
-            w = w * weights[a][:, offsets[a]]
-        idx = tuple(
-            (bases[a] + (offsets[a] - 1)) % grid.n[a] for a in range(grid.dim)
-        )
-        out += w * samples[(slice(None), *idx)]
+        weights.append(_catmull_rom_weights(u - base).reshape(-1, *[1] * a, 4))
+        shape = [-1] + [1] * grid.dim
+        shape[1 + a] = 4
+        index.append(((base[:, None] + np.arange(-1, 3)) % grid.n[a]).reshape(shape))
+    out = samples[(slice(None), *index)]
+    for w in reversed(weights):
+        out = (out[..., 0] * w[..., 0] + out[..., 1] * w[..., 1]
+               + out[..., 2] * w[..., 2] + out[..., 3] * w[..., 3])
     return out.T
 
 

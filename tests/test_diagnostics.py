@@ -35,10 +35,10 @@ from qvlab.diagnostics import (
 from qvlab.evolvers import EvolutionParams, FourPotential, run_dirac
 from qvlab.fields import BispinorField, ComplexScalarField, NodeError, SpinorField, VectorField
 from qvlab.lattice import (
-    _LAP, _curl3, _spectral, divergence, k_squared, make_grid, spectral_gradient,
+    _LAP, _curl3, divergence, k_squared, make_grid, spectral_gradient,
 )
 from oracles import CoherentState, GaussianPacket
-from util import count_transforms, linf, random_band_limited
+from util import count_transforms, linf, plain_spectral, random_band_limited
 
 
 NAT = PhysicalConstants.natural()
@@ -217,8 +217,8 @@ def test_quantum_force_matches_gradient_of_smooth_q():
 @pytest.mark.parametrize("shape", [(16,), (8, 6), (6, 5, 4)])
 def test_quantum_force_is_the_plain_formula_bitwise(shape):
     # the force path forms each axis in work arrays; complex products round
-    # by operand order, so the plain formula, with a temporary per operation,
-    # must give the same bits
+    # by operand order, so the plain formula, with a temporary per operation
+    # and the derivatives from numpy's allocating calls, must give the same bits
     rng = np.random.default_rng(len(shape))
     g = make_grid(len(shape), list(shape), [2 * np.pi] * len(shape))
     vals = 2.0 + random_band_limited(g, rng, 0.4, complex_valued=True)
@@ -226,10 +226,10 @@ def test_quantum_force_is_the_plain_formula_bitwise(shape):
     assert not mask.any()
     axes = range(g.dim)
     pairs = [(a, b) for a in axes for b in axes if a <= b]
-    outputs = ([[(0, a)] for a in axes] + [[(0, _LAP)]] + [[(0, a, _LAP)] for a in axes]
-               + [[(0, a, b)] for a, b in pairs])
+    outputs = ([[(0, a)] for a in axes] + [[(0, (_LAP, a)) for a in axes]]
+               + [[(0, a, _LAP)] for a in axes] + [[(0, a, b)] for a, b in pairs])
     inv = 1.0 / vals
-    r = [d * inv for d in _spectral([vals], g, outputs)]
+    r = [d * inv for d in plain_spectral([vals], g, outputs)]
     r1, rlap, dlap = r[:g.dim], r[g.dim], r[g.dim + 1:2 * g.dim + 1]
     second = dict(zip(pairs, r[2 * g.dim + 1:]))
     for a in axes:
@@ -241,18 +241,21 @@ def test_quantum_force_is_the_plain_formula_bitwise(shape):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_psi_derivatives_share_one_transform(dim, monkeypatch):
-    # Q needs Lap psi and grad psi: psi once, then 1 + dim inverses.  -grad Q
-    # needs d_a psi, Lap psi, d_a Lap psi and the dim(dim+1)/2 distinct
-    # d_a d_b psi: 1 + (2 dim + 1 + dim(dim+1)/2) transforms, 14 in 3D.
+    # counts are axis passes.  Q needs grad psi and Lap psi, whose per-axis
+    # parts share d_a psi's transform along a: psi once along each axis, then
+    # d_a psi and -k_a^2 psi along it, 3 + 6 passes in 3D, not 3 + 12.  -grad Q
+    # adds d_a d_a psi along a, and d_a Lap psi and the mixed d_a d_b psi on
+    # the full grid: one more transform of psi, dim passes per inverse (in 1D
+    # the full grid is the one axis).
     g = make_grid(dim, [8, 6, 5][:dim], [2 * np.pi] * dim)
     psi = ComplexScalarField(g, np.full(g.shape, 1.0 + 0.5j))
     calls = count_transforms(monkeypatch)
     quantum_potential(psi, NAT)
-    assert calls == {"fftn": 1, "ifftn": 1 + dim}
+    assert calls == {"fftn": dim, "ifftn": 2 * dim}
     calls.clear()
     quantum_force(psi, NAT)
-    assert calls == {"fftn": 1, "ifftn": 2 * dim + 1 + dim * (dim + 1) // 2}
-    assert sum(calls.values()) == {1: 5, 2: 9, 3: 14}[dim]
+    assert calls == {1: {"fftn": 1, "ifftn": 4}, 2: {"fftn": 4, "ifftn": 12},
+                     3: {"fftn": 6, "ifftn": 27}}[dim]
 
 
 @pytest.mark.parametrize("kind", [SpinorField, BispinorField])
@@ -276,21 +279,22 @@ def test_q_and_its_force_refuse_a_non_scalar_field(kind):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_current_and_q_share_one_differentiation(dim, monkeypatch):
-    # J and Q come from one transform of each component of psi: the
-    # Hamilton-Jacobi residual, which needs both, transforms psi once and
-    # inverts grad psi and Lap psi; a spinor current transforms each component
+    # J and Q come from one transform of each component of psi along each
+    # axis (counts are axis passes): the Hamilton-Jacobi residual, which needs
+    # both, inverts d_a psi and -k_a^2 psi along each axis; a spinor current
+    # transforms each component
     g = make_grid(dim, [8, 6, 5][:dim], [2 * np.pi] * dim)
     vals = 2.0 + random_band_limited(g, np.random.default_rng(dim), complex_valued=True)
     psi, gauge = ComplexScalarField(g, vals), GaugeConfiguration.free(g)
     calls = count_transforms(monkeypatch)
     hamilton_jacobi_residual(psi, gauge, NAT, np.zeros(g.shape))
-    assert calls == {"fftn": 1, "ifftn": 1 + dim}
+    assert calls == {"fftn": dim, "ifftn": 2 * dim}
     calls.clear()
     quantum_potential(psi, NAT)
-    assert calls["fftn"] == 1
+    assert calls["fftn"] == dim
     calls.clear()
     current_spinor(SpinorField(g, np.stack([vals, 0.5j * vals])), gauge, NAT)
-    assert calls == {"fftn": 2, "ifftn": 2 * dim}
+    assert calls == {"fftn": 2 * dim, "ifftn": 2 * dim}
 
 
 # ---------------------------------------------------------------------------

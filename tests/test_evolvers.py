@@ -168,13 +168,13 @@ def test_cross_series_refuses_overflow():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_cross_generator_transform_count(dim, monkeypatch):
     # a zero coefficient stops the series after one generator application:
-    # div(A psi) takes dim forward transforms and one inverse, grad psi one
-    # forward and dim inverses
+    # div(A psi) transforms and inverts each component along its own axis,
+    # and grad psi psi along each axis (counts are axis passes)
     g = make_grid(dim, [8, 6, 5][:dim], [2 * np.pi] * dim)
     a = tuple(np.full(g.shape, 0.5 + axis) for axis in range(dim))
     calls = count_transforms(monkeypatch)
     evolvers._apply_cross(np.ones(g.shape, dtype=complex), g, a, 0.0)
-    assert calls == {"fftn": dim + 1, "ifftn": dim + 1}
+    assert calls == {"fftn": 2 * dim, "ifftn": 2 * dim}
 
 
 def _peaked_potential(g):
@@ -214,6 +214,25 @@ def test_uniform_potential_is_exact_and_gives_no_phase_warning():
     free = run_schrodinger(psi, GaugeConfiguration.free(g), NAT, params)
     for t, out, ref in zip(trace.times, trace.snapshots, free.snapshots):
         assert linf(out.values - np.exp(-1j * 100.0 * t) * ref.values) <= 1e-13
+
+
+def test_potential_offset_gives_no_phase_warning():
+    # a uniform offset commutes with every factor: U = 100 + 0.1 cos x varies
+    # by 0.2, so its 0.01 steps stay far from the splitting limit, and the run
+    # is the offset-free run turned by exp(-i*100*t)
+    g = make_grid(1, [64], [2 * np.pi])
+    psi = ComplexScalarField(g, random_band_limited(g, np.random.default_rng(5),
+                                                    complex_valued=True))
+    ripple = 0.1 * np.cos(g.axis_coordinates(0))
+    params = EvolutionParams(0.01, 100, snapshot_stride=50)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        trace = run_schrodinger(psi, GaugeConfiguration.assemble(g, u=100.0 + ripple), NAT,
+                                params)
+    assert caught == []
+    plain = run_schrodinger(psi, GaugeConfiguration.assemble(g, u=ripple), NAT, params)
+    for t, out, ref in zip(trace.times, trace.snapshots, plain.snapshots):
+        assert linf(out.values - np.exp(-1j * 100.0 * t) * ref.values) <= 1e-12
 
 
 def test_grid_mismatch_rejected():
@@ -652,7 +671,8 @@ def test_transform_pairs_per_component_of_a_run(case, monkeypatch):
     psi = cls(g, np.ones(cls._shape(g), dtype=complex))
     calls = count_transforms(monkeypatch)
     run(psi, source, NAT, EvolutionParams(0.01, 40, snapshot_stride=10))
-    assert calls == {"fftn": pairs * cls.ncomp, "ifftn": pairs * cls.ncomp}
+    # counts are axis passes: each full-grid transform makes one per axis
+    assert calls == {"fftn": pairs * cls.ncomp * g.dim, "ifftn": pairs * cls.ncomp * g.dim}
 
 
 # ---------------------------------------------------------------------------

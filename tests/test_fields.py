@@ -24,8 +24,8 @@ from qvlab.fields import (
     read_snapshot,
     write_snapshot,
 )
-from qvlab.lattice import _LAP, _multiplier, make_grid, spectral_gradient, spectral_laplacian
-from util import linf, random_band_limited, write_snapshot_v1
+from qvlab.lattice import _LAP, make_grid, spectral_gradient
+from util import linf, plain_spectral, random_band_limited, write_snapshot_v1
 
 NAT = PhysicalConstants.natural()
 
@@ -143,17 +143,16 @@ def test_zero_field_has_no_support(grid1d, what):
 
 
 def _plain_ratios(psi):
-    """The node-safe quantities as plain quotients, nodes included.
-    d_a d_b psi and d_a Lap psi come from one transform of psi, through
-    the multipliers the spectral helper applies."""
+    """The node-safe quantities as plain quotients, nodes included.  Lap psi
+    (as its per-axis parts), d_a d_b psi and d_a Lap psi come through numpy's
+    allocating calls on the spectral helper's per-axis plan."""
     v, g = psi.values, psi.grid
     c = NAT.alpha / NAT.beta
     d1 = spectral_gradient(v, g)
-    lap = spectral_laplacian(v, g)
-    vhat = np.fft.fftn(v)
+    lap = plain_spectral([v], g, [[(0, (_LAP, a)) for a in range(g.dim)]])[0]
 
     def derivative(*factors):
-        return np.fft.ifftn(vhat * _multiplier(g, factors, False))
+        return plain_spectral([v], g, [[(0, *factors)]])[0]
 
     f = density(psi)
     j = current_scalar(psi, GaugeConfiguration.free(g), NAT)

@@ -21,7 +21,14 @@ from qvlab.lattice import (
     spectral_gradient,
     spectral_laplacian,
 )
-from util import count_transforms, fd_gradient, fd_laplacian, linf, random_band_limited
+from util import (
+    count_transforms,
+    fd_gradient,
+    fd_laplacian,
+    linf,
+    plain_spectral,
+    random_band_limited,
+)
 
 
 def test_make_grid_1d_wavenumbers():
@@ -261,58 +268,52 @@ def test_real_path_matches_complex_path(n, seed):
     "n,axis", [([8], 0), ([8, 6], 1), ([6, 4, 8], 2), ([6, 4, 8], 0), ([8, 7], 0)]
 )
 def test_pure_nyquist_mode_has_zero_gradient(n, axis):
-    # the last axis is the halved one of a real field's spectrum
+    # a real field's spectrum is halved along the last transformed axis: the
+    # term's own axis for i*k_a and -k_a^2, the last grid axis for -|k|^2
     g = make_grid(len(n), n, [1.0] * len(n))
     shape = [1] * len(n)
     shape[axis] = n[axis]
     f = ((-1.0) ** np.arange(n[axis])).reshape(shape) * np.ones(g.shape)
     for values in (f, f.astype(complex)):
         assert all(linf(d) <= 1e-12 for d in spectral_gradient(values, g))
-        lap = spectral_laplacian(values, g)
-        assert linf(lap + (np.pi * n[axis]) ** 2 * f) <= 1e-9 * (np.pi * n[axis]) ** 2
+        # -|k|^2 and its one-axis part -k_a^2 keep the mode
+        (lap_a,) = _spectral([values], g, [[(0, (_LAP, axis))]])
+        for lap in (spectral_laplacian(values, g), lap_a):
+            assert linf(lap + (np.pi * n[axis]) ** 2 * f) <= 1e-9 * (np.pi * n[axis]) ** 2
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_transform_counts_follow_one_transform_per_field(dim, monkeypatch):
+    # counts are axis passes: a derivative along one axis transforms its
+    # field along that axis only, once per field and axis, and inverts once
+    # along it; the Laplacian keeps the full-grid route
     g = make_grid(dim, [8, 6, 5][:dim], [1.0] * dim)
     v = [np.ones(g.shape)] * 3
     calls = count_transforms(monkeypatch)
     spectral_gradient(v[0], g)
-    assert calls == {"rfftn": 1, "irfftn": dim}
+    assert calls == {"rfftn": dim, "irfftn": dim}
     calls.clear()
     divergence(v[:dim], g)
-    assert calls == {"rfftn": dim, "irfftn": 1}
+    assert calls == {"rfftn": dim, "irfftn": dim}
     calls.clear()
     spectral_gradient(v[0].astype(complex), g)
-    assert calls == {"fftn": 1, "ifftn": dim}
+    assert calls == {"fftn": dim, "ifftn": dim}
+    calls.clear()
+    spectral_laplacian(v[0], g)
+    assert calls == {"rfftn": dim, "irfftn": dim}
     if dim == 3:
         calls.clear()
         _curl3(v, g)
-        assert calls == {"rfftn": 3, "irfftn": 3}
-
-
-def _allocating_spectral(fields, grid, outputs):
-    """_spectral as numpy's allocating transforms give it: a fresh spectrum per
-    term, a fresh sum per output and a fresh inverse."""
-    half = not any(np.iscomplexobj(f) for f in fields)
-    axes = tuple(range(grid.dim))
-    results = []
-    for terms in outputs:
-        total = None
-        for index, *factors in terms:
-            spectrum = (np.fft.rfftn if half else np.fft.fftn)(fields[index], axes=axes)
-            part = spectrum * _multiplier(grid, tuple(factors), half)
-            total = part if total is None else total + part
-        results.append(np.fft.irfftn(total, s=grid.shape, axes=axes) if half
-                       else np.fft.ifftn(total, axes=axes))
-    return results
+        assert calls == {"rfftn": 6, "irfftn": 6}
 
 
 @pytest.mark.parametrize("n", [[8], [7], [8, 6], [9, 5], [6, 7], [8, 6, 4], [5, 7, 9],
                                [7, 8, 6]])
 @pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
 def test_spectral_in_place_matches_the_allocating_transforms_bitwise(n, kind):
-    # the transforms write into storage _spectral owns; not one bit may move
+    # the transforms write into storage _spectral owns, and the parts of an
+    # output's axis sets add in x-space; against the same per-axis plan made
+    # of numpy's allocating calls, not one bit may move
     rng = np.random.default_rng(sum(n))
     g = make_grid(len(n), n, [2 * np.pi, 5.0, 3.0][:len(n)])
     fields = [rng.standard_normal(g.shape) for _ in range(3)]
@@ -327,9 +328,10 @@ def test_spectral_in_place_matches_the_allocating_transforms_bitwise(n, kind):
         [(0, last, _LAP), (1, 0), (2, _INV_LAP, _NEG)],
         [(1,), (2, 0, last)],
         [(2, ("band", 0.25)), (0, _LAP), (1, last)],
+        [(0, (_LAP, last)), (1, last, _NEG), (2, 0, (_LAP, 0)), (0, (_LAP, 0)), (1, _LAP)],
     ]
     got = _spectral(fields, g, outputs)
-    want = _allocating_spectral(fields, g, outputs)
+    want = plain_spectral(fields, g, outputs)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype == (np.float64 if kind == "real" else np.complex128)
@@ -337,6 +339,42 @@ def test_spectral_in_place_matches_the_allocating_transforms_bitwise(n, kind):
         assert a.tobytes() == b.tobytes()
     for f, before in zip(fields, kept):
         assert f.tobytes() == before.tobytes()
+
+
+def _operator_outputs(dim: int) -> list:
+    """The terms of every operator _spectral serves, on fields 0..2: the
+    gradient, the Laplacian as per-axis parts, the divergence, the curl,
+    a band, the inverse Laplacian, d_a d_b and d_a Lap."""
+    axes = range(dim)
+    outputs = [[(0, a)] for a in axes] + [[(0, (_LAP, a)) for a in axes]]
+    outputs += [[(a, a) for a in axes]]
+    for b, c in ((1, 2), (2, 0), (0, 1)):
+        terms = [(c, b)] if b < dim else []
+        outputs += [terms + [(b, c, _NEG)] if c < dim else terms]
+    outputs += [[(0, ("band", 0.25))], [(0, _INV_LAP)]] + [[(0, a, _INV_LAP)] for a in axes]
+    outputs += [[(0, a, b)] for a in axes for b in axes if a <= b]
+    return [terms for terms in outputs + [[(0, a, _LAP)] for a in axes] if terms]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.lists(st.integers(4, 16), min_size=1, max_size=3), complex_valued=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_per_axis_terms_match_the_full_grid_route(n, complex_valued, seed):
+    # a term along one axis transforms along that axis only; every operator
+    # agrees with the route that transforms every term along every axis
+    rng = np.random.default_rng(seed)
+    g = make_grid(len(n), n, rng.uniform(0.5, 20.0, len(n)))
+    fields = [rng.standard_normal(g.shape) for _ in range(3)]
+    if complex_valued:
+        fields = [f + 1j * rng.standard_normal(g.shape) for f in fields]
+    outputs = _operator_outputs(g.dim)
+    full = plain_spectral(fields, g, outputs, full=True)
+    for got, want in zip(_spectral(fields, g, outputs), full, strict=True):
+        assert got.dtype == want.dtype
+        assert linf(got - want) <= 1e-14 * linf(want)
+    # Lap as per-axis parts is the full-grid -|k|^2
+    lap = plain_spectral(fields, g, [[(0, _LAP)]], full=True)[0]
+    assert linf(full[g.dim] - lap) <= 1e-14 * linf(lap)
 
 
 _G = make_grid(2, [8, 4], [1.0, 1.0])

@@ -1,14 +1,14 @@
 """Shared helpers for the test suite: random band-limited fields, norms,
 finite-difference operators that cross-validate the spectral ones, a
-per-component reference for the grid samplers, a counter of FFT calls, and
-a writer of version 1 snapshots."""
+per-component reference for the grid samplers, a counter of FFT axis
+passes, the spectral helper through plain numpy calls, and a writer of
+version 1 snapshots."""
 import collections
-import itertools
 import struct
 
 import numpy as np
 
-from qvlab.lattice import Grid, _check_shape, band_limit
+from qvlab.lattice import Grid, _check_shape, _multiplier, _term_axes, band_limit
 
 
 def random_band_limited(
@@ -74,29 +74,24 @@ def _trig_sum(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarray:
 
 
 def _catmull_rom(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarray:
-    # one component, in the sampler's order of floating-point operations
-    bases, weights = [], []
-    for a in range(grid.dim):
-        u = points[:, a] / grid.spacing[a]
+    # one component as nested 1D Catmull-Rom sums, the first axis outermost,
+    # in the sampler's order of floating-point operations
+    def along(axis, index):
+        u = points[:, axis] / grid.spacing[axis]
         base = np.floor(u).astype(np.int64)
         s = u - base
         s2 = s * s
         s3 = s2 * s
-        weights.append(np.stack([
-            -0.5 * s3 + s2 - 0.5 * s,
-            1.5 * s3 - 2.5 * s2 + 1.0,
-            -1.5 * s3 + 2.0 * s2 + 0.5 * s,
-            0.5 * s3 - 0.5 * s2,
-        ], axis=1))
-        bases.append(base)
-    out = np.zeros(points.shape[0])
-    for offsets in itertools.product(range(4), repeat=grid.dim):
-        w = weights[0][:, offsets[0]]
-        for a in range(1, grid.dim):
-            w = w * weights[a][:, offsets[a]]
-        idx = tuple((bases[a] + (offsets[a] - 1)) % grid.n[a] for a in range(grid.dim))
-        out += w * values[idx]
-    return out
+        weights = [-0.5 * s3 + s2 - 0.5 * s, 1.5 * s3 - 2.5 * s2 + 1.0,
+                   -1.5 * s3 + 2.0 * s2 + 0.5 * s, 0.5 * s3 - 0.5 * s2]
+        total = None
+        for offset, w in enumerate(weights):
+            at = index + ((base + (offset - 1)) % grid.n[axis],)
+            term = (values[at] if axis == grid.dim - 1 else along(axis + 1, at)) * w
+            total = term if total is None else total + term
+        return total
+
+    return along(0, ())
 
 
 def reference_sample(grid: Grid, times, snapshots, points, t: float,
@@ -120,15 +115,53 @@ def reference_sample(grid: Grid, times, snapshots, points, t: float,
 
 
 def count_transforms(monkeypatch) -> collections.Counter:
-    """Count numpy.fft transforms by name from now to the end of the test."""
+    """Count numpy.fft axis passes by transform name from now to the end of
+    the test: fft, rfft and their inverses make one pass, an n-axis fftn,
+    rfftn or inverse makes n."""
     calls = collections.Counter()
     for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
-        def counted(*args, _name=name, _transform=getattr(np.fft, name), **kwargs):
-            calls[_name] += 1
-            return _transform(*args, **kwargs)
+        def counted(a, *args, _name=name, _transform=getattr(np.fft, name), **kwargs):
+            passes = 1
+            if _name.endswith("n"):
+                s, axes = (list(args) + [None, None])[:2]
+                axes, s = kwargs.get("axes", axes), kwargs.get("s", s)
+                passes = len(axes if axes is not None else s if s is not None else np.shape(a))
+            calls[_name] += passes
+            return _transform(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
     return calls
+
+
+def plain_spectral(fields, grid: Grid, outputs, full: bool = False) -> list:
+    """lattice._spectral through numpy's allocating calls: each term takes a
+    fresh transform of its field along its _term_axes, or along every axis
+    when full (the full-grid route); the terms of one axis
+    set add in k-space and take one inverse, and those parts add in x-space
+    in the order their axis sets are first used."""
+    half = not any(np.iscomplexobj(f) for f in fields)
+
+    def axes_of(factors):
+        return tuple(range(grid.dim)) if full else _term_axes(grid, tuple(factors))
+
+    order = list(dict.fromkeys(axes_of(factors) for terms in outputs
+                               for _, *factors in terms))
+    results = []
+    for terms in outputs:
+        sums = {}
+        for index, *factors in terms:
+            axes = axes_of(factors)
+            halved = axes[-1] if half else None
+            spectrum = (np.fft.rfftn if half else np.fft.fftn)(fields[index], axes=axes)
+            part = spectrum * _multiplier(grid, tuple(factors), halved)
+            sums[axes] = sums[axes] + part if axes in sums else part
+        parts = [np.fft.irfftn(sums[axes], s=[grid.n[a] for a in axes], axes=axes) if half
+                 else np.fft.ifftn(sums[axes], axes=axes) for axes in order if axes in sums]
+        total = parts[0]
+        for part in parts[1:]:
+            total = total + part
+        results.append(total)
+    return results
 
 
 def write_snapshot_v1(field, path) -> None:

@@ -522,35 +522,30 @@ def cmd_evolve(args, scenario: Scenario) -> int:
 
 
 class _Ring:
-    """A series of n frames held three at a time: frame i is written into, and
-    read from, row i % 3 of one array."""
+    """A series of n frames held depth = len(rows) at a time: frame i is
+    written into rows[i % depth] and read back, while the ring holds it, as
+    that row or as view(row).  A view that checks its samples finite, as a
+    VectorField does, checks the rows only when the ring is made, not the
+    frames written into them later, so a ring with a view is made over zeros."""
 
-    def __init__(self, n: int, *shape):
-        self.n, self.held = n, [None] * 3
-        self.rows = np.zeros((3, *shape))  # a VectorField of rows checks them finite
-
-    def _frame(self, i: int) -> np.ndarray:
-        self.held[i % 3] = i
-        return self.rows[i % 3]
-
-    def _keep(self, i: int) -> None:
-        pass
-
-
-class _Window:
-    """A reducer's view of a _Ring's series: frame k is items[k % 3], while
-    the ring holds it."""
-
-    def __init__(self, ring: _Ring, items):
-        self.ring, self.items = ring, items
+    def __init__(self, n: int, rows: np.ndarray, view=None):
+        self.n, self.rows, self.held = n, rows, [None] * len(rows)
+        self.items = list(rows) if view is None else [view(row) for row in rows]
 
     def __len__(self) -> int:
-        return self.ring.n
+        return self.n
 
     def __getitem__(self, k: int):
-        if self.ring.held[k % 3] != k:
-            raise IndexError(f"frame {k} is not among the three the ring holds")
-        return self.items[k % 3]
+        if self.held[k % len(self.held)] != k:
+            raise IndexError(f"frame {k} is not among the {len(self.held)} the ring holds")
+        return self.items[k % len(self.held)]
+
+    def _frame(self, i: int) -> np.ndarray:
+        self.held[i % len(self.held)] = i
+        return self.rows[i % len(self.held)]
+
+    def _keep(self, i: int, mask=None) -> None:
+        pass
 
 
 class Run:
@@ -558,10 +553,12 @@ class Run:
     the equation gives the field class, and EvolutionParams.snapshot_steps each
     file and time.  The manifest's physics hash, which pins those sections, must
     be the config's, to show that this config's evolve completed there.  A pass
-    reads each snapshot once, in order, and refuses one off the config's grid
-    or of another class.  A command that reduces a series holds three frames of
-    it (stream); one that samples it holds it once, in its samplers (fill).
-    Every snapshot of a pass is read into one array the pass owns."""
+    reads each snapshot once, in order, into frame i of a psi ring, and refuses
+    one off the config's grid or of another class.  Every product the pass
+    keeps (psi, f, J or a bispinor's four-current, Q, -grad Q / q) has one
+    store, which its frame i is written into: a _Ring per product for a
+    command that reduces the series (stream), the samplers for one that
+    samples it (fill)."""
 
     def __init__(self, scenario: Scenario, out: str):
         self.equation = scenario.require("equation")
@@ -608,135 +605,152 @@ class Run:
             ) from exc
         return self
 
-    def stream(self, keep: str) -> "Run":
-        """Start a pass that holds the series keep names three frames at a time,
-        for reducers that read frame i once read(i + 1) has brought frame i + 1
-        in: j gives f and j (f and J, or a bispinor's J^0 and four-current), q
-        gives q (Q), each a _Window; h keeps the window and the middle record
-        (see _take)."""
-        dirac, n, shape = self.kind is fields.BispinorField, len(self.times), self.grid.shape
-        j = _Ring(n, 4 if dirac else 1 + self.grid.dim, *shape) if "j" in keep else None
-        q = _Ring(n, *shape) if "q" in keep else None
-        self._start(j, q, None, "h" in keep)
-        self.f = self.j = self.q = None
-        if j is not None:
-            self.f = None if dirac else _Window(j, list(j.rows[:, 0]))
-            self.j = _Window(j, [
-                decomposition.FourCurrent(self.grid, row[0], tuple(row[1:])) if dirac
-                else fields.VectorField(self.grid, tuple(row[1:])) for row in j.rows])
-        if q is not None:
-            self.q = _Window(q, list(q.rows))
-        return self
+    def stream(self, keep) -> "Run":
+        """Start a pass that holds each product keep names (psi, f, j, q) in a
+        _Ring of its own, three frames deep, for reducers that read frame i
+        once read(i + 1) has brought frame i + 1 in: run.psi, run.f and run.q
+        are the rows, run.j VectorFields of J (a bispinor's FourCurrents).
+        Unkept, psi is held one frame deep and the others are None.  The f, J
+        and Q rings are row ranges of one array: as three arrays, a Pauli 256²
+        diagnose took 26% more minor page faults and 5% more time."""
+        n, grid, dirac = len(self.times), self.grid, self.kind is fields.BispinorField
+
+        def current(row):
+            if dirac:
+                return decomposition.FourCurrent(grid, row[0], tuple(row[1:]))
+            return fields.VectorField(grid, tuple(row))
+
+        counts = {name: count for name, count in (("f", 1), ("j", 4 if dirac else grid.dim),
+                                                  ("q", 1)) if name in keep}
+        rows = np.zeros((3, sum(counts.values()), *grid.shape))
+        parts = np.split(rows, np.cumsum(list(counts.values()))[:-1], axis=1)
+        rings = {name: _Ring(n, part, current) if name == "j" else _Ring(n, part[:, 0])
+                 for name, part in zip(counts, parts)}
+        self.f, self.j, self.q = (rings.get(name) for name in ("f", "j", "q"))
+        return self._start({name: (ring, ...) for name, ring in rings.items()},
+                           3 if "psi" in keep else 1)
 
     def fill(self, flow, e=None) -> "Run":
-        """A whole pass that writes (f, J) into the filling FlowSampler flow and,
-        given the filling GridFieldSampler e, -grad Q / q and its node masks
-        into e, through the samplers' one write path (_frame(i), then
-        _keep(i, mask)); flow fixes its node floor when the last is kept."""
-        self._start(flow, None, e, False)
-        return self.read(len(self.times) - 1)
+        """Start a pass that writes f and J into frame rows 0 and 1 on of the
+        filling FlowSampler flow and, given the filling GridFieldSampler e,
+        -grad Q / q and its node masks into e; flow fixes its node floor once
+        the last snapshot is kept, so the samplers serve when read has read it."""
+        stores = {"f": (flow, 0), "j": (flow, slice(1, None))}
+        return self._start(stores if e is None else {**stores, "e": (e, ...)})
 
-    def _start(self, *stores) -> None:
-        self._stores, self._read = stores, 0
-        self._psi = np.empty(self.kind._shape(self.grid), complex)
-        self.window, self.middle = [], None
+    def _start(self, stores: dict, depth: int = 1) -> "Run":
+        """The pass's table, product name -> (store, rows): frame i of the
+        product is store._frame(i)[rows], a _Ring or a filling sampler, and
+        snapshot i itself is read into the psi ring, depth frames deep."""
+        self.psi = _Ring(len(self.times),
+                         np.empty((depth, *self.kind._shape(self.grid)), complex))
+        self._stores, self._read = {"psi": (self.psi, ...), **stores}, 0
+        return self
 
     def read(self, k: int) -> "Run":
-        """Read the snapshots up to k that the pass has not read yet, in order,
-        each into the pass's one snapshot array."""
+        """Read the snapshots up to k that the pass has not read yet, in order."""
         while self._read <= k:
-            self._take(self._read, *self._stores)
+            self._take(self._read)
             self._read += 1
         return self
 
-    def _take(self, i, j, q, e, h):
-        """One _polar call (for a bispinor, one four-current) on snapshot i,
-        read into the pass's snapshot array, writing frame i of each series
-        into its store, a _Ring or a filling sampler, through _frame(i) and
-        _keep(i): j takes f and then J, q takes Q, and e takes -grad Q / q and
-        the node mask.  f0 is snapshot 0's f.  The next read overwrites psi, so
-        what outlives it is copied: with h, window holds copies of the middle
-        snapshot and its two neighbours, and middle is the middle snapshot's
-        (f, flux, Q, mask), kept whenever Q is formed there, with f and Q
-        copied out of the stores."""
-        consts, mid = self.scenario.consts, len(self.times) // 2
-        scale = consts.alpha / consts.beta
-        name = self.files[i]
+    def _take(self, i: int) -> None:
+        """Read snapshot i into its psi frame and write each product the pass
+        keeps into frame i of its store, taken as the product is written, from
+        one _polar call (for a bispinor, one four-current); then each store
+        keeps frame i, with the node mask when Q (q kept) or -grad Q (e) was formed."""
+        consts, stores, name = self.scenario.consts, self._stores, self.files[i]
+
+        def out(product):  # frame i of the product in its store, or None if unkept
+            store, rows = stores.get(product, (None, None))
+            return None if store is None else store._frame(i)[rows]
+
         psi = _snapshot(os.path.join(self.out, name), repr(name), self.grid, self.kind,
-                        self._psi)
-        if h and abs(i - mid) <= 1:
-            self.window.append(type(psi)(psi.grid, psi.values.copy()))
-        fj = None if j is None else j._frame(i)
+                        out("psi"))
+        mask = None
         if self.kind is fields.BispinorField:
-            decomposition.current_bispinor(psi, consts.c, fj)
+            decomposition.current_bispinor(psi, consts.c, out("j"))
         else:
-            with_q = q is not None or (h and i == mid)
+            scale = consts.alpha / consts.beta
             polar = decomposition._polar(
-                psi, scale if with_q else None, force_scale=None if e is None else scale,
-                f_out=None if fj is None else fj[0], q_out=None if q is None else q._frame(i))
-            if with_q and i == mid:
-                self.middle = polar._replace(f=polar.f.copy(), q=polar.q.copy())
-            if fj is not None:
-                decomposition._current(polar.f, polar.flux, self.scenario.gauge, consts, fj[1:])
-            if e is not None:
-                for row, part in zip(e._frame(i), polar.force):
+                psi, scale if "q" in stores else None,
+                force_scale=scale if "e" in stores else None, f_out=out("f"), q_out=out("q"))
+            if "j" in stores:
+                decomposition._current(polar.f, polar.flux, self.scenario.gauge, consts,
+                                       out("j"))
+            if "e" in stores:
+                for row, part in zip(out("e"), polar.force):
                     np.divide(part, consts.q, out=row)
-                e._keep(i, polar.mask)
-        if fj is not None:
-            self.f0 = fj[0].copy() if i == 0 else self.f0
-            j._keep(i)
+            mask = polar.mask
+        for store in dict.fromkeys(store for store, _ in stores.values()):
+            store._keep(i, mask)
 
 
 # ---------------------------------------------------------------------------
 # diagnose
 
 
-def _hamilton_jacobi(run: Run):
-    (earlier, psi, later), times = run.window, run.times
-    mid = len(times) // 2
-    spacing = times[mid + 1] - times[mid - 1]
-    rate, rate_mask, jumps = diagnostics.phase_rate_from_snapshots(
-        earlier, later, spacing, psi
-    )
-    # a branch jump (a phase turn of nearly pi or more) leaves the rate ambiguous
-    try:
-        return diagnostics.hamilton_jacobi_residual(
-            psi, run.scenario.gauge, run.scenario.consts, rate, rate_mask | jumps,
-            dt=times[1] - times[0], polar=run.middle,
-        )
-    except fields.NodeError as exc:
-        if not jumps.any():
-            raise
-        raise ConfigError(
-            f"config.evolution.snapshot_stride: {exc}; the phase jumped a branch at "
-            f"{int(jumps.sum())} points between snapshots; take a smaller stride"
-        ) from exc
+def _hamilton_jacobi_rows(run: Run):
+    """The Hamilton-Jacobi residual's rows: none but the middle snapshot's
+    report, formed from psi at the snapshots beside it and its f, J and Q."""
+    times, mid = run.times, len(run.times) // 2
+    gauge, consts = run.scenario.gauge, run.scenario.consts
+
+    def rows(i, _):
+        if i != mid:
+            return {}
+        earlier, psi, later = (run.kind(run.grid, run.psi[k]) for k in (i - 1, i, i + 1))
+        rate, rate_mask, jumps = diagnostics.phase_rate_from_snapshots(
+            earlier, later, times[i + 1] - times[i - 1], psi)
+        parts = run.f[i], run.j[i].components, run.q[i], fields.node_mask(run.f[i])
+        # a branch jump (a phase turn of nearly pi or more) leaves the rate ambiguous
+        try:
+            return {"hamilton_jacobi": diagnostics.hamilton_jacobi_residual(
+                psi, gauge, consts, rate, rate_mask | jumps, dt=times[1] - times[0],
+                parts=parts)}
+        except fields.NodeError as exc:
+            if not jumps.any():
+                raise
+            raise ConfigError(
+                f"config.evolution.snapshot_stride: {exc}; the phase jumped a branch at "
+                f"{int(jumps.sum())} points between snapshots; take a smaller stride"
+            ) from exc
+
+    return rows
 
 
-# diagnostic name -> (the equations whose runs it serves, the series Run.stream
-# keeps for it, its rows(run) for diagnostics._interior or None, its report names)
+# diagnostic name -> (the equations whose runs it serves, the products Run.stream
+# keeps for it, its rows(run) for _reduce, its report names)
 _DIAGNOSTICS = {
-    "continuity": (("schrodinger", "pauli"), "j",
+    "continuity": (("schrodinger", "pauli"), ("f", "j"),
                    lambda run: diagnostics._continuity_rows(run.f, run.j), ("continuity",)),
-    "hamilton_jacobi": (("schrodinger",), "h", None, ("hamilton_jacobi",)),
-    "gauge": (("schrodinger",), "q", lambda run: diagnostics._gauge_rows(
+    "hamilton_jacobi": (("schrodinger",), ("psi", "f", "j", "q"), _hamilton_jacobi_rows,
+                        ("hamilton_jacobi",)),
+    "gauge": (("schrodinger",), ("q",), lambda run: diagnostics._gauge_rows(
         [run.scenario.gauge] * len(run.times), run.scenario.consts, run.q),
         ("gauge_psi", "gauge_lorentz", "gauge_quantum")),
-    "four_current": (("dirac",), "j", lambda run: diagnostics._four_current_rows(
+    "four_current": (("dirac",), ("j",), lambda run: diagnostics._four_current_rows(
         run.j, run.scenario.consts), ("four_current_divergence",)),
 }
 
 
 def _reduce(run: Run, rows) -> dict:
     """The reports of the rows functions over a streamed run, from one pass
-    that reads every snapshot: frame i's rows run once frame i + 1 is in."""
+    that reads every snapshot: frame i's rows run once frame i + 1 is in.  A
+    rows function maps a report name to the samples diagnostics._interior
+    tallies or, for a residual of one frame, to its finished report."""
+    made = {}
+
     def union(i, rate):
         run.read(i + 1)
-        return {name: parts for r in rows for name, parts in r(i, rate).items()}
+        parts = {name: part for r in rows for name, part in r(i, rate).items()}
+        made.update((name, part) for name, part in parts.items()
+                    if isinstance(part, diagnostics.ResidualReport))
+        return {name: part for name, part in parts.items() if name not in made}
 
     reports = diagnostics._interior(run.times, union, points=False)
     run.read(len(run.times) - 1)
-    return reports
+    return {**reports, **made}
 
 
 def cmd_diagnose(args, scenario: Scenario) -> int:
@@ -753,10 +767,8 @@ def cmd_diagnose(args, scenario: Scenario) -> int:
     for name, (equations, *_) in zip(names, wanted):  # all before the pass
         run.serving(f"diagnostics: {name}", equations,
                     f"; use {', '.join(served)} for {run.equation}")
-    run.stream("".join(keep for _, keep, _, _ in wanted))
-    reports = _reduce(run, [rows(run) for _, _, rows, _ in wanted if rows])
-    if "hamilton_jacobi" in names:
-        reports["hamilton_jacobi"] = _hamilton_jacobi(run)
+    run.stream({product for _, keep, _, _ in wanted for product in keep})
+    reports = _reduce(run, [rows(run) for _, _, rows, _ in wanted])
     _write_reports(out, [reports[report] for *_, made in wanted for report in made])
     return EXIT_OK
 
@@ -773,7 +785,7 @@ def _write_reports(out: str, reports) -> None:
 
 def _trace_samplers(run: Run, interpolation, force: bool):
     """The flow sampler and, for the force method, E = -grad Q / q with B = 0 (the
-    gauge is free), filled by one pass over the snapshots."""
+    gauge is free), which the pass run.fill starts fills as it reads."""
     flow = trajectories.FlowSampler._filling(
         run.grid, run.times, 1 + run.grid.dim, method=interpolation)
     e = trajectories.GridFieldSampler._filling(
@@ -834,11 +846,12 @@ def cmd_trace(args, scenario: Scenario) -> int:
     flow, em = _trace_samplers(run, trace_cfg["interpolation"], "force" in methods)
     if trace_cfg["starts"] is not None:
         starts = np.atleast_2d(np.asarray(trace_cfg["starts"], dtype=float))
-    else:
+    else:  # drawn from snapshot 0's density while the pass holds it
         rng = np.random.default_rng(args.seed if args.seed is not None else 0)
         starts = trajectories.sample_density(
-            grid, run.f0, trace_cfg["count"], rng
+            grid, fields.density(run.kind(grid, run.read(0).psi[0])), trace_cfg["count"], rng
         )
+    run.read(len(times) - 1)
 
     batches = {}
     if "advect" in methods:
@@ -897,30 +910,28 @@ def cmd_fields(args, scenario: Scenario) -> int:
         raise ConfigError("config.constants: field reports need q != 0")
     out = _out_dir(args, scenario)
     equations, keep, gauge_rows, names = _DIAGNOSTICS["gauge"]
-    run = Run(scenario, out).spaced().serving("fields", equations).stream(keep)
+    run = Run(scenario, out).spaced().serving("fields", equations).stream((*keep, "f"))
     times, dim, mid = run.times, run.grid.dim, len(run.times) // 2
     gauges = [scenario.gauge] * len(times)
-    frames, rows, e_mid = diagnostics._em_frames(times, gauges, consts, run.q, family), [], None
+    frames, rows = diagnostics._em_frames(times, gauges, consts, run.q, family), []
 
     def rms(arr):
         return float(np.sqrt(np.mean(np.square(arr))))
 
-    def norms(i, rate):  # frame i's E and B norms, and E_psi at the middle snapshot
-        nonlocal e_mid
+    def norms(i, rate):  # frame i's E and B norms, and self_consistency at the middle one
         frame = next(frames)
         rows.append({"time": times[i], "e_rms": [rms(c) for c in frame.e[:dim]],
                      "b_rms": [rms(c) for c in frame.b]})
-        if i == mid:  # self_consistency's Gauss law holds for E_psi whatever the family
-            if family != "psi":
-                frame = diagnostics.em_fields(times[i - 1:i + 2], gauges[i - 1:i + 2], consts,
-                                              [run.q[k] for k in range(i - 1, i + 2)])[1][0]
-            e_mid = fields.VectorField(run.grid, frame.e[:dim])
-        return {}
+        if i != mid:
+            return {}
+        if family != "psi":  # self_consistency's Gauss law holds for E_psi whatever the family
+            frame = diagnostics.em_fields(times[i - 1:i + 2], gauges[i - 1:i + 2], consts,
+                                          [run.q[k] for k in range(i - 1, i + 2)])[1][0]
+        e_psi = fields.VectorField(run.grid, frame.e[:dim])
+        return {"self_consistency": diagnostics.self_consistency_residual(e_psi, run.f[i], consts)}
 
     reports = _reduce(run, [gauge_rows(run), norms])
-    # the middle record is of snapshot len(times) // 2, the frame of e_mid
-    self_consistency = diagnostics.self_consistency_residual(e_mid, run.middle.f, consts)
-    _write_reports(out, [*(reports[name] for name in names), self_consistency])
+    _write_reports(out, [reports[name] for name in (*names, "self_consistency")])
     _write_json(
         os.path.join(out, "fields_summary.json"),
         {"family": family, "frames": rows},

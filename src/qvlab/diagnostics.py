@@ -113,15 +113,6 @@ class _Tally:
         )
 
 
-def _report(name, samples, dt=None) -> ResidualReport:
-    """The report of a time series' stacked rows (rows, *grid), per_point
-    holding them."""
-    tally = _Tally()
-    for row in samples:
-        tally.add(row)
-    return tally.report(name, dt, samples)
-
-
 def _series_spacing(times: Sequence[float], **series) -> float:
     """The spacing of at least 3 equally spaced times, each named series
     (None skips it) holding one entry per time."""
@@ -139,27 +130,22 @@ def _series_spacing(times: Sequence[float], **series) -> float:
 def _interior(times: Sequence[float], rows, points: bool = True, **series) -> dict:
     """Reports over the interior frames i of checked series, taken in time
     order: rows(i, rate) maps each report name to its k samples at frame i
-    (rate(at) is the centered time derivative of the samples at(k)).  With
-    points, the rows are kept, as rows k*(i-1) to k*i - 1 of the report's
-    per_point, and reduced by _report; without, each row is tallied as it
-    comes, to the same norms."""
+    (rate(at) is the centered time derivative of the samples at(k)).  Each
+    row is tallied as it comes; with points, it is also kept, as row
+    k*(i-1) + r of the report's per_point for sample r."""
     dt = _series_spacing(times, **series)
-    frames, kept = len(times) - 2, {}
+    frames, tallies, kept = len(times) - 2, {}, {}
     for i in range(1, frames + 1):
         def rate(at):
             return (at(i + 1) - at(i - 1)) / (2.0 * dt)
         for name, parts in rows(i, rate).items():
-            if not points:
-                for values in parts:
-                    kept.setdefault(name, _Tally()).add(values)
-                continue
-            if name not in kept:
+            if points and name not in kept:
                 kept[name] = np.empty((len(parts) * frames,) + np.shape(parts[0]))
             for row, values in enumerate(parts, start=len(parts) * (i - 1)):
-                kept[name][row] = values
-    if points:
-        return {name: _report(name, samples, dt) for name, samples in kept.items()}
-    return {name: tally.report(name, dt) for name, tally in kept.items()}
+                tallies.setdefault(name, _Tally()).add(values)
+                if points:
+                    kept[name][row] = values
+    return {name: tally.report(name, dt, kept.get(name)) for name, tally in tallies.items()}
 
 
 def _freeze(parts):
@@ -298,20 +284,21 @@ def hamilton_jacobi_residual(
     phase_rate: np.ndarray,
     rate_mask: Optional[np.ndarray] = None,
     dt: Optional[float] = None,
-    polar: Optional[tuple] = None,
+    parts: Optional[tuple] = None,
 ) -> ResidualReport:
     """r = -(1/beta) dphi/dt + |<v>|^2/(4 alpha beta) - U - Q.
 
     phase_rate is the centered phase derivative (see phase_rate_from_snapshots);
     with the standard constants the balance reads
-    -hbar dphi/dt - (m/2)|<v>|^2 - U - Q.  polar is psi's record from
-    decomposition._polar with q_scale alpha/beta, for a caller that has it;
-    without it psi is differentiated here.
+    -hbar dphi/dt - (m/2)|<v>|^2 - U - Q.  parts is psi's (f, J components,
+    Q, node mask), for a caller that has them; without it psi is
+    differentiated here.
     """
-    if polar is None:
+    if parts is None:
         polar = _polar(psi, consts.alpha / consts.beta, "velocity")
-    f, flux, q, mask, _ = polar
-    speed2 = sum(_ratio(j, f, mask) ** 2 for j in _current(f, flux, gauge, consts))
+        parts = polar.f, _current(polar.f, polar.flux, gauge, consts), polar.q, polar.mask
+    f, current, q, mask = parts
+    speed2 = sum(_ratio(j, f, mask) ** 2 for j in current)
     if rate_mask is not None:
         mask = mask | rate_mask
     r = (

@@ -285,13 +285,14 @@ class GridFieldSampler:
         return self._scratch
 
     def _keep(self, t: int, mask=None) -> None:
-        """Store snapshot t's components from _frame(t), and its node mask:
-        each spectral component's transform writes into its slot."""
+        """Store snapshot t's components from _frame(t), and its node mask if
+        the sampler was made with masks: each spectral component's transform
+        writes into its slot."""
         if self.method == "spectral":
             for c, values in enumerate(self._scratch):
                 _half_spectrum(values, self.grid, self._data[t, c])
             self._scratch = None
-        if mask is not None:
+        if self.masks is not None:
             self.masks[t] = mask
 
     def _bracket(self, t: float):

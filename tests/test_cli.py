@@ -842,7 +842,7 @@ def test_diagnose_transforms_and_reads_each_snapshot_once(oscillator_run, tmp_pa
     assert reads == collections.Counter(files)
 
 
-@pytest.mark.parametrize("kind", ["oscillator", "pauli"])
+@pytest.mark.parametrize("kind", ["oscillator", "pauli", "hamilton_jacobi"])
 def test_diagnose_reports_equal_the_library_on_separate_series(kind, oscillator_run,
                                                                tmp_path):
     from qvlab import diagnostics
@@ -852,6 +852,13 @@ def test_diagnose_reports_equal_the_library_on_separate_series(kind, oscillator_
     if kind == "oscillator":
         _, out = oscillator_run
         cfg = _all_diagnostics(tmp_path)
+    elif kind == "hamilton_jacobi":  # alone, it still keeps psi, f, J and Q
+        _, out = oscillator_run
+        payload = _oscillator_config()
+        payload["diagnostics"] = ["hamilton_jacobi"]
+        cfg = _write_config(tmp_path / "alone.json", payload)
+        for name in ("continuity", "hamilton_jacobi"):
+            (out / f"report_{name}.json").unlink(missing_ok=True)
     else:
         cfg = _write_config(tmp_path / "pauli.json", _pauli_config())
         out = tmp_path / "run"
@@ -863,28 +870,59 @@ def test_diagnose_reports_equal_the_library_on_separate_series(kind, oscillator_
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     times = [entry["time"] for entry in manifest["snapshots"]]
     snaps = [read_snapshot(out / name) for name in _snapshot_files(out)]
-    reports = [diagnostics.continuity_residual(
+    reports = [] if kind == "hamilton_jacobi" else [diagnostics.continuity_residual(
         times, [density(s) for s in snaps],
         [current_scalar(s, gauge, consts) for s in snaps])]
-    if kind == "oscillator":
+    if kind != "pauli":
         mid = len(snaps) // 2
         rate, mask, jumps = diagnostics.phase_rate_from_snapshots(
             snaps[mid - 1], snaps[mid + 1], times[mid + 1] - times[mid - 1], snaps[mid])
         reports.append(diagnostics.hamilton_jacobi_residual(
             snaps[mid], gauge, consts, rate, mask | jumps, dt=times[1] - times[0]))
+    if kind == "oscillator":
         reports += diagnostics.gauge_residuals(
             times, [gauge] * len(snaps), consts,
             [diagnostics.quantum_potential(s, consts)[0] for s in snaps])
     for report in reports:
         written = (out / f"report_{report.name}.json").read_bytes()
         assert written == report.to_json().encode("utf-8")
+    if kind == "hamilton_jacobi":
+        assert not (out / "report_continuity.json").exists()
 
 
-@pytest.mark.parametrize("keep", ["jq", "je"])
+def test_a_masked_hamilton_jacobi_report_takes_its_norms_over_the_kept_points(
+        oscillator_run):
+    # the ground state's tails are nodes: l2 is the root mean square over the
+    # points off the node and branch masks, not over the whole grid
+    from qvlab import diagnostics
+    from qvlab.fields import density, node_mask
+
+    cfg, out = oscillator_run
+    assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 0
+    written = json.loads((out / "report_hamilton_jacobi.json").read_text(encoding="utf-8"))
+    scenario = cli.Scenario(cli._load_config(str(cfg))[0], str(cfg.parent))
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    times = [entry["time"] for entry in manifest["snapshots"]]
+    mid = len(times) // 2
+    earlier, psi, later = (read_snapshot(out / name)
+                           for name in _snapshot_files(out)[mid - 1:mid + 2])
+    rate, rate_mask, jumps = diagnostics.phase_rate_from_snapshots(
+        earlier, later, times[mid + 1] - times[mid - 1], psi)
+    r = diagnostics.hamilton_jacobi_residual(psi, scenario.gauge, scenario.consts, rate,
+                                             rate_mask | jumps).per_point
+    kept = r[~(node_mask(density(psi)) | rate_mask | jumps)]
+    assert 0.5 < 1.0 - kept.size / r.size < 0.9
+    assert written["n_points"] == kept.size
+    assert written["mask_fraction"] == pytest.approx(1.0 - kept.size / r.size, rel=1e-15)
+    assert written["l2"] == pytest.approx(np.sqrt(np.sum(kept**2) / kept.size), rel=1e-12)
+    assert written["linf"] == np.max(np.abs(kept))
+
+
+@pytest.mark.parametrize("keep", ["rings", "samplers"])
 def test_each_kept_series_is_views_of_one_array(keep, oscillator_run):
-    # a reducing pass holds each series in three frames of one array, and a
-    # sampling pass writes each frame into the samplers' own arrays; every frame
-    # a command sees holds the values of that snapshot's own _polar
+    # a reducing pass holds each product in three frames of one array of its
+    # own, and a sampling pass writes each frame into the samplers' own arrays;
+    # every frame a command sees holds the values of that snapshot's own _polar
     from qvlab.decomposition import _current, _polar
     from qvlab.trajectories import _half_spectrum
 
@@ -894,24 +932,29 @@ def test_each_kept_series_is_views_of_one_array(keep, oscillator_run):
     scale, grid = consts.alpha / consts.beta, scenario.grid
     n, dim = len(files), grid.dim
 
-    def own(k):  # snapshot k's f, J components, Q and -grad Q / q with its mask
-        polar = _polar(read_snapshot(out / files[k]), scale, force_scale=scale)
+    def own(k):  # snapshot k's psi, f, J components, Q and -grad Q / q with its mask
+        psi = read_snapshot(out / files[k])
+        polar = _polar(psi, scale, force_scale=scale)
         current = _current(polar.f, polar.flux, scenario.gauge, consts)
         force = np.array([c / consts.q for c in polar.force])
-        return polar.f, np.array(current), polar.q, force, polar.mask
+        return psi.values, polar.f, np.array(current), polar.q, force, polar.mask
 
-    if keep == "jq":
-        run = cli.Run(scenario, str(out)).stream(keep)
-        ring, q_ring = run.f.items[0].base, run.q.items[0].base
+    if keep == "rings":
+        run = cli.Run(scenario, str(out)).stream({"psi", "f", "j", "q"})
+        rings = run.f.rows.base  # f, J and Q share one array; psi has its own
         assert run._read == 0
-        assert ring.shape == (3, 1 + dim, *grid.shape) and q_ring.shape == (3, *grid.shape)
+        assert run.psi.rows.shape == (3, *grid.shape) and run.psi.rows.dtype == complex
+        assert rings.shape == (3, 1 + dim + 1, *grid.shape)
+        assert run.j.rows.base is rings and run.q.rows.base is rings
         seen = []
 
         def rows(i, rate):
             for k in (i - 1, i, i + 1):
-                f, current, q, _, _ = own(k)
-                assert run.f[k].base is ring and run.q[k].base is q_ring
-                assert all(c.base is ring for c in run.j[k].components)
+                psi, f, current, q, _, _ = own(k)
+                assert run.psi[k].base is run.psi.rows
+                assert run.f[k].base is rings and run.q[k].base is rings
+                assert all(c.base is rings for c in run.j[k].components)
+                assert run.psi[k].tobytes() == psi.tobytes()
                 assert run.f[k].tobytes() == f.tobytes()
                 assert np.array(run.j[k].components).tobytes() == current.tobytes()
                 assert run.q[k].tobytes() == q.tobytes()
@@ -921,15 +964,25 @@ def test_each_kept_series_is_views_of_one_array(keep, oscillator_run):
 
         cli._reduce(run, [rows])
         assert seen == list(range(1, n - 1)) and run._read == n
-        with pytest.raises(IndexError, match="is not among the three the ring holds"):
-            run.f[n - 4]
+        for ring in (run.psi, run.f, run.j, run.q):
+            with pytest.raises(IndexError, match="is not among the 3 the ring holds"):
+                ring[n - 4]
+        # unkept, psi is read into one frame, and the other products have no ring
+        run = cli.Run(scenario, str(out)).stream({"q"}).read(n - 1)
+        assert run.psi.rows.shape == (1, *grid.shape) and run.f is run.j is None
+        assert run.psi[n - 1].tobytes() == own(n - 1)[0].tobytes()
+        with pytest.raises(IndexError, match="is not among the 1 the ring holds"):
+            run.psi[n - 2]
         return
     for method in ("tricubic", "spectral"):
-        flow, em = cli._trace_samplers(cli.Run(scenario, str(out)), method, force=True)
+        run = cli.Run(scenario, str(out))
+        flow, em = cli._trace_samplers(run, method, force=True)
+        run.read(n - 1)
         fj, e = flow._data, em.e._data
         assert fj.shape[:2] == (n, 1 + dim) and e.shape[:2] == (n, dim)
+        assert flow.masks is None
         for i in range(n):
-            f, current, _, force, mask = own(i)
+            _, f, current, _, force, mask = own(i)
             assert np.array_equal(em.e.masks[i], mask)
             for stored, values in zip([*fj[i], *e[i]], [f, *current, *force]):
                 if method == "spectral":  # stored as its half spectrum
@@ -982,6 +1035,24 @@ def test_reducing_commands_hold_three_frames_whatever_the_run_length(tmp_path, c
     frames = 3 * 4 * 64 * 64 * 8
     for command in ("evolve", "diagnose", "fields"):
         assert abs(peaks[command, 51] - peaks[command, 11]) < frames, command
+
+
+def test_diagnose_holds_no_psi_copy_for_hamilton_jacobi(tmp_path, capsys):
+    # continuity and gauge already keep f, J and Q, so adding Hamilton-Jacobi
+    # adds only the psi ring's two extra frames and its rows' temporaries:
+    # measured 2.5 psi frames in 1D, 2D and 3D (numpy 2.4), where the copies of
+    # psi and of the middle record read 3.0
+    cfg = _write_config(tmp_path / "osc.json", _two_dimensional_oscillator(11))
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "run")]
+    assert main(["evolve", *argv]) == 0
+    peaks = {}
+    for names in (("continuity", "gauge"), ("continuity", "hamilton_jacobi", "gauge")):
+        payload = _two_dimensional_oscillator(11, diagnostics=list(names))
+        _write_config(cfg, payload)
+        peaks[len(names)] = _traced_peak(["diagnose", *argv])
+    capsys.readouterr()
+    frame = 64 * 64 * 16
+    assert peaks[3] - peaks[2] < 2.75 * frame
 
 
 @pytest.mark.parametrize("interpolation", ["tricubic", "spectral"])
@@ -1526,6 +1597,7 @@ def test_trace_batch_matches_single_start_paths(gaussian_run, tmp_path):
     scenario = Scenario(_load_config(str(cfg))[0], str(tmp_path))
     run = Run(scenario, str(out))
     flow, em = _trace_samplers(run, "spectral", force=True)
+    run.read(len(run.times) - 1)
     dt, steps = summary["dt"], summary["steps"]
     for index, start in enumerate(starts):
         v0, _ = flow(np.array([start]), run.times[0])
@@ -1575,6 +1647,29 @@ def test_trace_count_samples_the_joint_density(tmp_path):
     low = firsts < 8.0
     assert np.all(low[:, 0] == low[:, 1])
     assert 0 < np.count_nonzero(low[:, 0]) < 60
+
+
+@pytest.mark.parametrize("interpolation", ["spectral", "tricubic"])
+def test_trace_count_draws_its_starts_from_snapshot_zero(interpolation, gaussian_run,
+                                                         tmp_path):
+    # the starts are sample_density of snapshot 0's f, bit for bit, drawn
+    # with the generator of --seed
+    from qvlab.fields import density
+    from qvlab.trajectories import sample_density
+
+    _, out = gaussian_run
+    payload = _gaussian_config()
+    payload["trace"] = {"method": "both", "interpolation": interpolation, "count": 5}
+    cfg = _write_config(tmp_path / "count.json", payload)
+    assert main(["trace", "--config", str(cfg), "--out", str(out), "--seed", "7"]) == 0
+    files = _snapshot_files(out)
+    want = sample_density(cli.Scenario(payload, str(tmp_path)).grid,
+                          density(read_snapshot(out / files[0])), 5,
+                          np.random.default_rng(7))
+    for method in ("advect", "force"):
+        got = [np.loadtxt(out / f"trace_{i:03d}_{method}.csv", delimiter=",",
+                          skiprows=1)[0, 1] for i in range(5)]
+        assert np.array(got).tobytes() == want[:, 0].tobytes()
 
 
 def test_trace_and_continuity_skip_the_quantum_potential(gaussian_run, tmp_path,

@@ -73,6 +73,22 @@ def test_report_validation_and_json():
         ResidualReport("demo", 0.0, 0.0, 1.5, 1)
 
 
+def test_a_masked_report_takes_its_norms_over_the_kept_samples():
+    # two rows, the second masked where the first is not: l2 is the root mean
+    # square of the kept samples alone, n_points counts them, and the masked
+    # fraction is of every sample tallied
+    first = np.array([[3.0, -4.0], [0.0, 12.0]])
+    second = np.array([[1.0, 100.0], [-2.0, 5.0]])
+    mask = np.array([[False, True], [False, True]])
+    report = diagnostics._Tally().add(first).add(second, mask).report("demo", dt=0.5)
+    kept = np.array([3.0, -4.0, 0.0, 12.0, 1.0, -2.0])
+    assert report.n_points == 6 and report.mask_fraction == 0.25
+    assert report.l2 == np.sqrt(np.sum(kept**2) / 6) and report.linf == 12.0
+    assert report.dt == 0.5 and report.per_point is None
+    with pytest.raises(NodeError, match="demo: every sample is masked"):
+        diagnostics._Tally().add(second, np.ones((2, 2), bool)).report("demo")
+
+
 # ---------------------------------------------------------------------------
 # continuity
 
@@ -904,9 +920,13 @@ def _reference_reports(times, dens, currents, j4, gauges, q_series, frames, cons
             rows["ampere"].append(
                 curl_b[ax] / consts.mu0 - consts.eps0 * de - frames[i].j[ax]
             )
-    return {
-        name: diagnostics._report(name, np.stack(r), dt=dt) for name, r in rows.items()
-    }
+    reports = {}
+    for name, r in rows.items():  # the stacked rows, tallied one row at a time
+        samples, tally = np.stack(r), diagnostics._Tally()
+        for row in samples:
+            tally.add(row)
+        reports[name] = tally.report(name, dt, samples)
+    return reports
 
 
 @pytest.mark.parametrize("shape", [(16,), (8, 12), (6, 8, 4)], ids=["1d", "2d", "3d"])
@@ -974,7 +994,7 @@ def test_time_series_residuals_hold_no_frame_lists():
                 for _ in times]
     gauges = [_random_gauge(g, rng)] * len(times)
     q_series = [rng.standard_normal(g.shape) for _ in times]
-    # each report's own array, _report's one keep**2 temporary and a few frames
+    # each report's own array, one row's kept**2 temporary and a few frames
     continuity = _peak_series_units(
         lambda: continuity_residual(times, dens, currents), unit
     )

@@ -24,18 +24,31 @@ def test_compare_runs_finds_this_checkout_equal_to_itself(capsys):
     assert code == 0
     assert lines[-1] == "all outputs equal"
     # per case, one resource line per subcommand, in the scenario's order, then
-    # the files; the seed's algebra-check case comes after the workload's
-    usage = [re.fullmatch(r"(flow-trace-tiny-1/\S+|algebra-check-1/identities) ([\w-]+): "
-                          r"peak RSS ([\d.]+) -> ([\d.]+) MB, minor page faults (\d+) -> (\d+)",
-                          line) for line in lines[:4] + lines[-3:-2]]
-    assert [match[2] for match in usage] == ["evolve", "diagnose", "trace", "fields",
-                                             "algebra-check"]
-    assert all(float(value) > 0.0 for match in usage for value in match.groups()[2:])
-    files = [line.split(": ")[0].rsplit("/", 1)[1] for line in lines[4:-3]]
+    # the files; the seed's extra cases, then its algebra-check case, come
+    # after the workload's
+    usage = [re.fullmatch(r"([\w-]+/[\w-]+) ([\w-]+): peak RSS ([\d.]+) -> ([\d.]+) MB, "
+                          r"minor page faults (\d+) -> (\d+)", line) for line in lines[:-1]]
+    scenarios = [(match[1].split("/")[0], match[2]) for match in usage if match]
+    commands = ["evolve", "diagnose", "trace", "fields"]
+    assert scenarios == [
+        *(("flow-trace-tiny-1", command) for command in commands),
+        *(("extra-1", command) for _ in COMPARE_RUNS["EXTRA"] for command in commands),
+        ("algebra-check-1", "algebra-check")]
+    assert [match[1] for match in usage if match][4::4] == [
+        "extra-1/packet-1d", "extra-1/oscillator-2d", "algebra-check-1/identities"]
+    assert all(float(value) > 0.0 for match in usage if match
+               for value in match.groups()[2:])
+    files = [line.split(": ")[0] for line, match in zip(lines, usage) if not match]
+    assert all(line.endswith(": equal") for line, match in zip(lines, usage) if not match)
+    names = {path.rsplit("/", 1)[1] for path in files if path.startswith("flow-trace")}
     assert {"manifest.json", "snap_000016.qfs", "trace_001_force.csv",
-            "report_hamilton_jacobi.json", "fields_summary.json"} <= set(files)
-    assert "timings.json" not in files
-    assert all(line.endswith(": equal") for line in lines[4:-3])
+            "report_hamilton_jacobi.json", "fields_summary.json"} <= names
+    assert {"extra-1/packet-1d/report_hamilton_jacobi.json",
+            "extra-1/packet-1d/report_self_consistency.json",
+            "extra-1/packet-1d/trace_003_force.csv",
+            "extra-1/oscillator-2d/report_gauge_quantum.json",
+            "extra-1/oscillator-2d/trace_003.csv"} <= set(files)
+    assert not any(path.endswith("timings.json") for path in files)
     assert lines[-2] == "algebra-check-1/identities/algebra_check.json: equal"
 
 
@@ -52,8 +65,9 @@ def test_compare_runs_reports_a_failed_subcommand_with_its_resources(tmp_path, c
     assert code == 1
     assert lines[-1] == "outputs differ"
     assert f"free-3d evolve exited 1 in {broken}: runtime error: broken" in lines
+    assert f"packet-1d trace exited 1 in {broken}: runtime error: broken" in lines
     assert f"identities algebra-check exited 1 in {broken}: runtime error: broken" in lines
-    assert sum(": peak RSS " in line for line in lines) == 5
+    assert sum(": peak RSS " in line for line in lines) == 4 + 4 * len(COMPARE_RUNS["EXTRA"]) + 1
 
 
 def test_compare_runs_reports_how_the_numbers_differ(tmp_path):

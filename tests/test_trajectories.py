@@ -123,6 +123,27 @@ def test_flow_sampler_masks_node_tails():
     assert np.array_equal(vals[~masked], raw[~masked, 1:] / raw[~masked, :1])
 
 
+@pytest.mark.parametrize("method", ["spectral", "tricubic"])
+def test_grid_sampler_masks_a_point_by_its_nearest_node_in_both_bracketing_snapshots(method):
+    # spacing 1: node 3 is masked in snapshot 1 and node 5 in snapshot 2, so a
+    # point is masked near the node it rounds to, in either snapshot around t
+    g = make_grid(1, [8], [8.0])
+    masks = np.zeros((3, 8), dtype=bool)
+    masks[1, 3] = masks[2, 5] = True
+    sampler = GridFieldSampler(g, [0.0, 1.0, 2.0], [(np.ones(8),)] * 3, method=method,
+                               masks=masks)
+    x = np.array([[2.49], [2.51], [3.49], [3.51], [4.49], [4.51], [5.49], [5.51]])
+    cases = {  # t -> masked, for the points x on both sides of each cell edge
+        0.5: [False, True, True, False, False, False, False, False],
+        0.99: [False, True, True, False, False, False, False, False],
+        1.01: [False, True, True, False, False, True, True, False],
+        1.5: [False, True, True, False, False, True, True, False],
+        2.5: [False, False, False, False, False, True, True, False],
+    }
+    for t, want in cases.items():
+        assert sampler(x, t)[1].tolist() == want, t
+
+
 def test_grid_sampler_rejects_masks_of_the_wrong_shape():
     g = make_grid(2, [8, 4], [1.0, 1.0])
     ones = np.ones(g.shape)

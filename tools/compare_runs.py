@@ -7,8 +7,12 @@ OLD and NEW are source checkouts, each with src/qvlab.  The scenarios come
 from OLD's perfbench/workloads.py, which is read and not changed, and both
 trees run the same config files.  --workload, --seed and --size may be
 repeated; by default every workload runs at seeds 1 and 2, tiny and full.
-Each seed also runs `algebra-check --seed N` with no config, as the case
-algebra-check-N, whatever the workloads and sizes.
+Each seed also runs, whatever the workloads and sizes, the paths no benchmark
+scenario takes, as the case extra-N: EXTRA's scenarios, a 1D packet and a 2D
+oscillator that ask for Hamilton-Jacobi alone and beside gauge, the classical
+and quantum field families, and paths from count-drawn starts with both
+interpolations; then `algebra-check --seed N` with no config, as the case
+algebra-check-N.
 Each subcommand runs as `python -m qvlab.cli` in a fresh interpreter with the
 tree's src on PYTHONPATH, one BLAS thread, and no bytecode written.
 
@@ -54,6 +58,27 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 # a .qfs header: magic, version, dim, n[3], length[3], ncomp, scalar width
 QFS_HEADER = struct.Struct("<8sII3I3dII4x")
+
+_EXTRA_COMMANDS = ["evolve", "diagnose", "trace", "fields"]
+EXTRA = [
+    {"name": "packet-1d", "commands": _EXTRA_COMMANDS, "config": {
+        "name": "packet-1d", "equation": "schrodinger",
+        "grid": {"dim": 1, "n": [128], "length": [40.0]},
+        "initial_state": {"preset": "gaussian", "sigma": 1.5, "center": [20.0], "k0": [1.0]},
+        "evolution": {"dt": 2e-3, "steps": 60, "snapshot_stride": 6},
+        "diagnostics": ["hamilton_jacobi"],
+        "trace": {"method": "both", "interpolation": "spectral", "count": 4},
+        "fields": {"family": "classical"}}},
+    {"name": "oscillator-2d", "commands": _EXTRA_COMMANDS, "config": {
+        "name": "oscillator-2d", "equation": "schrodinger",
+        "grid": {"dim": 2, "n": [32, 32], "length": [16.0, 16.0]},
+        "initial_state": {"preset": "ho_ground", "omega": 1.0, "center": [8.4, 7.7]},
+        "gauge": {"u": {"preset": "harmonic", "omega": 1.0, "center": [8.0, 8.0]}},
+        "evolution": {"dt": 2e-3, "steps": 40, "snapshot_stride": 4},
+        "diagnostics": ["hamilton_jacobi", "gauge"],
+        "trace": {"method": "advect", "interpolation": "tricubic", "count": 4},
+        "fields": {"family": "quantum"}}},
+]
 
 
 def _env(tree):
@@ -202,6 +227,7 @@ def main(argv=None):
              for workload, size, seed in itertools.product(
                  args.workload or workloads["WORKLOADS"], args.size or SIZES, seeds)
              for spec in workloads["build"](workload, seed, size == "tiny")]
+    cases += [(f"extra-{seed}", spec, seed) for seed in seeds for spec in EXTRA]
     cases += [(f"algebra-check-{seed}", {"name": "identities", "commands": ["algebra-check"]},
                seed) for seed in seeds]
     with tempfile.TemporaryDirectory(prefix="compare-runs-") as work:

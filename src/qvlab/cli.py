@@ -438,30 +438,22 @@ def _versions() -> dict:
 _SNAPSHOT_NAME = "snap_{:06d}.qfs"  # the file of the snapshot kept at a step
 
 
-def _run_dirac(state, scenario: Scenario, params):
+def _run_dirac(state, gauge, consts, params):
     """Dirac runs see the four-potential (U/q, A), A padded to 3 components."""
-    gauge, consts = scenario.gauge, scenario.consts
     if consts.q == 0.0:
         raise ConfigError("config.constants: dirac runs need q != 0 (phi = U/q)")
     if any(np.any(b) for b in gauge.b_external or ()):  # a torus has no periodic A for it
         raise ConfigError("config.gauge.b_external: dirac runs take no uniform B; set it to zero")
     a3 = (*gauge.a_psi.components, 0.0, 0.0)[:3]
-    pot = evolvers.FourPotential(scenario.grid, gauge.u / consts.q, a3)
+    pot = evolvers.FourPotential(gauge.grid, gauge.u / consts.q, a3)
     return evolvers._kept_dirac(state, pot, consts, params)
 
 
-# equation -> (field class its state must have, runner(state, scenario, params),
-# which hands out each kept (time, state) as its stride ends)
+# equation -> (field class its state must have, runner(state, gauge, consts,
+# params), which hands out each kept (time, state) as its stride ends)
 _EQUATIONS = {
-    "schrodinger": (
-        fields.ComplexScalarField,
-        lambda state, sc, params: evolvers._kept_schrodinger(
-            state, sc.gauge, sc.consts, params),
-    ),
-    "pauli": (
-        fields.SpinorField,
-        lambda state, sc, params: evolvers._kept_pauli(state, sc.gauge, sc.consts, params),
-    ),
+    "schrodinger": (fields.ComplexScalarField, evolvers._kept_schrodinger),
+    "pauli": (fields.SpinorField, evolvers._kept_pauli),
     "dirac": (fields.BispinorField, _run_dirac),
 }
 
@@ -482,7 +474,7 @@ def cmd_evolve(args, scenario: Scenario) -> int:
     except fields.NodeError as exc:
         raise ConfigError(f"config.initial_state: {exc}") from exc
 
-    kept = run(state, scenario, params)
+    kept = run(state, scenario.gauge, scenario.consts, params)
     out = _out_dir(args, scenario)
     # an old manifest must not list a series this run is half way to replacing
     with contextlib.suppress(FileNotFoundError):

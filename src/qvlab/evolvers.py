@@ -54,7 +54,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -528,11 +528,29 @@ def _wave_stepper(grid, j, consts, params):
 class TaylorEvolutionMatrix:
     """Upper-triangular Taylor-shift matrix M_ij = t^(j-i)/(j-i)!.
 
-    The diagonal is identically 1, so det M = 1 exactly at every order."""
+    entries is not an argument: it is formed from order and t, each t^k/k!
+    as one rounding of the exact ratio, so entries too small for a float
+    are 0 and one too large raises ValueError.  The diagonal is identically
+    1, so det M = 1 exactly at every order."""
 
     order: int
     t: float
-    entries: np.ndarray
+    entries: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        if self.order < 1:
+            raise ValueError(f"order must be at least 1, got {self.order}")
+        num, den = float(self.t).as_integer_ratio()
+        try:
+            terms = [num**k / (den**k * math.factorial(k)) for k in range(self.order)]
+        except OverflowError:
+            raise ValueError(f"t^k/k! exceeds the float range at order {self.order}, "
+                             f"t = {self.t}") from None
+        lags = np.arange(self.order)
+        m = np.triu(np.array(terms)[np.abs(lags[:, None] - lags)])
+        m.flags.writeable = False
+        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "entries", m)
 
     @property
     def det(self) -> float:
@@ -542,14 +560,7 @@ class TaylorEvolutionMatrix:
 def gps_matrix(order: int, t: float) -> TaylorEvolutionMatrix:
     """Evolution matrix for a kinematic state (r, v, dv/dt, ...) truncated at
     `order` slots."""
-    if order < 1:
-        raise ValueError(f"order must be at least 1, got {order}")
-    m = np.zeros((order, order))
-    for i in range(order):
-        for j in range(i, order):
-            m[i, j] = t ** (j - i) / math.factorial(j - i)
-    m.flags.writeable = False
-    return TaylorEvolutionMatrix(order, float(t), m)
+    return TaylorEvolutionMatrix(order, t)
 
 
 def gps_apply(matrix: TaylorEvolutionMatrix, state) -> np.ndarray:

@@ -16,8 +16,9 @@ with no support, and divides with _ratio, which writes 0 on the nodes.
 Snapshots (.qfs) are a fixed 64-byte little-endian header followed by raw
 float64 samples, component-major as fields hold them: (ncomp, *grid), so a
 snapshot is written and read with no transposing copy.  Round-trips are
-bit-exact.  Version 1 files, whose samples are interleaved per grid point
-as (*grid, ncomp), are still read; only version 2 is written.
+bit-exact.  Version 2 is the one version written and read; a version 1
+file, whose samples were interleaved per grid point as (*grid, ncomp), is
+refused like any other unknown version.
 """
 from __future__ import annotations
 
@@ -263,7 +264,7 @@ def read_snapshot(path, out=None):
         magic, version, dim, n1, n2, n3, l1, l2, l3, ncomp, width = _HEADER.unpack(raw)
         if magic != _MAGIC:
             raise SnapshotError(f"{path}: bad magic {magic!r}")
-        if version not in (1, _VERSION):
+        if version != _VERSION:
             raise SnapshotError(f"{path}: unsupported version {version}")
         try:
             grid = make_grid(dim, (n1, n2, n3)[:dim], (l1, l2, l3)[:dim])
@@ -286,17 +287,7 @@ def read_snapshot(path, out=None):
         if (out is None or out.shape != shape or out.dtype != dtype
                 or not out.flags.c_contiguous):
             out = np.empty(shape, dtype)
-        if version == 1 and ncomp > 1:  # the one transposing copy, of (*grid, ncomp)
-            interleaved = np.empty((*grid.shape, ncomp), dtype)
-            _read_into(fh, interleaved, path)
-            np.copyto(out, np.moveaxis(interleaved, -1, 0))
-        else:
-            _read_into(fh, out, path)
+        got = fh.readinto(out)
+        if got != out.nbytes:
+            raise SnapshotError(f"{path}: payload ended after {got} of {out.nbytes} bytes")
     return VectorField(grid, tuple(out)) if cls is None else cls(grid, out)
-
-
-def _read_into(fh, samples: np.ndarray, path) -> None:
-    """Fill samples from fh, refusing a payload that ends first."""
-    got = fh.readinto(samples)
-    if got != samples.nbytes:
-        raise SnapshotError(f"{path}: payload ended after {got} of {samples.nbytes} bytes")

@@ -48,9 +48,10 @@ anything evaluated far from mask edges.
 
 A trajectory that enters a masked node region is frozen rather than
 extrapolated: a flow path keeps its last valid velocity, a force path
-coasts with zero acceleration, a (time, reason) event is recorded for that
-particle, and integration continues until the sampler reports valid values
-again.  Mask checks happen at step boundaries, not inside RK4 substeps.
+coasts with zero acceleration, its Path flags the sample and lists a
+(time, reason) event where the flag turns on, and integration continues
+until the sampler reports valid values again.  Mask checks happen at step
+boundaries, not inside RK4 substeps.
 """
 from __future__ import annotations
 
@@ -387,13 +388,16 @@ class EMSeries:
 
 @dataclass
 class Path:
-    """One integrated trajectory with per-sample node flags."""
+    """One integrated trajectory with per-sample node flags.
+
+    mask_events is not an argument: it holds one (t, reason) per sample whose
+    flag turns on, a masked first sample included."""
 
     times: np.ndarray
     positions: np.ndarray
     velocities: np.ndarray
     masked: np.ndarray
-    mask_events: list = field(default_factory=list)
+    mask_events: list = field(init=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -407,6 +411,8 @@ class Path:
             raise ValueError("masked must be one flag per sample")
         if n > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("path times must be strictly increasing")
+        onsets = self.masked & ~np.concatenate(([False], self.masked[:-1]))
+        self.mask_events = [(t, _MASK_REASON) for t in self.times[onsets].tolist()]
 
     @property
     def dim(self) -> int:
@@ -438,23 +444,17 @@ def _rk4(state, rhs, hold, dim: int, lengths, dt: float, steps: int, *, record: 
     side and hold(derivative, frozen, held) its rule for frozen rows, with
     ``held`` the step's k1 (at a step boundary, the previous step's).  The
     right-hand side is evaluated once per boundary and that value is k1.
-    Returns (state, frozen, trail, events); the trail has one (t,
-    positions, dr/dt, frozen) record per boundary, events one list per row.
+    Returns (state, frozen, trail); the trail has one (t, positions, dr/dt,
+    frozen) record per boundary.
     """
     dt, steps = float(dt), int(steps)
     state = np.array(state, dtype=float)
     state[:, :dim] = _wrap(state[:, :dim], lengths)
-    n = state.shape[0]
-    frozen = np.zeros(n, dtype=bool)
     k1 = np.zeros_like(state)
-    trail, events = [], [[] for _ in range(n)]
+    trail = []
     for step in range(steps + 1):
         t = step * dt
-        raw, masked = rhs(state, t)
-        if record:
-            for row in np.flatnonzero(masked & ~frozen):
-                events[row].append((t, _MASK_REASON))
-        frozen = masked
+        raw, frozen = rhs(state, t)
         k1 = hold(raw, frozen, k1)
         if record:
             trail.append(
@@ -467,7 +467,7 @@ def _rk4(state, rhs, hold, dim: int, lengths, dt: float, steps: int, *, record: 
         k4 = hold(rhs(state + dt * k3, t + dt)[0], frozen, k1)
         state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         state[:, :dim] = _wrap(state[:, :dim], lengths)
-    return state, frozen, trail, events
+    return state, frozen, trail
 
 
 def _starts(r0) -> tuple[np.ndarray, bool]:
@@ -478,14 +478,14 @@ def _starts(r0) -> tuple[np.ndarray, bool]:
     return arr, False
 
 
-def _paths(trail, events, single: bool):
+def _paths(trail, single: bool):
     times = np.array([rec[0] for rec in trail])
     positions, velocities, masked = (
         np.stack([rec[k] for rec in trail], axis=1) for k in (1, 2, 3)
     )
     paths = [
-        Path(times, positions[i], velocities[i], masked[i], events[i])
-        for i in range(len(events))
+        Path(times, positions[i], velocities[i], masked[i])
+        for i in range(len(masked))
     ]
     return paths[0] if single else paths
 
@@ -502,17 +502,17 @@ def advect(r0, velocity, dt: float, steps: int) -> Path | list[Path]:
     shape (N, dim) is integrated in one batch and gives N Paths in order.
     """
     starts, single = _starts(r0)
-    _, _, trail, events = _rk4(
+    _, _, trail = _rk4(
         starts, velocity, _hold_last_velocity, starts.shape[1],
         getattr(velocity, "lengths", None), dt, steps, record=True,
     )
-    return _paths(trail, events, single)
+    return _paths(trail, single)
 
 
 def advect_ensemble(points, velocity, dt: float, steps: int):
     """Vectorized advect over many start points; returns (positions, frozen)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    final, frozen, _, _ = _rk4(
+    final, frozen, _ = _rk4(
         pts, velocity, _hold_last_velocity, pts.shape[1],
         getattr(velocity, "lengths", None), dt, steps, record=False,
     )
@@ -554,11 +554,11 @@ def force_path(r0, v0, em: EMSeries, gamma: float, dt: float,
         deriv[frozen, dim:] = 0.0
         return deriv
 
-    _, _, trail, events = _rk4(
+    _, _, trail = _rk4(
         np.concatenate([starts, vel], axis=1), rhs, hold, dim,
         getattr(em.e, "lengths", None), dt, steps, record=True,
     )
-    return _paths(trail, events, single)
+    return _paths(trail, single)
 
 
 # ---------------------------------------------------------------------------

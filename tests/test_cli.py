@@ -1821,6 +1821,21 @@ def test_gps_matrix_determinant_and_application(tmp_path, capsys):
     assert payload["applied"] == [[2.5], [4.0], [4.0]]
 
 
+@pytest.mark.parametrize("order, t, code", [(172, 0.5, 0), (120, 1000.0, 0), (400, 1000.0, 2)])
+def test_gps_at_large_order_and_t(tmp_path, capsys, order, t, code):
+    # entries below the float range are 0 and entries within it are formed; an
+    # entry beyond it names config.gps
+    config = _gaussian_config()
+    config["gps"] = {"order": order, "t": t, "state": None}
+    cfg = _write_config(tmp_path / "scenario.json", config)
+    assert main(["gps", "--config", str(cfg), "--out", str(tmp_path)]) == code
+    if code:
+        assert "config.gps: " in capsys.readouterr().err
+    else:
+        payload = json.loads((tmp_path / "gps.json").read_text(encoding="utf-8"))
+        assert payload["det"] == 1.0 and len(payload["matrix"]) == order
+
+
 # ---------------------------------------------------------------------------
 # algebra-check
 

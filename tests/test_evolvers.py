@@ -1,7 +1,9 @@
 """Split-step integrators, the wave-equation leapfrog, and the Taylor
 evolution matrix."""
 import itertools
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -839,8 +841,20 @@ def test_gps_apply_broadcasts_over_vectors():
     assert np.array_equal(out[0], [2.0, 4.0, 1.0])
 
 
+@pytest.mark.parametrize("order, t", [(172, 0.5), (250, 0.5), (120, 1000.0)])
+def test_gps_entries_below_and_near_the_float_range_are_finite(order, t):
+    # each t^k/k! is one rounding of the exact ratio: entries that underflow
+    # are 0, and 1000^119/119! (about 1.8e160) is formed although 1000^119 is not
+    m = gps_matrix(order, t)
+    assert np.all(np.isfinite(m.entries)) and m.det == 1.0
+    k = order - 1
+    assert m.entries[0, -1] == float(Fraction(t) ** k / math.factorial(k))
+
+
 def test_gps_rejects_bad_order_and_shape():
     with pytest.raises(ValueError):
         gps_matrix(0, 1.0)
+    with pytest.raises(ValueError, match=r"float range at order 400, t = 1000\.0"):
+        gps_matrix(400, 1000.0)  # 1000^399/399! is about 1e331
     with pytest.raises(ValueError):
         gps_apply(gps_matrix(3, 1.0), [1.0, 2.0])

@@ -248,14 +248,13 @@ def test_snapshot_round_trip_bit_exact(tmp_path, kind):
         assert _samples(back).tobytes() == _samples(field).tobytes()
 
 
-@pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize("kind", _KINDS)
-def test_snapshot_reads_into_the_destination_given(tmp_path, kind, version):
-    # the field keeps out as its storage; a version 1 file is transposed into it
+def test_snapshot_reads_into_the_destination_given(tmp_path, kind):
+    # the field keeps out as its storage
     g = _GRIDS[1]
     field = _random_field(kind, g)
     path = tmp_path / f"{kind}.qfs"
-    (write_snapshot if version == 2 else write_snapshot_v1)(field, path)
+    write_snapshot(field, path)
     out = np.empty_like(_samples(field))
     back = read_snapshot(path, out=out)
     parts = back.components if kind == "vector" else (back.values,)
@@ -270,15 +269,16 @@ def test_snapshot_reads_into_the_destination_given(tmp_path, kind, version):
 
 @pytest.mark.parametrize("g", _GRIDS, ids=["1d", "2d", "3d"])
 @pytest.mark.parametrize("kind", _KINDS)
-def test_snapshot_reads_version_1_files(tmp_path, kind, g):
-    # version 1 interleaved the components per grid point, as (*grid, ncomp)
+def test_snapshot_refuses_version_1_files(tmp_path, kind, g):
+    # version 1 interleaved the components per grid point, as (*grid, ncomp);
+    # it is refused before a sample is read, so the destination is untouched
     field = _random_field(kind, g, seed=7)
     path = tmp_path / "v1.qfs"
     write_snapshot_v1(field, path)
-    back = read_snapshot(path)
-    assert type(back) is type(field)
-    assert back.grid == g
-    assert _samples(back).tobytes() == _samples(field).tobytes()
+    out = np.zeros_like(_samples(field))
+    with pytest.raises(SnapshotError, match="unsupported version 1$"):
+        read_snapshot(path, out=out)
+    assert not np.any(out)
 
 
 @settings(max_examples=60, deadline=None)
@@ -374,18 +374,17 @@ def test_snapshot_unknown_version(tmp_path, version):
 
 
 def test_snapshot_wrong_component_count(tmp_path):
-    # a complex payload with 3 components matches no field kind, in either version
+    # a complex payload with 3 components matches no field kind
     import struct
 
-    for version in (1, 2):
-        header = struct.Struct("<8sII3I3dII4x").pack(
-            b"QVLABQFS", version, 1, 16, 0, 0, 1.0, 0.0, 0.0, 3, 16
-        )
-        payload = np.zeros(16 * 3, dtype="<c16").tobytes()
-        p = tmp_path / "odd.qfs"
-        p.write_bytes(header + payload)
-        with pytest.raises(SnapshotError, match="components"):
-            read_snapshot(p)
+    header = struct.Struct("<8sII3I3dII4x").pack(
+        b"QVLABQFS", 2, 1, 16, 0, 0, 1.0, 0.0, 0.0, 3, 16
+    )
+    payload = np.zeros(16 * 3, dtype="<c16").tobytes()
+    p = tmp_path / "odd.qfs"
+    p.write_bytes(header + payload)
+    with pytest.raises(SnapshotError, match="components"):
+        read_snapshot(p)
 
 
 @pytest.mark.parametrize("cls, ncomp", [(ComplexScalarField, 1), (SpinorField, 2),

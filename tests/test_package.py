@@ -139,3 +139,20 @@ def test_the_snapshot_file_name_is_spelled_once():
     sources = [path.read_text(encoding="utf-8")
                for path in pathlib.Path(qvlab.__file__).parent.glob("*.py")]
     assert sum(source.count("snap_") for source in sources) == 1
+
+
+def test_a_snapshot_header_is_decoded_once():
+    # every reader of a .qfs file goes through read_snapshot, so a second decoder
+    # (of another format version, say) cannot grow beside it
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = f"{where}.{child.name}" if isinstance(child, ast.FunctionDef) else where
+            if isinstance(child, ast.Attribute) and child.attr.startswith("unpack"):
+                sites.append(inner)
+            visit(child, inner)
+
+    for path in pathlib.Path(qvlab.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert sites == ["fields.read_snapshot"]

@@ -94,17 +94,17 @@ def test_compare_runs_reports_how_the_numbers_differ(tmp_path):
 
 
 def test_compare_runs_compares_snapshots_by_what_they_hold(tmp_path):
-    # a version 1 file (interleaved per grid point) and a version 2 file
-    # (component-major) of one bispinor hold the same field
+    # a snapshot is its header and its samples in file order: a version 1 file
+    # (interleaved per grid point) of one bispinor is not its version 2 file
     g = make_grid(2, [6, 4], [1.0, 2.0])
     values = np.random.default_rng(3).standard_normal((4, *g.shape)) * (1 + 0.5j)
     v1, v2, other = (str(tmp_path / name) for name in ("v1.qfs", "v2.qfs", "other.qfs"))
     write_snapshot_v1(BispinorField(g, values), v1)
     write_snapshot(BispinorField(g, values), v2)
-    assert COMPARE_RUNS["compare_files"](v1, v2) == "equal"
+    assert COMPARE_RUNS["compare_files"](v1, v2) == "differs in layout"
     values[3, 5, 2] += 0.25
     write_snapshot(BispinorField(g, values), other)
-    assert COMPARE_RUNS["compare_files"](v1, other).startswith("differs: max abs 2.500e-01")
+    assert COMPARE_RUNS["compare_files"](v2, other).startswith("differs: max abs 2.500e-01")
 
 
 def test_the_benchmark_tracer_installs_on_the_package_and_leaves_no_wrapper():

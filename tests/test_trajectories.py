@@ -604,6 +604,17 @@ def test_path_requires_increasing_times():
         )
 
 
+def test_path_derives_its_mask_events_from_its_flags():
+    # one event per sample whose flag turns on, a masked first sample included
+    flags = [True, False, True, True]
+    path = Path(times=[0.0, 0.5, 1.0, 1.5], positions=np.zeros((4, 1)),
+                velocities=np.zeros((4, 1)), masked=flags)
+    assert [t for t, _ in path.mask_events] == [0.0, 1.0]
+    assert all("node" in reason for _, reason in path.mask_events)
+    with pytest.raises(TypeError, match="mask_events"):
+        Path([0.0], np.zeros((1, 1)), np.zeros((1, 1)), [False], mask_events=[])
+
+
 def test_path_csv_layout():
     sampler = AnalyticSampler(lambda pts, t: np.tile([0.5, -0.25], (pts.shape[0], 1)))
     path = advect([1.0, 2.0], sampler, dt=0.5, steps=2)

@@ -28,10 +28,8 @@ code effect.  For each file
 either tree wrote, one line says `equal` (the same bytes) or gives the
 largest absolute and relative difference of the file's numbers: JSON
 reports and summaries, trace CSVs and snapshot samples (.qfs).  A snapshot
-is compared by what it holds: its decoded header but for the format
-version, and its samples in component-major order, so a version 1 file
-(components interleaved per grid point) and a version 2 file of the same
-field are `equal`.
+is compared by its decoded header, which must match, and its samples in
+file order.
 timings.json is skipped, since wall time differs between runs.  The exit
 status is 1 on any difference, missing file or failed subcommand, else 0;
 the resource lines never change it.
@@ -145,17 +143,10 @@ def _numbers(path):
 
 
 def _snapshot(path):
-    """(a .qfs file's header fields but its version, its samples as float64 in
-    component-major order)."""
+    """(a .qfs file's header fields, its samples as float64)."""
     with open(path, "rb") as fh:
         data = fh.read()
-    header = QFS_HEADER.unpack_from(data)
-    samples = np.frombuffer(data, "<f8", offset=QFS_HEADER.size)
-    version, dim, n, ncomp, width = header[1], header[2], header[3:6], header[-2], header[-1]
-    points = math.prod(n[:dim])
-    if version == 1 and samples.size * 8 == points * ncomp * width:
-        samples = samples.reshape(points, ncomp, width // 8).transpose(1, 0, 2).ravel()
-    return header[:1] + header[2:], samples
+    return QFS_HEADER.unpack_from(data), np.frombuffer(data, "<f8", offset=QFS_HEADER.size)
 
 
 def _number(cell):
@@ -179,8 +170,6 @@ def compare_files(old, new):
     (shape_a, a), (shape_b, b) = parsed
     if shape_a != shape_b or a.shape != b.shape:
         return "differs in layout"
-    if old.endswith(".qfs") and a.tobytes() == b.tobytes():
-        return "equal"  # the same field, written in another format version
     both_nan = np.isnan(a) & np.isnan(b)
     diff = np.where(both_nan, 0.0, np.abs(a - b))
     scale = np.maximum(np.abs(a), np.abs(b))

@@ -191,13 +191,21 @@ def _load_config(path: str) -> tuple[dict, str]:
     def reject(token):
         raise ConfigError(f"config {path} is not valid JSON: {token} is not a number")
 
+    def unique(pairs):  # json.loads alone keeps a repeated key's last value
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"config {path} repeats the key {json.dumps(key)}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        cfg = json.loads(raw.decode("utf-8"), parse_constant=reject)
+        cfg = json.loads(raw.decode("utf-8"), parse_constant=reject, object_pairs_hook=unique)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -731,18 +739,11 @@ def _reduce(run: Run, rows) -> dict:
     that reads every snapshot: frame i's rows run once frame i + 1 is in.  A
     rows function maps a report name to the samples diagnostics._interior
     tallies or, for a residual of one frame, to its finished report."""
-    made = {}
-
     def union(i, rate):
         run.read(i + 1)
-        parts = {name: part for r in rows for name, part in r(i, rate).items()}
-        made.update((name, part) for name, part in parts.items()
-                    if isinstance(part, diagnostics.ResidualReport))
-        return {name: part for name, part in parts.items() if name not in made}
+        return {name: part for r in rows for name, part in r(i, rate).items()}
 
-    reports = diagnostics._interior(run.times, union, points=False)
-    run.read(len(run.times) - 1)
-    return {**reports, **made}
+    return diagnostics._interior(run.times, union, points=False)
 
 
 def cmd_diagnose(args, scenario: Scenario) -> int:
@@ -904,22 +905,19 @@ def cmd_fields(args, scenario: Scenario) -> int:
     equations, keep, gauge_rows, names = _DIAGNOSTICS["gauge"]
     run = Run(scenario, out).spaced().serving("fields", equations).stream((*keep, "f"))
     times, dim, mid = run.times, run.grid.dim, len(run.times) // 2
-    gauges = [scenario.gauge] * len(times)
-    frames, rows = diagnostics._em_frames(times, gauges, consts, run.q, family), []
+    gauges, rows = [scenario.gauge] * len(times), []
+    em = {name: diagnostics._em_frame(gauges, consts, run.q, name) for name in {family, "psi"}}
 
     def rms(arr):
         return float(np.sqrt(np.mean(np.square(arr))))
 
-    def norms(i, rate):  # frame i's E and B norms, and self_consistency at the middle one
-        frame = next(frames)
+    def norms(i, rate):  # frame i's E and B norms, and at the middle one E_psi's self_consistency
+        frame = em[family](i, rate)
         rows.append({"time": times[i], "e_rms": [rms(c) for c in frame.e[:dim]],
                      "b_rms": [rms(c) for c in frame.b]})
         if i != mid:
             return {}
-        if family != "psi":  # self_consistency's Gauss law holds for E_psi whatever the family
-            frame = diagnostics.em_fields(times[i - 1:i + 2], gauges[i - 1:i + 2], consts,
-                                          [run.q[k] for k in range(i - 1, i + 2)])[1][0]
-        e_psi = fields.VectorField(run.grid, frame.e[:dim])
+        e_psi = fields.VectorField(run.grid, em["psi"](i, rate).e[:dim])
         return {"self_consistency": diagnostics.self_consistency_residual(e_psi, run.f[i], consts)}
 
     reports = _reduce(run, [gauge_rows(run), norms])

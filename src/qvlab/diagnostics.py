@@ -8,16 +8,16 @@ Q, transforms psi once, and so does the force.
 
 Every time derivative is a centered second-order difference over stored
 snapshots, so residuals carry an O(dt^2) floor that is discretization, not
-identity failure; report dt alongside the norms.  Each time-series residual
-is a per-frame formula, its rows function, that one reducer, _interior, runs
-frame by frame in time order and lays out frame-major in per_point:
-(k * frames, *grid), with k = 3 axis rows for Faraday and Ampere.  A rows
-function reads only frames i - 1 to i + 1 of its series, so a caller may hold
-those three alone and keep no per_point.  Norms are taken over the unmasked
-grid points only (l2 is the root mean square), and the masked fraction is
-part of the report.  One rule reduces every report: each row (a grid-shaped
-sample array) has its r^2 summed by one numpy reduction, and the row sums add
-in row order.
+identity failure; report dt alongside the norms.  Each time-series residual,
+and each E and B frame (_em_frame), is a per-frame formula, its rows function,
+that one loop, _interior, runs frame by frame in time order, forming every
+difference, and lays out frame-major in per_point: (k * frames, *grid), with
+k = 3 axis rows for Faraday and Ampere.  A rows function reads only frames
+i - 1 to i + 1 of its series, so a caller may hold those three alone and keep
+no per_point.  Norms are taken over the unmasked grid points only (l2 is the
+root mean square), and the masked fraction is part of the report.  One rule
+reduces every report: each row (a grid-shaped sample array) has its r^2
+summed by one numpy reduction, and the row sums add in row order.
 """
 from __future__ import annotations
 
@@ -129,23 +129,27 @@ def _series_spacing(times: Sequence[float], **series) -> float:
 
 def _interior(times: Sequence[float], rows, points: bool = True, **series) -> dict:
     """Reports over the interior frames i of checked series, taken in time
-    order: rows(i, rate) maps each report name to its k samples at frame i
-    (rate(at) is the centered time derivative of the samples at(k)).  Each
-    row is tallied as it comes; with points, it is also kept, as row
+    order: rows(i, rate), called once per frame, maps each report name to its
+    k samples at frame i (rate(at) is the centered time derivative of the
+    samples at(k)) or to a finished one-frame ResidualReport, passed through.
+    Each row is tallied as it comes; with points, it is also kept, as row
     k*(i-1) + r of the report's per_point for sample r."""
     dt = _series_spacing(times, **series)
-    frames, tallies, kept = len(times) - 2, {}, {}
+    frames, tallies, kept, made = len(times) - 2, {}, {}, {}
     for i in range(1, frames + 1):
         def rate(at):
             return (at(i + 1) - at(i - 1)) / (2.0 * dt)
         for name, parts in rows(i, rate).items():
+            if isinstance(parts, ResidualReport):
+                made[name] = parts
+                continue
             if points and name not in kept:
                 kept[name] = np.empty((len(parts) * frames,) + np.shape(parts[0]))
             for row, values in enumerate(parts, start=len(parts) * (i - 1)):
                 tallies.setdefault(name, _Tally()).add(values)
                 if points:
                     kept[name][row] = values
-    return {name: tally.report(name, dt, kept.get(name)) for name, tally in tallies.items()}
+    return made | {name: tally.report(name, dt, kept.get(name)) for name, tally in tallies.items()}
 
 
 def _freeze(parts):
@@ -331,43 +335,44 @@ def em_fields(
     adds to the B of psi and classical.  B, and grad U for classical, are
     computed once for consecutive frames that repeat one gauge object and
     shared, read-only, by those frames.  Returns (interior_times,
-    [MaxwellFrame]).
+    [MaxwellFrame]), the frames _em_frame forms in _interior's loop.
     """
-    return list(times[1:-1]), list(_em_frames(times, gauges, consts, q_series, family))
+    frame, frames = _em_frame(gauges, consts, q_series, family), []
+    _interior(times, lambda i, rate: frames.append(frame(i, rate)) or {},
+              gauges=gauges, q_series=q_series)
+    return list(times[1:-1]), frames
 
 
-def _em_frames(times, gauges, consts, q_series=None, family="psi"):
-    """The MaxwellFrames of em_fields, one at a time in time order: frame i
-    reads only q_series[i], so q_series may hold frames i - 1 to i + 1 alone."""
+def _em_frame(gauges, consts, q_series=None, family="psi"):
+    """The MaxwellFrame of em_fields at interior frame i, as frame(i, rate) for
+    _interior's rows: it reads gauges i - 1 to i + 1 (refused off gauges[0]'s
+    grid) and only q_series[i], so q_series may hold frames i - 1 to i + 1 alone."""
     if family not in FAMILIES:
         raise ValueError(f"unknown field family {family!r}, expected one of {FAMILIES}")
-    dt = _series_spacing(times, gauges=gauges, q_series=q_series)
-    grid = gauges[0].grid
-    if any(g.grid != grid for g in gauges):
-        raise ValueError("gauge snapshots live on different grids")
-    if q_series is None:
-        q_series = [np.zeros(grid.shape)] * len(times)
-    coeff = 2.0 * consts.alpha * consts.beta / consts.gamma
-    a_name = f"a_{family}"
+    coeff, a_name = 2.0 * consts.alpha * consts.beta / consts.gamma, f"a_{family}"
 
     def static(g):
-        b = _curl3(getattr(g, a_name).components, grid)
+        b = _curl3(getattr(g, a_name).components, g.grid)
         if family != "quantum" and g.b_external is not None:
             b = tuple(c + ext for c, ext in zip(b, g.b_external))
-        grad_u = tuple(spectral_gradient(g.u, grid)) if family == "classical" else ()
+        grad_u = tuple(spectral_gradient(g.u, g.grid)) if family == "classical" else ()
         return b, grad_u
 
     per_gauge = _per_gauge(static)
-    for i in range(1, len(times) - 1):
-        b, grad_u = per_gauge(gauges[i])
-        if family == "classical":
-            grad = grad_u
-        else:
-            v = gauges[i].u + q_series[i] if family == "psi" else q_series[i]
-            grad = spectral_gradient(v, grid)
-        a0, a2 = (getattr(gauges[k], a_name).components for k in (i - 1, i + 1))
-        e = tuple(-(x2 - x0) / (2.0 * dt) - coeff * gr for x0, x2, gr in zip(a0, a2, grad))
-        yield MaxwellFrame(grid, e, b)
+
+    def frame(i, rate):
+        grid = gauges[0].grid
+        if any(gauges[k].grid != grid for k in (i - 1, i, i + 1)):
+            raise ValueError("gauge snapshots live on different grids")
+        b, grad = per_gauge(gauges[i])
+        if family != "classical":
+            q = np.zeros(grid.shape) if q_series is None else q_series[i]
+            grad = spectral_gradient(gauges[i].u + q if family == "psi" else q, grid)
+        e = tuple(-rate(lambda k: getattr(gauges[k], a_name).components[ax]) - coeff * gr
+                  for ax, gr in enumerate(grad))
+        return MaxwellFrame(grid, e, b)
+
+    return frame
 
 
 def gauge_residuals(

@@ -140,20 +140,6 @@ def _trace(kept) -> EvolutionTrace:
     return trace
 
 
-def _run_field(name, cls, psi, params, build):
-    """_run on a field of class cls, with the values -> values stepper that
-    build() returns lifted to fields; any other class is a TypeError naming
-    the run function `name`, raised before a stepper is built."""
-    if not isinstance(psi, cls):
-        raise TypeError(f"{name} needs a {cls.__name__}, got a {type(psi).__name__}")
-
-    def on_field():
-        advance = build()
-        return lambda field, steps: type(psi)(psi.grid, advance(field.values, steps))
-
-    return _run(psi, params, on_field)
-
-
 def _strang(half, full, inner, multiplier):
     """The block stepper of one Strang scheme.  Each factor writes
     factor(src) into dst, which shares no memory with src; `half` and `full`
@@ -577,20 +563,27 @@ def gps_apply(matrix: TaylorEvolutionMatrix, state) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # run drivers
 
-# each _kept_* hands out its run's kept (time, state) pairs; run_* collects them
-def _kept_schrodinger(psi, gauge, consts, params):
-    return _run_field("run_schrodinger", ComplexScalarField, psi, params,
-                      lambda: _split_stepper(psi.grid, gauge, consts, params))
+def _kept(name, cls, stepper, **options):
+    """The driver kept(psi, potential, consts, params) of one equation: _run on
+    a field of class cls with stepper(grid, potential, consts, params, **options)
+    lifted to fields, handing out the kept (time, state) pairs run_* collects.
+    Any other class is a TypeError naming `name`, raised before a stepper is built."""
+    def kept(psi, potential, consts, params):
+        if not isinstance(psi, cls):
+            raise TypeError(f"{name} needs a {cls.__name__}, got a {type(psi).__name__}")
+
+        def on_field():
+            advance = stepper(psi.grid, potential, consts, params, **options)
+            return lambda field, steps: type(psi)(psi.grid, advance(field.values, steps))
+
+        return _run(psi, params, on_field)
+
+    return kept
 
 
-def _kept_pauli(psi, gauge, consts, params):
-    return _run_field("run_pauli", SpinorField, psi, params,
-                      lambda: _split_stepper(psi.grid, gauge, consts, params, spin=True))
-
-
-def _kept_dirac(psi, pot, consts, params):
-    return _run_field("run_dirac", BispinorField, psi, params,
-                      lambda: _dirac_stepper(psi.grid, pot, consts, params))
+_kept_schrodinger = _kept("run_schrodinger", ComplexScalarField, _split_stepper)
+_kept_pauli = _kept("run_pauli", SpinorField, _split_stepper, spin=True)
+_kept_dirac = _kept("run_dirac", BispinorField, _dirac_stepper)
 
 
 def run_schrodinger(psi, gauge, consts, params) -> EvolutionTrace:

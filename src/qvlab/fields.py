@@ -290,4 +290,7 @@ def read_snapshot(path, out=None):
         got = fh.readinto(out)
         if got != out.nbytes:
             raise SnapshotError(f"{path}: payload ended after {got} of {out.nbytes} bytes")
-    return VectorField(grid, tuple(out)) if cls is None else cls(grid, out)
+    try:
+        return VectorField(grid, tuple(out)) if cls is None else cls(grid, out)
+    except ValueError as err:  # samples the field refuses: non-finite ones
+        raise SnapshotError(f"{path}: {err}") from err

@@ -637,6 +637,21 @@ def test_non_json_number_tokens_are_config_errors(key, token, command, tmp_path,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("original, repeated, key", [
+    ('"evolution": {', '"evolution": {"dt": 0.02, "steps": 2}, "evolution": {', "evolution"),
+    ('"dt": 0.001', '"dt": 0.001, "dt": 0.002', "dt"),
+], ids=["top-level", "nested"])
+def test_a_repeated_key_is_a_config_error(original, repeated, key, tmp_path, capsys):
+    # a plain JSON reader keeps the last value, so the run would silently take it
+    text = json.dumps(_small_config())
+    assert text.count(original) == 1
+    cfg = tmp_path / "repeated.json"
+    cfg.write_text(text.replace(original, repeated), encoding="utf-8")
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f'config error: config {cfg} repeats the key "{key}"\n'
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("key, literal, command", [
     ("grid.length", "[1e999]", "evolve"),
     ("grid.length", "[1" + "0" * 400 + "]", "evolve"),
@@ -1095,6 +1110,34 @@ def test_a_bad_snapshot_mid_series_writes_nothing(command, fault, prefix, reason
     assert f"config error: {prefix} '{middle.name}'" in err
     assert reason in err
     assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json"] + files)
+
+
+@pytest.mark.parametrize("command", ["diagnose", "fields", "trace", "custom"])
+def test_a_snapshot_with_a_non_finite_sample_is_named(command, gaussian_run, tmp_path,
+                                                      capsys):
+    # the field refuses the samples; the refusal names the file and exits 2
+    cfg, run = gaussian_run
+    out = tmp_path / "run"
+    out.mkdir()
+    files = _snapshot_files(run)
+    for name in ["manifest.json"] + files:
+        shutil.copy(run / name, out / name)
+    bad = out / files[2]
+    raw = bytearray(bad.read_bytes())
+    raw[-8:] = np.float64(np.nan).tobytes()
+    bad.write_bytes(bytes(raw))
+    label, target = bad.name, out
+    if command == "custom":  # the preset reads the snapshot as the initial state
+        payload = _gaussian_config()
+        payload["initial_state"] = {"preset": "custom", "path": f"run/{bad.name}"}
+        cfg = _write_config(tmp_path / "custom.json", payload)
+        command, label, target = "evolve", f"run/{bad.name}", tmp_path / "resumed"
+    assert main([command, "--config", str(cfg), "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read snapshot '{label}'")
+    assert err.endswith(f"{bad}: field samples must be finite\n")
+    assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json"] + files)
+    assert not (tmp_path / "resumed").exists()
 
 
 def test_diagnose_grid_mismatch_is_rejected(gaussian_run, tmp_path, capsys):
@@ -1743,6 +1786,53 @@ def test_self_consistency_measures_e_psi_whatever_the_family(tmp_path):
         assert main(["fields", "--config", str(cfg), "--out", out]) == 0
         reports[family] = pathlib.Path(out, "report_self_consistency.json").read_bytes()
     assert reports["classical"] == reports["psi"] == reports["quantum"]
+
+
+@pytest.mark.parametrize("family", ["psi", "classical", "quantum"])
+def test_fields_outputs_are_the_library_em_fields_of_the_run(family, tmp_path):
+    # frame i's norms are of em_fields' frame i of the family, and
+    # self_consistency is of E_psi at the middle frame, bit for bit
+    from qvlab import diagnostics
+    from qvlab.fields import density
+
+    payload = {
+        "equation": "schrodinger",
+        "grid": {"dim": 2, "n": [32, 32], "length": [16.0, 16.0]},
+        "initial_state": {"preset": "ho_ground", "omega": 1.0, "center": [8.0, 8.0]},
+        "gauge": {"u": {"preset": "harmonic", "omega": 1.0, "center": [8.0, 8.0]},
+                  "a": {"preset": "uniform", "value": [0.3, -0.2]},
+                  "b_external": [0.0, 0.0, 0.5]},
+        "evolution": {"dt": 0.005, "steps": 10, "snapshot_stride": 2},
+        "fields": {"family": family},
+    }
+    cfg, out = _write_config(tmp_path / "scenario.json", payload), tmp_path / "run"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["fields", "--config", str(cfg), "--out", str(out)]) == 0
+
+    scenario = cli.Scenario(cli._load_config(str(cfg))[0], str(tmp_path))
+    gauge, consts, grid = scenario.gauge, scenario.consts, scenario.grid
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    times = [entry["time"] for entry in manifest["snapshots"]]
+    snaps = [read_snapshot(out / name) for name in _snapshot_files(out)]
+    q_series = [diagnostics.quantum_potential(s, consts)[0] for s in snaps]
+    gauges = [gauge] * len(snaps)
+
+    def rms(arr):
+        return float(np.sqrt(np.mean(np.square(arr))))
+
+    interior, frames = diagnostics.em_fields(times, gauges, consts, q_series, family)
+    summary = json.loads((out / "fields_summary.json").read_text(encoding="utf-8"))
+    assert summary == {"family": family, "frames": [
+        {"time": t, "e_rms": [rms(c) for c in fr.e[:2]], "b_rms": [rms(c) for c in fr.b]}
+        for t, fr in zip(interior, frames, strict=True)]}
+    assert any(summary["frames"][0]["b_rms"]) == (family != "quantum")
+
+    mid = len(times) // 2
+    e_psi = diagnostics.em_fields(times, gauges, consts, q_series)[1][mid - 1].e[:2]
+    report = diagnostics.self_consistency_residual(
+        VectorField(grid, e_psi), density(snaps[mid]), consts)
+    written = (out / "report_self_consistency.json").read_bytes()
+    assert written == report.to_json().encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,24 @@ def test_series_must_align_with_times(call, name, entries, count):
         call([0.1 * i for i in range(count)])
 
 
+def test_interior_passes_a_finished_report_through():
+    # a residual of one frame rides the frame loop as its finished report:
+    # returned as it is, not tallied as samples and not given a per_point
+    finished = ResidualReport("one_frame", 1.0, 2.0, 0.25, 12, dt=0.5)
+    seen = []
+
+    def rows(i, rate):
+        seen.append(i)
+        parts = {"series": (rate(lambda k: np.full(4, float(k * k))),)}
+        return {**parts, "one_frame": finished} if i == 2 else parts
+
+    reports = diagnostics._interior([0.0, 0.1, 0.2, 0.3], rows)
+    assert seen == [1, 2]
+    assert reports["one_frame"] is finished
+    assert reports["series"].per_point.shape == (2, 4)
+    assert reports["series"].n_points == 8
+
+
 # ---------------------------------------------------------------------------
 # quantum potential
 
@@ -550,6 +568,19 @@ def test_em_frames_hold_absent_slots_as_zero_views():
     assert all(e.flags.writeable and e.strides != (0, 0) for e in fr.e[:2])
 
 
+def test_em_fields_checks_the_family_then_the_series_then_the_grids():
+    small, large = (GaugeConfiguration.free(make_grid(1, [n], [2 * np.pi])) for n in (16, 32))
+    gauges = [small, small, large]
+    with pytest.raises(ValueError, match="^gauge snapshots live on different grids$"):
+        em_fields([0.0, 0.1, 0.2], gauges, NAT)
+    with pytest.raises(ValueError, match="equally spaced"):
+        em_fields([0.0, 0.1, 0.3], gauges, NAT)
+    with pytest.raises(ValueError, match="unknown field family"):
+        em_fields([0.0, 0.1, 0.3], gauges, NAT, family="total")
+    with pytest.raises(ValueError, match="need at least 3 snapshots, got 0"):
+        em_fields([], [], NAT)
+
+
 def test_em_fields_needs_three_snapshots():
     g = make_grid(1, [32], [2 * np.pi])
     gauge = GaugeConfiguration.free(g)
@@ -712,6 +743,39 @@ def test_shared_gauge_work_matches_per_frame_work(shape, count, external, seed):
             gauge_residuals(times, shared, NAT, q_series),
             gauge_residuals(times, copies, NAT, q_series),
         )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.sampled_from([(16,), (12,), (8, 12), (16, 8), (6, 8, 4)]),
+    count=st.integers(3, 6),
+    family=st.sampled_from(FAMILIES),
+    with_q=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_em_fields_is_the_centred_difference_of_each_frame(shape, count, family, with_q,
+                                                           seed):
+    # E = -(A(i+1) - A(i-1)) / (2 dt) - (2 alpha beta / gamma) grad V and B = curl A
+    # (+ b_external but for quantum), bit for bit, on gauges that change every frame
+    rng = np.random.default_rng(seed)
+    g = make_grid(len(shape), list(shape), [2 * np.pi, 5.0, 3.0][: len(shape)])
+    gauges = [_random_gauge(g, rng, external=True) for _ in range(count)]
+    times = [0.01 * i for i in range(count)]
+    q_series = [random_band_limited(g, rng) for _ in times] if with_q else None
+    interior, frames = em_fields(times, gauges, NAT, q_series, family=family)
+    assert interior == times[1:-1] and len(frames) == count - 2
+    dt, coeff = times[1] - times[0], 2.0 * NAT.alpha * NAT.beta / NAT.gamma
+    for i, fr in enumerate(frames, start=1):
+        a0, a1, a2 = (getattr(gauges[k], f"a_{family}").components for k in (i - 1, i, i + 1))
+        q = q_series[i] if with_q else np.zeros(g.shape)
+        v = {"psi": gauges[i].u + q, "classical": gauges[i].u, "quantum": q}[family]
+        e = [-(x2 - x0) / (2.0 * dt) - coeff * gr
+             for x0, x2, gr in zip(a0, a2, spectral_gradient(v, g))]
+        b = _curl3(a1, g)
+        if family != "quantum":
+            b = tuple(c + ext for c, ext in zip(b, gauges[i].b_external))
+        for got, want in zip(fr.e + fr.b, e + [0.0] * (3 - g.dim) + list(b), strict=True):
+            assert np.asarray(got).tobytes() == np.broadcast_to(want, g.shape).tobytes()
 
 
 def test_shared_gauge_arrays_are_read_only():

@@ -1,6 +1,7 @@
 """Field containers, density/phase extraction, node masking, snapshot I/O."""
 import dataclasses
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -385,6 +386,20 @@ def test_snapshot_wrong_component_count(tmp_path):
     p.write_bytes(header + payload)
     with pytest.raises(SnapshotError, match="components"):
         read_snapshot(p)
+
+
+@pytest.mark.parametrize("sample", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", _KINDS)
+def test_snapshot_with_a_non_finite_sample_is_a_snapshot_error(tmp_path, kind, sample):
+    # the field refuses the samples; the refusal names the file, as every other does
+    path = tmp_path / f"{kind}.qfs"
+    write_snapshot(_random_field(kind, _GRIDS[1]), path)
+    raw = bytearray(path.read_bytes())
+    raw[-8:] = np.float64(sample).tobytes()  # the last sample's last float
+    path.write_bytes(bytes(raw))
+    message = f"^{re.escape(str(path))}: field samples must be finite$"
+    with pytest.raises(SnapshotError, match=message):
+        read_snapshot(path)
 
 
 @pytest.mark.parametrize("cls, ncomp", [(ComplexScalarField, 1), (SpinorField, 2),

@@ -141,6 +141,15 @@ def test_the_snapshot_file_name_is_spelled_once():
     assert sum(source.count("snap_") for source in sources) == 1
 
 
+def test_the_centred_time_difference_is_spelled_once():
+    # every time derivative is the rate diagnostics._interior hands its rows
+    # functions, so no second loop over interior frames forms its own
+    sources = [path.read_text(encoding="utf-8")
+               for path in pathlib.Path(qvlab.__file__).parent.glob("*.py")]
+    assert sum(source.count("2.0 * dt") for source in sources) == 1
+    assert "2.0 * dt" in inspect.getsource(importlib.import_module("qvlab.diagnostics")._interior)
+
+
 def test_a_snapshot_header_is_decoded_once():
     # every reader of a .qfs file goes through read_snapshot, so a second decoder
     # (of another format version, say) cannot grow beside it
